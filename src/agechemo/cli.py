@@ -73,6 +73,10 @@ def _cmd_roots(args) -> int:
     sys.stdout.write("characteristic roots (count %d):\n" % cfg.n_modes)
     for r in roots:
         sys.stdout.write("  %+.6f %+.6fj\n" % (r.real, r.imag))
+    sys.stdout.write(
+        "certified: %d roots in Re s >= %.2f, |Im s| <= %.2f\n"
+        % (len(roots), roots.sigma_lo, roots.omega_cap)
+    )
     return EXIT_OK
 
 

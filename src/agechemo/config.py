@@ -260,15 +260,18 @@ def build_model(cfg: ScenarioConfig) -> ModelParams:
         if cfg.k_spec[0] == "constant":
             k_prime = np.zeros(n)
     mk = lambda v: GridFunction(v, cfg.a_max)
-    return ModelParams(
-        mu=mk(mu),
-        k=mk(k),
-        p=mk(p),
-        a_max=cfg.a_max,
-        d_min=cfg.d_min,
-        d_max=cfg.d_max,
-        k_prime=mk(k_prime) if k_prime is not None else None,
-    )
+    try:
+        return ModelParams(
+            mu=mk(mu),
+            k=mk(k),
+            p=mk(p),
+            a_max=cfg.a_max,
+            d_min=cfg.d_min,
+            d_max=cfg.d_max,
+            k_prime=mk(k_prime) if k_prime is not None else None,
+        )
+    except ValueError as exc:  # the message names the offending key
+        raise ValidationError("[model] %s" % exc) from exc
 
 
 def build_x0(cfg: ScenarioConfig, params: ModelParams, eq: Equilibrium) -> GridFunction:

@@ -32,14 +32,39 @@ from .grid import GridFunction, fd4, hermite_resample, simpson_weights
 from .model import Equilibrium, ModelParams
 from .trajectories import Trajectory
 
-#: initial-guess box for the damped Newton search (omega upper edge 6*pi/A)
-SIGMA_GUESSES = 15
-OMEGA_GUESSES = 24
+#: Chebyshev-Lobatto collocation degree of the delay-equation generator
+COLLOCATION_N = 64
 ROOT_RESIDUAL_TOL = 1e-8
 GRAM_COND_LIMIT = 1e12
 
 _DEDUP_DIST = 1e-4
 _ALIAS_RESIDUAL_TOL = 5e-2
+#: Newton steps per eigenvalue; resolved eigenvalues converge in a few, and
+#: spurious high-frequency ones are dropped after this many
+_POLISH_ITERS = 10
+#: right edge of the certified box: with k_tilde >= 0 integrating to one, no
+#: root has Re s > 0, and s = 0 sits 0.5 inside the edge
+_CERT_SIGMA_HI = 0.5
+#: left margin below the last kept pair when no further root was found
+_CERT_MARGIN = 1.0
+#: bisections of the contour sampling before the phase is declared unresolved
+_CERT_REFINE_ROUNDS = 24
+#: elements per transient block of the quadrature sums (64 kB as complex),
+#: small enough to be served from the heap rather than fresh mappings
+_CHUNK = 1 << 12
+
+
+class CertifiedRoots(list):
+    """Characteristic roots, with the box in which their count was certified.
+
+    The argument principle found exactly ``len(self)`` roots of the refined
+    rule in ``sigma_lo <= Re s <= 0.5``, ``|Im s| <= omega_cap``.
+    """
+
+    def __init__(self, roots, sigma_lo: float, omega_cap: float):
+        super().__init__(roots)
+        self.sigma_lo = sigma_lo
+        self.omega_cap = omega_cap
 
 
 def _char_residual(s: complex, k_tilde: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> complex:
@@ -48,19 +73,174 @@ def _char_residual(s: complex, k_tilde: np.ndarray, nodes: np.ndarray, weights: 
     return val - 1.0
 
 
-def _char_slope(s: complex, k_tilde: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> complex:
+def _char_values(s: np.ndarray, wk: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """int kt e^{-s a} da - 1 at many points s, as chunked sums (wk = w * kt)."""
+    out = np.empty(len(s), dtype=complex)
+    rows = max(1, _CHUNK // len(nodes))
+    for lo in range(0, len(s), rows):
+        block = np.outer(s[lo : lo + rows], -nodes)
+        out[lo : lo + rows] = np.exp(block, out=block) @ wk
+    return out - 1.0
+
+
+def _collocation_eigenvalues(eq: Equilibrium, params: ModelParams) -> np.ndarray:
+    """Eigenvalues of the pseudospectral generator of the delay equation.
+
+    The state psi on [-A, 0] is collocated at Chebyshev-Lobatto points
+    theta_j (theta_0 = 0, theta_N = -A).  Rows 1..N differentiate; row 0 is
+    the delay equation psi'(0) = kt(0) psi(0) - kt(A) psi(-A) +
+    int kt'(a) psi(-a) da, its integral taken on the native grid against the
+    barycentric Lagrange basis.  The characteristic function is
+    s (1 - int kt e^{-s a}), so the eigenvalues approximate the roots plus a
+    second one at s = 0 (Breda, Maset & Vermiglio, SIAM J. Sci. Comput. 27,
+    2005).
+    """
+    n = COLLOCATION_N
+    j = np.arange(n + 1)
+    x = np.sin(np.pi * (n - 2 * j) / (2 * n))  # cos(j pi / n), exactly symmetric
+    ends = np.where((j == 0) | (j == n), 2.0, 1.0)
+    c = ends * (-1.0) ** j
+    dx = x[:, None] - x[None, :] + np.eye(n + 1)
+    d = np.outer(c, 1.0 / c) / dx
+    d -= np.diag(d.sum(axis=1))
+    gen = (2.0 / params.a_max) * d
+
+    bary = (-1.0) ** j / ends  # barycentric weights of the Lobatto points
+    y = 1.0 - 2.0 * params.nodes / params.a_max  # x-coordinate of theta = -a
+    wkp = params.weights * eq.k_tilde_prime.values
+    kt = eq.k_tilde.values
+    row = np.zeros(n + 1)
+    row[0], row[n] = kt[0], -kt[-1]
+    step = max(1, _CHUNK // (n + 1))
+    for lo in range(0, len(y), step):
+        diff = y[lo : lo + step, None] - x[None, :]
+        hit = diff == 0.0
+        terms = bary / np.where(hit, 1.0, diff)
+        basis = terms / terms.sum(axis=1, keepdims=True)
+        on_node = hit.any(axis=1)
+        basis[on_node] = hit[on_node]
+        row += wkp[lo : lo + step] @ basis
+    gen[0] = row
+    return np.linalg.eigvals(gen)
+
+
+def _polish(s: complex, kt: np.ndarray, nodes: np.ndarray, w: np.ndarray, wa: np.ndarray):
+    """Damped Newton from s on the rule (nodes, w); the root, or None.
+
+    One exponential per iterate serves both the residual and the slope
+    (wa = w * nodes); gives up after _POLISH_ITERS steps.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        return complex(weights @ (-nodes * k_tilde * np.exp(-s * nodes)))
+        v = kt * np.exp(-s * nodes)
+        f = complex(w @ v) - 1.0
+        for _ in range(_POLISH_ITERS):
+            if not np.isfinite(abs(f)):
+                return None
+            if abs(f) < 1e-13:
+                return s
+            slope = -complex(wa @ v)
+            if slope == 0 or not np.isfinite(abs(slope)):
+                return None
+            step = f / slope
+            lam = 1.0
+            while True:
+                s_try = s - lam * step
+                v = kt * np.exp(-s_try * nodes)
+                f_try = complex(w @ v) - 1.0
+                if np.isfinite(abs(f_try)) and abs(f_try) < abs(f):
+                    break
+                lam *= 0.5
+                if lam <= 1e-9:
+                    return None
+            s, f = s_try, f_try
+    return s if abs(f) < 1e-13 else None
+
+
+def _polish_roots(eigs, needed, kt_f, nodes_f, w_f, kt, nodes, w, omega_cap) -> list[complex]:
+    """Distinct roots in 0 < Im s <= omega_cap polished from the eigenvalues.
+
+    Starts run in order of decreasing real part, and stop once needed + 1
+    roots are known and the eigenvalues fall below the last of them; a
+    converged point is kept unless the native-grid rule rejects it as a
+    refinement alias.  Sorted by decreasing real part.
+    """
+    wa_f = w_f * nodes_f
+    found: list[complex] = []
+    for z in sorted((z for z in eigs if z.imag > 0), key=lambda z: -z.real):
+        if len(found) > needed and z.real < found[needed].real:
+            break
+        s = _polish(complex(z), kt_f, nodes_f, w_f, wa_f)
+        if s is None or s.imag <= 1e-6 or s.imag > omega_cap:
+            continue
+        if abs(_char_residual(s, kt, nodes, w)) > _ALIAS_RESIDUAL_TOL:
+            continue  # not a root of the native-grid kernel: an alias
+        if all(abs(s - r) >= _DEDUP_DIST for r in found):
+            found.append(s)
+            found.sort(key=lambda r: -r.real)
+    return found
+
+
+def _winding_number(wk: np.ndarray, nodes: np.ndarray, sigma_lo: float, omega_cap: float) -> int:
+    """Roots of int kt e^{-s a} - 1 inside [sigma_lo, 0.5] x [-omega_cap, omega_cap].
+
+    Argument principle (Delves & Lyness, Math. Comp. 21, 1967) on the
+    counter-clockwise boundary.  On a vertical edge F is a DFT in omega,
+    taken with one zero-padded real FFT at spacing pi/(4A) or finer; the
+    horizontal edges are direct sums, the lower one the conjugate of the
+    upper.  Segments whose phase step reaches pi/2 are bisected; raises
+    RootSearchExhausted if that does not resolve them.
+    """
+    h = nodes[1] - nodes[0]
+    m_fft = 1 << int(math.ceil(math.log2(8 * (len(nodes) - 1))))
+    d_omega = 2 * math.pi / (m_fft * h)
+    n_in = int(math.ceil(omega_cap / d_omega))  # samples 0..n_in-1 lie below the cap
+    omegas = d_omega * np.arange(n_in)
+
+    def vertical(sigma: float) -> np.ndarray:
+        half = np.fft.rfft(wk * np.exp(-sigma * nodes), n=m_fft)[:n_in] - 1.0
+        return np.concatenate([half[:0:-1].conj(), half])  # omega ascending
+
+    n_top = int(math.ceil((_CERT_SIGMA_HI - sigma_lo) / d_omega)) + 1
+    top_pts = np.linspace(_CERT_SIGMA_HI, sigma_lo, n_top) + 1j * omega_cap
+    top = _char_values(top_pts, wk, nodes)
+    axis = np.concatenate([-omegas[:0:-1], omegas])
+    pts = np.concatenate(
+        [
+            _CERT_SIGMA_HI + 1j * axis,
+            top_pts,
+            sigma_lo + 1j * axis[::-1],
+            top_pts[::-1].conj(),
+        ]
+    )
+    vals = np.concatenate([vertical(_CERT_SIGMA_HI), top, vertical(sigma_lo)[::-1], top[::-1].conj()])
+    for _ in range(_CERT_REFINE_ROUNDS):
+        if not np.all(np.isfinite(vals)) or np.any(vals == 0):
+            break
+        steps = np.angle(np.roll(vals, -1) / vals)
+        bad = np.flatnonzero(np.abs(steps) >= 0.5 * math.pi)
+        if len(bad) == 0:
+            return int(round(steps.sum() / (2 * math.pi)))
+        mids = 0.5 * (pts[bad] + pts[(bad + 1) % len(pts)])
+        pts = np.insert(pts, bad + 1, mids)
+        vals = np.insert(vals, bad + 1, _char_values(mids, wk, nodes))
+    raise RootSearchExhausted(
+        "argument principle: phase unresolved on the contour at Re s = %.4g" % sigma_lo
+    )
 
 
 def characteristic_roots(eq: Equilibrium, params: ModelParams, count: int) -> list[complex]:
     """Trivial root plus the count/2 - 1 conjugate pairs with largest real parts.
 
-    Damped Newton from a grid of initial guesses.  The residual is evaluated
-    on a four-fold refined quadrature (smooth resampling of the kernel), so
-    the returned roots carry continuum accuracy rather than the native
-    grid's oscillatory-quadrature shift; candidates are re-checked on the
-    native grid to reject refinement aliases.
+    One eigen-solve of the collocated delay-equation generator gives
+    candidates; damped Newton polishes them on a four-fold refined
+    quadrature (smooth resampling of the kernel), so the returned roots
+    carry continuum accuracy rather than the native grid's
+    oscillatory-quadrature shift, and candidates are re-checked on the
+    native grid to reject refinement aliases.  The argument principle then
+    certifies that no root was missed: the count of roots in the box
+    between s = 0 and midway to the next root, |Im s| <= pi/(4h), must
+    equal the count returned.  Raises RootSearchExhausted when too few
+    pairs are found, a residual check fails, or the count disagrees.
     """
     if count % 2 != 0 or count < 4:
         raise ValueError("count must be even and >= 4")
@@ -73,40 +253,9 @@ def characteristic_roots(eq: Equilibrium, params: ModelParams, count: int) -> li
     kt_f = hermite_resample(nodes, kt, nodes_f)
     w_f = simpson_weights(n_fine, nodes_f[1] - nodes_f[0])
 
-    found: list[complex] = []
-    for sg in np.linspace(-6.0, 1.0, SIGMA_GUESSES):
-        for wg in np.linspace(0.5, 6 * math.pi / params.a_max, OMEGA_GUESSES):
-            s = complex(sg, wg)
-            ok = False
-            for _ in range(80):
-                f = _char_residual(s, kt_f, nodes_f, w_f)
-                if not np.isfinite(f.real) or not np.isfinite(f.imag):
-                    break
-                if abs(f) < 1e-13:
-                    ok = True
-                    break
-                slope = _char_slope(s, kt_f, nodes_f, w_f)
-                if slope == 0 or not np.isfinite(abs(slope)):
-                    break
-                step = f / slope
-                lam = 1.0
-                while lam > 1e-9:
-                    f_try = _char_residual(s - lam * step, kt_f, nodes_f, w_f)
-                    if np.isfinite(abs(f_try)) and abs(f_try) < abs(f):
-                        break
-                    lam *= 0.5
-                s = s - lam * step
-            if not ok:
-                continue
-            if s.imag <= 1e-6 or s.imag > omega_cap:
-                continue
-            if abs(_char_residual(s, kt, nodes, w)) > _ALIAS_RESIDUAL_TOL:
-                continue  # not a root of the native-grid kernel: an alias
-            if all(abs(s - r) >= _DEDUP_DIST for r in found):
-                found.append(s)
-
-    found.sort(key=lambda z: -z.real)
     pairs_needed = count // 2 - 1
+    eigs = _collocation_eigenvalues(eq, params)
+    found = _polish_roots(eigs, pairs_needed, kt_f, nodes_f, w_f, kt, nodes, w, omega_cap)
     if len(found) < pairs_needed:
         raise RootSearchExhausted(
             "found %d conjugate pairs, need %d" % (len(found), pairs_needed)
@@ -124,7 +273,19 @@ def characteristic_roots(eq: Equilibrium, params: ModelParams, count: int) -> li
             bad = abs(_char_residual(r, kt_f, nodes_f, w_f)) >= ROOT_RESIDUAL_TOL
         if bad:
             raise RootSearchExhausted("root %s failed the residual check" % r)
-    return roots
+
+    last = found[pairs_needed - 1].real
+    if len(found) > pairs_needed:
+        sigma_lo = 0.5 * (last + found[pairs_needed].real)
+    else:
+        sigma_lo = last - _CERT_MARGIN
+    winding = _winding_number(w_f * kt_f, nodes_f, sigma_lo, omega_cap)
+    if winding != len(roots):
+        raise RootSearchExhausted(
+            "argument principle counts %d roots in Re s >= %.4g, |Im s| <= %.4g; "
+            "the search kept %d" % (winding, sigma_lo, omega_cap, len(roots))
+        )
+    return CertifiedRoots(roots, sigma_lo, omega_cap)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import filecmp
+import re
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,33 @@ def test_cli_roots_command(capsys):
     assert main(["roots", str(bundled("fig2a.cfg"))]) == 0
     out = capsys.readouterr().out
     assert "-2.0" in out and "+4.4" in out
+
+
+def test_cli_roots_prints_certified_box(capsys):
+    assert main(["roots", str(bundled("fig2a.cfg"))]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "characteristic roots (count 6):"
+    root_line = re.compile(r"^\s+[+-]\S+ [+-]\S+j$")
+    assert sum(1 for line in out.splitlines() if root_line.match(line)) == 5
+    last = out.splitlines()[-1]
+    assert re.fullmatch(r"certified: 5 roots in Re s >= -\d+\.\d\d, \|Im s\| <= 157\.08", last)
+    assert not root_line.match(last)
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("mu = constant 0.1", "mu = constant -0.1", "[model] mu"),
+        ("k = quadratic-motherhood 2.00", "k = constant 0.0", "[model] k"),
+    ],
+)
+def test_cli_model_value_error_exits_3(tmp_path, capsys, old, new, key):
+    # the grammar accepts these; ModelParams rejects them
+    path = tmp_path / "bad.cfg"
+    path.write_text(small_config_text().replace(old, new))
+    for cmd in ("run", "verify", "roots"):
+        assert main([cmd, str(path)]) == 3
+        assert capsys.readouterr().err.startswith("input error: %s" % key)
 
 
 def test_cli_verify_command(tmp_path, capsys):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from agechemo.errors import DependentBasis, PositivityViolation
+from agechemo import galerkin
+from agechemo.errors import DependentBasis, PositivityViolation, RootSearchExhausted
 from agechemo.galerkin import (
     GalerkinBasis,
     assemble,
@@ -10,8 +11,8 @@ from agechemo.galerkin import (
     residual,
     simulate,
 )
-from agechemo.grid import GridFunction
-from agechemo.model import ModelParams
+from agechemo.grid import GridFunction, hermite_resample, simpson_weights
+from agechemo.model import ModelParams, solve_equilibrium
 from agechemo.trajectories import make_constant
 from oracles import char_residual_highres
 
@@ -45,6 +46,72 @@ def test_root_count_ten(trial):
     roots = characteristic_roots(trial["eq"], trial["params"], 10)
     assert len(roots) == 9
     assert sum(1 for r in roots if r.imag > 0) == 4
+
+
+def _motherhood_model(n, mu, k0):
+    a_max = 2.0
+    a = np.linspace(0.0, a_max, n)
+    mk = lambda v: GridFunction(np.broadcast_to(v, (n,)).astype(float), a_max)
+    params = ModelParams(
+        mu=mk(mu),
+        k=mk(k0 * a * (a_max - a)),
+        p=mk(1.0),
+        a_max=a_max,
+        d_min=0.5,
+        d_max=1.5,
+        k_prime=mk(k0 * (a_max - 2.0 * a)),
+    )
+    return solve_equilibrium(params), params
+
+
+def test_roots_keep_fourth_pair_by_real_part():
+    # a kernel-screen draw on which a 360-start Newton grid skipped this pair
+    eq, params = _motherhood_model(271, 0.111592, 2.277297)
+    roots = characteristic_roots(eq, params, 10)
+    pairs = [r for r in roots if r.imag > 0]
+    assert abs(pairs[3] - (-3.1706 + 13.9686j)) < 1e-3
+    assert all(abs(r - (-3.3683 + 17.1292j)) > 1e-3 for r in roots)
+
+
+def test_roots_certified_box_separates_kept_pairs(trial, trial_roots):
+    # sigma_lo lies below every kept pair and above the next root, -2.8198+10.7956j
+    assert min(r.real for r in trial_roots) > trial_roots.sigma_lo > -2.8198
+    assert trial_roots.omega_cap == pytest.approx(np.pi / (4 * trial["params"].h))
+
+
+def test_roots_certified_when_no_further_root_below_cap():
+    # at 21 nodes only two pairs lie in |Im s| <= pi/(4h), so the box
+    # extends a fixed margin below the last kept pair
+    eq, params = _motherhood_model(21, 0.1, 2.0)
+    roots = characteristic_roots(eq, params, 6)
+    assert roots.sigma_lo == pytest.approx(roots[3].real - 1.0)
+    assert abs(roots[3] - (-2.4933 + 7.6159j)) < 1e-3
+
+
+@pytest.mark.parametrize("drop", [0, 1, 2])
+def test_root_certificate_detects_dropped_root(trial, monkeypatch, drop):
+    polish = galerkin._polish_roots
+
+    def lossy(*args):
+        found = polish(*args)
+        return found[:drop] + found[drop + 1 :]
+
+    monkeypatch.setattr(galerkin, "_polish_roots", lossy)
+    with pytest.raises(RootSearchExhausted, match="argument principle counts"):
+        characteristic_roots(trial["eq"], trial["params"], 6)
+
+
+def test_root_certificate_rejects_root_on_contour(trial, trial_roots):
+    # a box edge through a root cannot be resolved by refinement
+    eq, params = trial["eq"], trial["params"]
+    nodes = np.linspace(0.0, params.a_max, 4 * (params.mu.n - 1) + 1)
+    wk = simpson_weights(len(nodes), nodes[1] - nodes[0]) * hermite_resample(
+        params.nodes, eq.k_tilde.values, nodes
+    )
+    cap = trial_roots.omega_cap
+    assert galerkin._winding_number(wk, nodes, trial_roots[1].real + 1e-3, cap) == 1
+    with pytest.raises(RootSearchExhausted, match="phase unresolved"):
+        galerkin._winding_number(wk, nodes, trial_roots[1].real, cap)
 
 
 def test_basis_second_trial_is_equilibrium(trial, trial_basis):
