@@ -29,7 +29,8 @@ Grammar (all keys required unless noted, unknown keys rejected):
     routes = both | galerkin | oracle      (default both)
     snapshot_times = <t0 t1 ...>           (default: 1.0 and t_final)
 
-Tables are values on the uniform age grid with exactly age_nodes entries.
+Every number must be finite.  Tables are values on the uniform age grid
+with exactly age_nodes entries.
 dt is snapped to an exact divisor of a_max so that the delay window tiles
 the time grid.
 """
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -95,9 +97,12 @@ class ScenarioConfig:
 
 def _floats(tokens: list[str], where: str) -> list[float]:
     try:
-        return [float(tok) for tok in tokens]
+        values = [float(tok) for tok in tokens]
     except ValueError as exc:
         raise ValidationError("%s: expected numbers, got %r" % (where, tokens)) from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError("%s: numbers must be finite, got %r" % (where, tokens))
+    return values
 
 
 def _spec(raw: str, where: str, allowed: dict[str, int | None]) -> tuple:
@@ -145,9 +150,12 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
     def getf(section: str, key: str) -> float:
         try:
-            return float(get(section, key))
+            value = float(get(section, key))
         except ValueError as exc:
             raise ValidationError("[%s] %s: not a number" % (section, key)) from exc
+        if not math.isfinite(value):
+            raise ValidationError("[%s] %s: not a finite number" % (section, key))
+        return value
 
     a_max = getf("model", "a_max")
     if a_max <= 0:

@@ -11,9 +11,18 @@ with classical fourth-order stepping and cubic-Hermite history
 interpolation, which avoids the implicit endpoint of the integral form;
 the integral identity is kept as a verification invariant instead.
 
+Every history read of the stepper and of delta is at t_b + c dt - a_j, for
+a buffer node b, a stage offset c in {0, 1/2, 1} and an age node a_j = j h.
+That read lies c - j h/dt buffer steps from node b, whatever b is, so each
+read pattern is a fixed linear map of the (value, derivative) pairs of a
+slice of the buffer, built once per (model, dt): a stage of the stepper is
+two dots, and delta along a whole history is one correlation per map.
+
 Everything the input does to the plant acts through the scalar coordinate
 only, so psi histories are bit-for-bit independent of the applied dilution
-sequence.
+sequence.  A run therefore steps psi over its whole horizon first, takes
+delta at nodes and half-nodes from the finished history, and then
+integrates the scalar block (eta, z1, z2) alone.
 """
 from __future__ import annotations
 
@@ -24,7 +33,7 @@ import numpy as np
 
 from .controller import ControllerGains, saturate
 from .errors import HistoryGap, InvalidIC, LogDomain
-from .grid import GridFunction, cumquad4, fd4, hermite_resample, simpson_weights
+from .grid import GridFunction, cumquad4, fd4, hermite_basis, hermite_resample, simpson_weights
 from .model import Equilibrium, ModelParams, check_initial_condition
 from .trajectories import Trajectory
 
@@ -51,28 +60,24 @@ class HistoryBuffer:
     def t_last(self) -> float:
         return self.t0 + (self.size - 1) * self.dt
 
-    def append(self, value: float, deriv: float):
-        if self.size == len(self.val):
-            self.val = np.concatenate([self.val, np.zeros(len(self.val))])
-            self.der = np.concatenate([self.der, np.zeros(len(self.der))])
-        self.val[self.size] = value
-        self.der[self.size] = deriv
-        self.size += 1
+    def reserve(self, n: int):
+        """Make room for ``n`` more nodes, at least doubling when it grows."""
+        need = self.size + n
+        if need > len(self.val):
+            cap = max(need, 2 * len(self.val))
+            self.val = np.concatenate([self.val[: self.size], np.zeros(cap - self.size)])
+            self.der = np.concatenate([self.der[: self.size], np.zeros(cap - self.size)])
 
     def fill_initial(self, values: np.ndarray, derivs: np.ndarray):
         n = len(values)
-        while len(self.val) < n:
-            self.val = np.concatenate([self.val, np.zeros(len(self.val))])
-            self.der = np.concatenate([self.der, np.zeros(len(self.der))])
+        self.size = 0
+        self.reserve(n)
         self.val[:n] = values
         self.der[:n] = derivs
         self.size = n
 
-    def covers(self, t: float) -> bool:
-        return self.t0 - _EDGE_TOL <= t <= self.t_last + self.dt + _EDGE_TOL
-
     def eval(self, t):
-        """Cubic Hermite evaluation at scalar or vector times."""
+        """Cubic Hermite evaluation at times of any shape."""
         t = np.asarray(t, dtype=float)
         if t.size and (t.min() < self.t0 - _EDGE_TOL or t.max() > self.t_last + self.dt + _EDGE_TOL):
             raise HistoryGap(
@@ -81,11 +86,7 @@ class HistoryBuffer:
             )
         u = (t - self.t0) / self.dt
         i = np.clip(np.floor(u).astype(int), 0, self.size - 2)
-        th = u - i
-        h00 = (1 + 2 * th) * (1 - th) ** 2
-        h10 = th * (1 - th) ** 2
-        h01 = th * th * (3 - 2 * th)
-        h11 = th * th * (th - 1)
+        h00, h10, h01, h11 = hermite_basis(u - i)
         return (
             h00 * self.val[i]
             + h10 * self.dt * self.der[i]
@@ -97,26 +98,82 @@ class HistoryBuffer:
         return self.val[: self.size].copy()
 
 
+def _read_map(coef: np.ndarray, n_hist: int, dt: float, c2: int, top: int):
+    """The linear map of sum_j coef[j] psi(t_b + (c2/2) dt - a_j) on the buffer.
+
+    Returns (cv, cd) such that the sum equals
+    cv @ val[b - n_hist : b + top + 1] + cd @ der[b - n_hist : b + top + 1]
+    for every node b, where b + top is the newest stored node.  With
+    h/dt = n_hist/q (q + 1 age nodes), read j lies (c2 q - 2 j n_hist)/(2q)
+    buffer steps from node b; that offset is exact in integers.  Each read
+    takes the cubic-Hermite weights of :meth:`HistoryBuffer.eval` on the same
+    segment, clipped to the last stored one, so reads past the newest node
+    extrapolate exactly as ``eval`` does.
+    """
+    q = len(coef) - 1
+    num = c2 * q - 2 * n_hist * np.arange(q + 1)
+    seg = np.minimum(num // (2 * q), top - 1)
+    h00, h10, h01, h11 = hermite_basis((num - seg * 2 * q) / (2 * q))
+    pos = seg + n_hist
+    cv = np.zeros(n_hist + top + 1)
+    cd = np.zeros(n_hist + top + 1)
+    np.add.at(cv, pos, coef * h00)
+    np.add.at(cd, pos, coef * h10 * dt)
+    np.add.at(cv, pos + 1, coef * h01)
+    np.add.at(cd, pos + 1, coef * h11 * dt)
+    return cv, cd
+
+
 @dataclass
 class _PsiDynamics:
-    """Precomputed grid data for the delay equation right-hand side."""
+    """Grid data and the precomputed history-read maps for one (model, dt).
+
+    The delay equation at a stage is psi' = a0 psi_stage + S_c, where S_c
+    is the column c of ``stage_val``/``stage_der`` (c = 0, 1/2, 1) applied
+    to the last n_hist + 1 buffer nodes: the Simpson-weighted kt' reads of
+    ages j >= 1 and the boundary term -kt(A) psi(t - A).  Age 0 is the
+    stage value itself, so its weight kt(0) + w_0 kt'(0) is the scalar a0.
+    ``delta_node`` and ``delta_half`` are the g-weighted window maps at
+    offsets 0 (n_hist + 1 nodes) and 1/2 (n_hist + 2 nodes, the half-node
+    read interpolates up to the next node).
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
     k_tilde: np.ndarray
-    k_tilde_prime: np.ndarray
     g: np.ndarray
     a_max: float
+    dt: float
+    n_hist: int
+    a0: float
+    stage_val: np.ndarray
+    stage_der: np.ndarray
+    delta_node: tuple
+    delta_half: tuple
 
     @staticmethod
-    def build(eq: Equilibrium, params: ModelParams) -> "_PsiDynamics":
+    def build(eq: Equilibrium, params: ModelParams, dt: float) -> "_PsiDynamics":
+        n_hist = int(round(params.a_max / dt))
+        w, kt = params.weights, eq.k_tilde.values
+        coef = w * eq.k_tilde_prime.values
+        a0 = float(kt[0] + coef[0])
+        coef[0] = 0.0
+        coef[-1] -= kt[-1]
+        stages = [_read_map(coef, n_hist, dt, c2, 0) for c2 in (0, 1, 2)]
+        wg = w * eq.g.values
         return _PsiDynamics(
             nodes=params.nodes,
-            weights=params.weights,
-            k_tilde=eq.k_tilde.values,
-            k_tilde_prime=eq.k_tilde_prime.values,
+            weights=w,
+            k_tilde=kt,
             g=eq.g.values,
             a_max=params.a_max,
+            dt=dt,
+            n_hist=n_hist,
+            a0=a0,
+            stage_val=np.column_stack([cv for cv, _ in stages]),
+            stage_der=np.column_stack([cd for _, cd in stages]),
+            delta_node=_read_map(wg, n_hist, dt, 0, 0),
+            delta_half=_read_map(wg, n_hist, dt, 1, 1),
         )
 
 
@@ -164,11 +221,10 @@ def pi_functional(f: GridFunction, eq: Equilibrium, params: ModelParams) -> floa
     return float(w @ (pi.values * f.values)) / denom
 
 
-def _psi_rhs(dyn: _PsiDynamics, buffer: HistoryBuffer, tau: float, psi_now: float) -> float:
-    window = buffer.eval(tau - dyn.nodes)
-    window[0] = psi_now
-    boundary = dyn.k_tilde[0] * psi_now - dyn.k_tilde[-1] * buffer.eval(tau - dyn.a_max)
-    return float(boundary + dyn.weights @ (dyn.k_tilde_prime * window))
+def _stage_sums(dyn: _PsiDynamics, buf: HistoryBuffer, m: int) -> list[float]:
+    """[S_0, S_1/2, S_1] for stages of the step that starts at buffer node m."""
+    w = slice(m - dyn.n_hist, m + 1)
+    return (buf.val[w] @ dyn.stage_val + buf.der[w] @ dyn.stage_der).tolist()
 
 
 def init_delay_state(
@@ -217,12 +273,31 @@ def init_delay_state(
     psi0_b = (1.0 + psi0_b) / (1.0 + c0) - 1.0
     eta0 = math.log(big_pi / y_ref0) + math.log1p(c0)
 
-    buffer = HistoryBuffer(-params.a_max, dt, capacity=n_hist + 1024)
+    buffer = HistoryBuffer(-params.a_max, dt, capacity=n_hist + 1)
     hist_vals = psi0_b[::-1].copy()
     buffer.fill_initial(hist_vals, fd4(hist_vals, dt))
-    dyn = _PsiDynamics.build(eq, params)
-    buffer.der[n_hist] = _psi_rhs(dyn, buffer, 0.0, buffer.val[n_hist])
+    dyn = _PsiDynamics.build(eq, params, dt)
+    buffer.der[n_hist] = dyn.a0 * buffer.val[n_hist] + _stage_sums(dyn, buffer, n_hist)[0]
     return DelayState(eta=eta0, z=np.asarray(z0, dtype=float), t=0.0, buffer=buffer, dyn=dyn)
+
+
+def _advance_psi(dyn: _PsiDynamics, buf: HistoryBuffer, n_steps: int):
+    """RK4-step psi ``n_steps`` times from the newest buffer node."""
+    if buf.size < dyn.n_hist + 1:
+        raise HistoryGap("history does not span one full age window")
+    buf.reserve(n_steps)
+    val, der, a0, dt = buf.val, buf.der, dyn.a0, dyn.dt
+    half, sixth = 0.5 * dt, dt / 6.0
+    for m in range(buf.size - 1, buf.size - 1 + n_steps):
+        _, s_half, s_one = _stage_sums(dyn, buf, m)
+        v, k1 = float(val[m]), float(der[m])
+        k2 = a0 * (v + half * k1) + s_half
+        k3 = a0 * (v + half * k2) + s_half
+        k4 = a0 * (v + dt * k3) + s_one
+        v_new = v + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        val[m + 1] = v_new
+        der[m + 1] = a0 * v_new + s_one
+    buf.size += n_steps
 
 
 def step_psi(state: DelayState, dt: float):
@@ -230,30 +305,46 @@ def step_psi(state: DelayState, dt: float):
     buf = state.buffer
     if abs(dt - buf.dt) > 1e-12 * buf.dt:
         raise ValueError("dt must equal the buffer step %g" % buf.dt)
-    t = buf.t_last
-    if not buf.covers(t - state.dyn.a_max):
-        raise HistoryGap("history does not span one full age window")
-    v = buf.val[buf.size - 1]
-    k1 = buf.der[buf.size - 1]
-    k2 = _psi_rhs(state.dyn, buf, t + 0.5 * dt, v + 0.5 * dt * k1)
-    k3 = _psi_rhs(state.dyn, buf, t + 0.5 * dt, v + 0.5 * dt * k2)
-    k4 = _psi_rhs(state.dyn, buf, t + dt, v + dt * k3)
-    v_new = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    d_new = _psi_rhs(state.dyn, buf, t + dt, v_new)
-    buf.append(v_new, d_new)
+    _advance_psi(state.dyn, buf, 1)
 
 
-def _delta_at(state: DelayState, tau: float) -> float:
-    window = state.buffer.eval(tau - state.dyn.nodes)
-    arg = 1.0 + float(state.dyn.weights @ (state.dyn.g * window))
-    if arg <= 0:
-        raise LogDomain("1 + <g, psi window> = %g <= 0 at t = %g" % (arg, tau))
-    return math.log(arg)
+def _delta_grid(dyn: _PsiDynamics, buf: HistoryBuffer, k0: int, n: int) -> np.ndarray:
+    """delta at t_k0 + (0, 1/2, 1, ..., n) dt, from one correlation per map.
+
+    The window of node k starts at buffer node k (time t_k - A).  Raises
+    LogDomain at the earliest time where 1 + <g, psi window> <= 0.
+    """
+    hi = k0 + n + dyn.n_hist + 1
+    if k0 < 0 or hi > buf.size:
+        raise HistoryGap("delta needs history nodes [%d, %d), have %d" % (k0, hi, buf.size))
+    val, der = buf.val[k0:hi], buf.der[k0:hi]
+    arg = np.empty(2 * n + 1)
+    (nv, nd), (hv, hd) = dyn.delta_node, dyn.delta_half
+    arg[0::2] = np.correlate(val, nv, "valid")
+    arg[0::2] += np.correlate(der, nd, "valid")
+    if n:
+        arg[1::2] = np.correlate(val, hv, "valid")
+        arg[1::2] += np.correlate(der, hd, "valid")
+    arg += 1.0
+    bad = np.flatnonzero(arg <= 0)
+    if bad.size:
+        p = int(bad[0])
+        raise LogDomain(
+            "1 + <g, psi window> = %g <= 0 at t = %g" % (arg[p], (k0 + 0.5 * p) * dyn.dt)
+        )
+    return np.log(arg, out=arg)
+
+
+def _node_index(state: DelayState) -> int:
+    k = round(state.t / state.buffer.dt)
+    if abs(k * state.buffer.dt - state.t) > _EDGE_TOL:
+        raise HistoryGap("t = %g is not a node of the history grid" % state.t)
+    return k
 
 
 def delta(state: DelayState, eq: Equilibrium) -> float:
     """Logarithmic output mismatch contributed by the internal coordinate."""
-    return _delta_at(state, state.t)
+    return float(_delta_grid(state.dyn, state.buffer, _node_index(state), 0)[0])
 
 
 def ide_residual(state: DelayState, t: float) -> float:
@@ -261,6 +352,58 @@ def ide_residual(state: DelayState, t: float) -> float:
     window = state.buffer.eval(t - state.dyn.nodes)
     lhs = float(state.buffer.eval(t))
     return abs(lhs - float(state.dyn.weights @ (state.dyn.k_tilde * window)))
+
+
+@dataclass(frozen=True)
+class _ScalarLoop:
+    """The controlled block (eta, z1, z2); psi enters only through delta."""
+
+    gamma: float
+    l1: float
+    l2: float
+    d_star: float
+    d_min: float
+    d_max: float
+
+    @staticmethod
+    def of(gains: ControllerGains, eq: Equilibrium, params: ModelParams) -> "_ScalarLoop":
+        return _ScalarLoop(gains.gamma, gains.l1, gains.l2, eq.d_star, params.d_min, params.d_max)
+
+    def applied(self, eta: float, z2: float, rate: float, dlt: float, forced) -> float:
+        if forced is not None:
+            return forced
+        return saturate(z2 - rate + self.gamma * (eta + dlt), self.d_min, self.d_max)
+
+    def _rhs(self, eta, z1, z2, rate, dlt, forced):
+        d_app = self.applied(eta, z2, rate, dlt, forced)
+        mism = z1 - eta - dlt
+        return (
+            self.d_star - rate - d_app,
+            z2 - rate - d_app - self.l1 * mism,
+            -self.l2 * mism,
+            d_app,
+        )
+
+    def step(self, dt: float, u: tuple, rates: tuple, deltas: tuple, forced: tuple):
+        """One RK4 step from u = (eta, z1, z2) at t.
+
+        ``rates``, ``deltas`` and ``forced`` (an imposed input, or None for
+        the feedback law) are given at t, t + dt/2 and t + dt.  Returns the
+        new (eta, z1, z2) and the input applied at t.
+        """
+        e, p, q = u
+        half = 0.5 * dt
+        (r0, r1, r2), (d0, d1, d2), (f0, f1, f2) = rates, deltas, forced
+        a1, b1, c1, d_applied = self._rhs(e, p, q, r0, d0, f0)
+        a2, b2, c2, _ = self._rhs(e + half * a1, p + half * b1, q + half * c1, r1, d1, f1)
+        a3, b3, c3, _ = self._rhs(e + half * a2, p + half * b2, q + half * c2, r1, d1, f1)
+        a4, b4, c4, _ = self._rhs(e + dt * a3, p + dt * b3, q + dt * c3, r2, d2, f2)
+        sixth = dt / 6.0
+        return (
+            e + sixth * (a1 + 2 * a2 + 2 * a3 + a4),
+            p + sixth * (b1 + 2 * b2 + 2 * b3 + b4),
+            q + sixth * (c1 + 2 * c2 + 2 * c3 + c4),
+        ), d_applied
 
 
 def step_closed_loop(
@@ -279,60 +422,36 @@ def step_closed_loop(
     coordinate's contribution evaluated at the stage times.
     """
     t = state.t
+    k = _node_index(state)
     step_psi(state, dt)
-    d_t = _delta_at(state, t)
-    d_half = _delta_at(state, t + 0.5 * dt)
-    d_full = _delta_at(state, t + dt)
-
-    def applied(tau: float, u: np.ndarray, dlt: float) -> float:
-        if d_override is not None:
-            return float(d_override(tau))
-        rate = float(traj.rate(tau))
-        return saturate(u[2] - rate + gains.gamma * (u[0] + dlt), params.d_min, params.d_max)
-
-    def rhs(tau: float, u: np.ndarray, dlt: float) -> np.ndarray:
-        eta, z1, z2 = u
-        rate = float(traj.rate(tau))
-        d_app = applied(tau, u, dlt)
-        mism = z1 - eta - dlt
-        return np.array(
-            [
-                eq.d_star - rate - d_app,
-                z2 - rate - d_app - gains.l1 * mism,
-                -gains.l2 * mism,
-            ]
-        )
-
-    u = np.array([state.eta, state.z[0], state.z[1]])
-    d_applied = applied(t, u, d_t)
-    k1 = rhs(t, u, d_t)
-    k2 = rhs(t + 0.5 * dt, u + 0.5 * dt * k1, d_half)
-    k3 = rhs(t + 0.5 * dt, u + 0.5 * dt * k2, d_half)
-    k4 = rhs(t + dt, u + dt * k3, d_full)
-    u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    state.eta = float(u[0])
-    state.z = u[1:].copy()
+    stage_t = (t, t + 0.5 * dt, t + dt)
+    forced = (None,) * 3 if d_override is None else tuple(float(d_override(s)) for s in stage_t)
+    u, d_applied = _ScalarLoop.of(gains, eq, params).step(
+        dt,
+        (state.eta, float(state.z[0]), float(state.z[1])),
+        tuple(float(traj.rate(s)) for s in stage_t),
+        tuple(_delta_grid(state.dyn, state.buffer, k, 1).tolist()),
+        forced,
+    )
+    state.eta = u[0]
+    state.z = np.array(u[1:])
     state.t = t + dt
     return d_applied
 
 
-def reconstruct(
-    state: DelayState, traj: Trajectory, eq: Equilibrium, t: float | None = None
-) -> tuple[GridFunction, float]:
-    """Rebuild the age profile and output from the delay coordinates."""
-    tt = state.t if t is None else t
-    window = state.window(tt)
-    y_ref = float(traj.eval(tt))
-    scale = y_ref * math.exp(state.eta if t is None else _eta_interp(state, tt))
+def reconstruct(state: DelayState, traj: Trajectory, eq: Equilibrium) -> tuple[GridFunction, float]:
+    """Rebuild the age profile and output at the state's time from the delay coordinates."""
+    window = state.window()
+    scale = float(traj.eval(state.t)) * math.exp(state.eta)
     profile = eq.x_star.values * scale * (1.0 + window)
     y = scale * (1.0 + float(state.dyn.weights @ (state.dyn.g * window)))
     return GridFunction(profile, state.dyn.a_max, positive=bool(np.all(profile > 0))), y
 
 
-def _eta_interp(state: DelayState, t: float) -> float:
-    if abs(t - state.t) > _EDGE_TOL:
-        raise HistoryGap("eta is only available at the current time %g" % state.t)
-    return state.eta
+#: rows per block of :meth:`OracleTrace.windows`.  At 401 ages each
+#: temporary of ``HistoryBuffer.eval`` on a block is 26 kB and about a
+#: dozen are alive at once; 64-row blocks raised a long run's peak memory.
+WINDOW_BLOCK = 8
 
 
 @dataclass
@@ -357,6 +476,11 @@ class OracleTrace:
     def window(self, t: float) -> np.ndarray:
         return self.buffer.eval(t - self.nodes)
 
+    def windows(self, idx: np.ndarray):
+        """Yield (j, block) with block[r] = window(t[idx[j + r]]), WINDOW_BLOCK rows at a time."""
+        for j in range(0, len(idx), WINDOW_BLOCK):
+            yield j, self.buffer.eval(self.t[idx[j : j + WINDOW_BLOCK], None] - self.nodes)
+
     def ide_residual(self, t: float) -> float:
         window = self.window(t)
         return abs(float(self.buffer.eval(t)) - float(self.weights @ (self.k_tilde * window)))
@@ -377,6 +501,46 @@ class OracleTrace:
             )
 
 
+def _scalar_sweep(
+    state: DelayState, loop: _ScalarLoop, t_node: np.ndarray, traj: Trajectory, d_override
+):
+    """Integrate (eta, z1, z2) over t_node on a psi history that covers it.
+
+    delta and the reference rate are taken at every stage time t_0,
+    t_0 + dt/2, t_1, ... first.  Returns delta at the nodes, the (3, n + 1)
+    array of (eta, z1, z2) and the input applied at each node; outputs go
+    straight to arrays, since per-step Python lists would hold a float
+    object per value and raise the process's peak memory.
+    """
+    n_steps = len(t_node) - 1
+    dt = state.buffer.dt
+    dlt = _delta_grid(state.dyn, state.buffer, 0, n_steps)
+    t_half = t_node[:-1] + 0.5 * dt
+
+    def staged(f) -> np.ndarray:
+        out = np.empty(2 * n_steps + 1)
+        out[0::2] = f(t_node)
+        out[1::2] = f(t_half)
+        return out
+
+    rate = staged(traj.rate)
+    forced = None
+    if d_override is not None:
+        forced = staged(lambda ts: [float(d_override(s)) for s in ts.tolist()])
+    hist = np.empty((3, n_steps + 1))
+    d = np.empty(n_steps + 1)
+    u = (state.eta, float(state.z[0]), float(state.z[1]))
+    hist[:, 0] = u
+    no_force = (None,) * 3
+    for k in range(n_steps):
+        s = slice(2 * k, 2 * k + 3)
+        stage_force = no_force if forced is None else forced[s].tolist()
+        u, d[k] = loop.step(dt, u, rate[s].tolist(), dlt[s].tolist(), stage_force)
+        hist[:, k + 1] = u
+    d[-1] = loop.applied(u[0], u[2], rate[-1], dlt[-1], None if forced is None else forced[-1])
+    return dlt[0::2].copy(), hist, d
+
+
 def simulate_closed_loop(
     x0: GridFunction,
     traj: Trajectory,
@@ -390,56 +554,41 @@ def simulate_closed_loop(
 ) -> OracleTrace:
     """Run the controlled delay model and record the trace.
 
-    ``d_override``, a callable t -> D, replaces the feedback loop for
-    open-loop experiments; the observer still integrates with the applied
-    input.
+    psi is stepped over the whole horizon first; delta follows at nodes and
+    half-nodes from the finished history, and the scalar block (eta, z1,
+    z2) is then integrated on its own, as a chain of ``step_closed_loop``
+    calls would do it.  ``d_override``, a callable t -> D, replaces the
+    feedback loop for open-loop experiments; the observer still integrates
+    with the applied input.
     """
     state = init_delay_state(x0, traj, eq, gains.z0, params, dt)
     n_steps = int(round(t_final / dt))
-    n1 = n_steps + 1
-    out = {k: np.zeros(n1) for k in ("eta", "delta", "z1", "z2", "d", "y")}
-    ts = dt * np.arange(n1)
+    _advance_psi(state.dyn, state.buffer, n_steps)
+    # node times as a stepper reaches them by accumulating t <- t + dt
+    t_node = np.concatenate([[0.0], np.cumsum(np.full(n_steps, dt))])
+    loop = _ScalarLoop.of(gains, eq, params)
+    delta_arr, hist, d = _scalar_sweep(state, loop, t_node, traj, d_override)
+    eta, z1, z2 = hist
+    log_error = eta + delta_arr
+
     snap_idx = {int(round(s / dt)): float(s) for s in snapshot_times}
     snapshots = {}
-
-    def record(i: int, d_applied: float | None):
-        dlt = _delta_at(state, state.t)
-        out["eta"][i] = state.eta
-        out["delta"][i] = dlt
-        out["z1"][i] = state.z[0]
-        out["z2"][i] = state.z[1]
-        y = float(traj.eval(state.t)) * math.exp(state.eta + dlt)
-        out["y"][i] = y
-        if d_applied is None:
-            if d_override is not None:
-                d_applied = float(d_override(state.t))
-            else:
-                rate = float(traj.rate(state.t))
-                d_applied = saturate(
-                    state.z[1] - rate + gains.gamma * (state.eta + dlt),
-                    params.d_min,
-                    params.d_max,
-                )
-        out["d"][i] = d_applied
-        if i in snap_idx:
-            profile, _ = reconstruct(state, traj, eq)
-            snapshots[snap_idx[i]] = profile
-
-    record(0, None)
-    for i in range(n_steps):
-        d_applied = step_closed_loop(state, traj, eq, gains, params, dt, d_override)
-        out["d"][i] = d_applied  # the input actually applied over [t, t+dt)
-        record(i + 1, None)
+    for i in sorted(snap_idx):
+        if 0 <= i <= n_steps:
+            at_i = DelayState(
+                float(eta[i]), np.array([z1[i], z2[i]]), float(t_node[i]), state.buffer, state.dyn
+            )
+            snapshots[snap_idx[i]] = reconstruct(at_i, traj, eq)[0]
 
     return OracleTrace(
-        t=ts,
-        eta=out["eta"],
-        delta=out["delta"],
-        z1=out["z1"],
-        z2=out["z2"],
-        d=out["d"],
-        y=out["y"],
-        log_error=out["eta"] + out["delta"],
+        t=dt * np.arange(n_steps + 1),
+        eta=eta,
+        delta=delta_arr,
+        z1=z1,
+        z2=z2,
+        d=d,
+        y=np.asarray(traj.eval(t_node), dtype=float) * np.exp(log_error),
+        log_error=log_error,
         snapshots=snapshots,
         buffer=state.buffer,
         nodes=params.nodes,

@@ -72,6 +72,20 @@ def fd4(values: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
+def hermite_basis(t):
+    """Cubic Hermite basis (h00, h10, h01, h11) at segment offsets ``t``.
+
+    On the segment [x_i, x_i + h] the interpolant is
+    h00 v_i + h10 h d_i + h01 v_{i+1} + h11 h d_{i+1}.
+    """
+    return (
+        (1 + 2 * t) * (1 - t) ** 2,
+        t * (1 - t) ** 2,
+        t * t * (3 - 2 * t),
+        t * t * (t - 1),
+    )
+
+
 def hermite_resample(nodes: np.ndarray, values: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Cubic Hermite resampling of smooth uniform-grid data.
 
@@ -82,11 +96,7 @@ def hermite_resample(nodes: np.ndarray, values: np.ndarray, query: np.ndarray) -
     d = fd4(values, h)
     u = (np.asarray(query, dtype=float) - nodes[0]) / h
     i = np.clip(np.floor(u).astype(int), 0, len(values) - 2)
-    t = u - i
-    h00 = (1 + 2 * t) * (1 - t) ** 2
-    h10 = t * (1 - t) ** 2
-    h01 = t * t * (3 - 2 * t)
-    h11 = t * t * (t - 1)
+    h00, h10, h01, h11 = hermite_basis(u - i)
     return h00 * values[i] + h10 * h * d[i] + h01 * values[i + 1] + h11 * h * d[i + 1]
 
 

@@ -3,6 +3,7 @@
 Deliberately self-contained: these helpers re-implement quadrature and
 scanning directly on closed-form integrands so that package results are
 checked against a code path that shares nothing with src/agechemo.
+``reference_closed_loop`` is the one exception; its docstring says why.
 """
 import numpy as np
 
@@ -58,3 +59,103 @@ def grid_scan_extrema(f, lo, hi, n=200_001):
     xs = np.linspace(lo, hi, n)
     ys = np.asarray(f(xs), dtype=float)
     return float(ys.min()), float(ys.max())
+
+
+def reference_closed_loop(x0, traj, eq, gains, params, t_final, dt, snapshot_times=(), d_override=None):
+    """The delay route with every history read re-interpolated per RK stage.
+
+    The exception to this module's rule: it reuses the package's initial
+    split (``init_delay_state``) and ``HistoryBuffer.eval``, so that it
+    checks the precomputed stage maps of ``simulate_closed_loop`` against
+    the reads they stand for.  psi' at each stage and at t = 0, and delta at
+    t, t + dt/2 and t + dt, each evaluate the full window by Hermite
+    interpolation, and (psi, eta, z) advance one synchronized step at a
+    time.  Returns the trace arrays, the psi nodes and the snapshot
+    profiles in a dict.
+    """
+    import math
+
+    from agechemo.controller import saturate
+    from agechemo.delay import HistoryBuffer, init_delay_state
+    from agechemo.errors import LogDomain
+    from agechemo.grid import fd4
+
+    nodes, w, a_max = params.nodes, params.weights, params.a_max
+    kt, ktp, g = eq.k_tilde.values, eq.k_tilde_prime.values, eq.g.values
+    n_hist = int(round(a_max / dt))
+    n_steps = int(round(t_final / dt))
+    start = init_delay_state(x0, traj, eq, gains.z0, params, dt)
+    buf = HistoryBuffer(-a_max, dt, capacity=n_hist + 1 + n_steps)
+    hist_vals = start.buffer.val[: n_hist + 1]
+    buf.fill_initial(hist_vals, fd4(hist_vals, dt))
+
+    def psi_rhs(tau, psi_now):
+        window = buf.eval(tau - nodes)
+        window[0] = psi_now
+        boundary = kt[0] * psi_now - kt[-1] * buf.eval(tau - a_max)
+        return float(boundary + w @ (ktp * window))
+
+    def delta_at(tau):
+        arg = 1.0 + float(w @ (g * buf.eval(tau - nodes)))
+        if arg <= 0:
+            raise LogDomain("1 + <g, psi window> = %g <= 0 at t = %g" % (arg, tau))
+        return math.log(arg)
+
+    def applied(tau, u, dlt):
+        if d_override is not None:
+            return float(d_override(tau))
+        rate = float(traj.rate(tau))
+        return saturate(u[2] - rate + gains.gamma * (u[0] + dlt), params.d_min, params.d_max)
+
+    def rhs(tau, u, dlt):
+        eta, z1, z2 = u
+        rate = float(traj.rate(tau))
+        d_app = applied(tau, u, dlt)
+        mism = z1 - eta - dlt
+        return np.array(
+            [eq.d_star - rate - d_app, z2 - rate - d_app - gains.l1 * mism, -gains.l2 * mism]
+        )
+
+    buf.der[n_hist] = psi_rhs(0.0, buf.val[n_hist])
+    out = {k: np.zeros(n_steps + 1) for k in ("eta", "delta", "z1", "z2", "d", "y")}
+    snap_idx = {int(round(s / dt)): float(s) for s in snapshot_times}
+    snapshots = {}
+    t = 0.0
+    u = np.array([start.eta, start.z[0], start.z[1]])
+
+    def record(i):
+        dlt = delta_at(t)
+        out["eta"][i], out["z1"][i], out["z2"][i] = u
+        out["delta"][i] = dlt
+        out["y"][i] = float(traj.eval(t)) * math.exp(u[0] + dlt)
+        out["d"][i] = applied(t, u, dlt)
+        if i in snap_idx:
+            scale = float(traj.eval(t)) * math.exp(u[0])
+            snapshots[snap_idx[i]] = eq.x_star.values * scale * (1.0 + buf.eval(t - nodes))
+
+    record(0)
+    for i in range(n_steps):
+        tl = buf.t_last
+        v, k1 = buf.val[buf.size - 1], buf.der[buf.size - 1]
+        k2 = psi_rhs(tl + 0.5 * dt, v + 0.5 * dt * k1)
+        k3 = psi_rhs(tl + 0.5 * dt, v + 0.5 * dt * k2)
+        k4 = psi_rhs(tl + dt, v + dt * k3)
+        v_new = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        d_new = psi_rhs(tl + dt, v_new)
+        buf.val[buf.size], buf.der[buf.size] = v_new, d_new
+        buf.size += 1
+
+        d_t, d_half, d_full = delta_at(t), delta_at(t + 0.5 * dt), delta_at(t + dt)
+        out["d"][i] = applied(t, u, d_t)  # the input applied over [t, t + dt)
+        q1 = rhs(t, u, d_t)
+        q2 = rhs(t + 0.5 * dt, u + 0.5 * dt * q1, d_half)
+        q3 = rhs(t + 0.5 * dt, u + 0.5 * dt * q2, d_half)
+        q4 = rhs(t + dt, u + dt * q3, d_full)
+        u = u + (dt / 6.0) * (q1 + 2 * q2 + 2 * q3 + q4)
+        t = t + dt
+        record(i + 1)
+
+    out["log_error"] = out["eta"] + out["delta"]
+    out["psi"] = buf.node_values()
+    out["snapshots"] = snapshots
+    return out

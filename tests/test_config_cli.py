@@ -149,6 +149,23 @@ def test_cli_model_value_error_exits_3(tmp_path, capsys, old, new, key):
         assert capsys.readouterr().err.startswith("input error: %s" % key)
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("a_max = 2.0", "a_max = inf", "[model] a_max"),
+        ("a_max = 2.0", "a_max = nan", "[model] a_max"),
+        ("d_max = 1.5", "d_max = inf", "[model] d_max"),
+        ("mu = constant 0.1", "mu = constant nan", "[model] mu"),
+    ],
+)
+def test_cli_non_finite_number_exits_3(tmp_path, capsys, old, new, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(small_config_text().replace(old, new))
+    for cmd in ("run", "verify", "roots"):
+        assert main([cmd, str(path)]) == 3
+        assert capsys.readouterr().err.startswith("input error: %s" % key)
+
+
 def test_cli_verify_command(tmp_path, capsys):
     path = tmp_path / "tiny.cfg"
     path.write_text(small_config_text())

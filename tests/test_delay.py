@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from agechemo.delay import (
+    WINDOW_BLOCK,
     delta,
     ide_residual,
     init_delay_state,
@@ -14,10 +15,14 @@ from agechemo.delay import (
     step_closed_loop,
     step_psi,
 )
+from agechemo.config import build_model, build_trajectory, build_x0, load_config
+from agechemo.controller import ControllerGains
 from agechemo.errors import HistoryGap, InvalidIC
 from agechemo.grid import GridFunction
+from agechemo.model import solve_equilibrium
 from agechemo.trajectories import make_constant
-from oracles import pi_highres, simpson_highres
+from conftest import small_config_text
+from oracles import pi_highres, reference_closed_loop, simpson_highres
 
 
 def test_pi_weight_endpoints(trial):
@@ -270,3 +275,97 @@ def test_state_clone_independent(trial):
     step_closed_loop(state, traj, eq, gains, params, params.h)
     assert twin.t == 0.0 and state.t > 0.0
     assert twin.buffer.size == state.buffer.size - 1
+
+
+TRACE_FIELDS = ("eta", "delta", "z1", "z2", "d", "y", "log_error")
+
+
+@pytest.mark.parametrize(
+    "dt_of, forced",
+    [
+        (lambda h: h / 2, False),
+        (lambda h: h, False),
+        (lambda h: 2 * h, False),
+        (lambda h: 2.0 / 267, False),
+        (lambda h: h, True),
+    ],
+    ids=["h/2", "h", "2h", "2/267", "h-open-loop"],
+)
+def test_simulate_matches_hermite_reference(trial, dt_of, forced):
+    # dt = 2h reads past the newest node (extrapolated stages); 2/267 makes h/dt non-integer
+    eq, params, gains, x0, traj = (
+        trial["eq"],
+        trial["params"],
+        trial["gains"],
+        trial["x0"],
+        trial["traj"],
+    )
+    dt = dt_of(params.h)
+    override = (lambda t: 1.0 + 0.2 * math.sin(3.0 * t)) if forced else None
+    args = (x0, traj, eq, gains, params, 2.0, dt, (1.0, 2.0), override)
+    trace = simulate_closed_loop(*args)
+    ref = reference_closed_loop(*args)
+    for name in TRACE_FIELDS:
+        np.testing.assert_allclose(getattr(trace, name), ref[name], rtol=0, atol=1e-12, err_msg=name)
+    np.testing.assert_allclose(trace.buffer.node_values(), ref["psi"], rtol=0, atol=1e-12)
+    assert trace.snapshots.keys() == ref["snapshots"].keys()
+    for t_snap, profile in trace.snapshots.items():
+        np.testing.assert_allclose(profile.values, ref["snapshots"][t_snap], rtol=0, atol=1e-12)
+
+
+def test_simulate_matches_hermite_reference_with_boundary_term(tmp_path):
+    # kt(A) = 0 for the quadratic kernel; a constant one makes -kt(A) psi(t - A) live
+    path = tmp_path / "flat.cfg"
+    path.write_text(
+        small_config_text(kind_block="kind = transition\ny0 = 1.0\ny_delta = 1.5\nt_delta = 4.0")
+        .replace("k = quadratic-motherhood 2.00", "k = constant 1.0")
+    )
+    cfg = load_config(path)
+    params = build_model(cfg)
+    eq = solve_equilibrium(params)
+    assert eq.k_tilde.values[-1] > 0.1
+    traj = build_trajectory(cfg)
+    args = (build_x0(cfg, params, eq), traj, eq, ControllerGains(cfg.gamma, cfg.l1, cfg.l2, cfg.z0), params)
+    for dt in (params.h, 2 * params.h):
+        trace = simulate_closed_loop(*args, 2.0, dt)
+        ref = reference_closed_loop(*args, 2.0, dt)
+        for name in TRACE_FIELDS:
+            np.testing.assert_allclose(getattr(trace, name), ref[name], rtol=0, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(trace.buffer.node_values(), ref["psi"], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dt_of", [lambda h: h, lambda h: 2.0 / 267], ids=["h", "2/267"])
+def test_step_chain_reproduces_simulate(trial, dt_of):
+    eq, params, gains, x0, traj = (
+        trial["eq"],
+        trial["params"],
+        trial["gains"],
+        trial["x0"],
+        trial["traj"],
+    )
+    dt = dt_of(params.h)
+    trace = simulate_closed_loop(x0, traj, eq, gains, params, 2.0, dt)
+    state = init_delay_state(x0, traj, eq, gains.z0, params, dt)
+    rows = [(state.eta, state.z[0], state.z[1], delta(state, eq))]
+    applied = []
+    for _ in range(len(trace.t) - 1):
+        applied.append(step_closed_loop(state, traj, eq, gains, params, dt))
+        rows.append((state.eta, state.z[0], state.z[1], delta(state, eq)))
+    got = dict(zip(("eta", "z1", "z2", "delta"), np.array(rows).T))
+    got["d"] = np.array(applied)
+    for name, values in got.items():
+        want = getattr(trace, name)[: len(values)]
+        np.testing.assert_allclose(values, want, rtol=0, atol=1e-14, err_msg=name)
+    assert np.array_equal(state.buffer.node_values(), trace.buffer.node_values())
+
+
+def test_trace_windows_equal_window_bitwise(fig2a_runs):
+    trace = fig2a_runs["oracle"]
+    idx = np.arange(0, len(trace.t), 7)
+    rows = 0
+    for j, block in trace.windows(idx):
+        assert 0 < len(block) <= WINDOW_BLOCK
+        for r, row in enumerate(block):
+            assert np.array_equal(row, trace.window(trace.t[idx[j + r]]))
+        rows += len(block)
+    assert rows == len(idx)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from agechemo import lyapunov
 from agechemo.delay import reconstruct, simulate_closed_loop
 from agechemo.errors import InvalidTrajectory
 from agechemo.lyapunov import (
@@ -211,6 +212,25 @@ def test_saturation_fact_randomized():
     report = saturation_fact_check()
     assert report.n_samples == 1_000_000
     assert report.n_violations == 0
+
+
+def test_saturation_fact_blocks_match_one_shot_draw(monkeypatch):
+    n, seed = 10_000, 7
+    rng = np.random.default_rng(seed)
+    z = np.concatenate([rng.normal(0.0, 3.0, n // 2), rng.uniform(-50.0, 50.0, n - n // 2)])
+    a = 10.0 ** rng.uniform(-3, 3, n)
+    b = 10.0 ** rng.uniform(-3, 3, n)
+    rhs = np.minimum(1.0, np.minimum(a, b)) * z * z / (1.0 + np.abs(z))
+    deficit = rhs - z * np.minimum(b, np.maximum(-a, z))
+    bad = deficit > 1e-12 * np.maximum(1.0, np.abs(rhs))
+    want = lyapunov.FactReport(n, int(bad.sum()), float(deficit.max(initial=0.0)))
+
+    monkeypatch.setattr(lyapunov, "FACT_BLOCK", 999)
+    blocks = list(lyapunov._fact_samples(n, seed))
+    assert len(blocks) == 11
+    for drawn, one_shot in zip((np.concatenate(col) for col in zip(*blocks)), (z, a, b)):
+        assert np.array_equal(drawn, one_shot)
+    assert saturation_fact_check.__wrapped__(n, seed) == want
 
 
 def test_overshoot_zero_and_monotone(trial_cert):
