@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import ControllerGains, saturate
+from .controller import ControllerGains, ScalarLoop
 from .errors import HistoryGap, InvalidIC, LogDomain
 from .grid import GridFunction, cumquad4, fd4, hermite_basis, hermite_resample, simpson_weights
 from .model import Equilibrium, ModelParams, check_initial_condition
@@ -354,58 +354,6 @@ def ide_residual(state: DelayState, t: float) -> float:
     return abs(lhs - float(state.dyn.weights @ (state.dyn.k_tilde * window)))
 
 
-@dataclass(frozen=True)
-class _ScalarLoop:
-    """The controlled block (eta, z1, z2); psi enters only through delta."""
-
-    gamma: float
-    l1: float
-    l2: float
-    d_star: float
-    d_min: float
-    d_max: float
-
-    @staticmethod
-    def of(gains: ControllerGains, eq: Equilibrium, params: ModelParams) -> "_ScalarLoop":
-        return _ScalarLoop(gains.gamma, gains.l1, gains.l2, eq.d_star, params.d_min, params.d_max)
-
-    def applied(self, eta: float, z2: float, rate: float, dlt: float, forced) -> float:
-        if forced is not None:
-            return forced
-        return saturate(z2 - rate + self.gamma * (eta + dlt), self.d_min, self.d_max)
-
-    def _rhs(self, eta, z1, z2, rate, dlt, forced):
-        d_app = self.applied(eta, z2, rate, dlt, forced)
-        mism = z1 - eta - dlt
-        return (
-            self.d_star - rate - d_app,
-            z2 - rate - d_app - self.l1 * mism,
-            -self.l2 * mism,
-            d_app,
-        )
-
-    def step(self, dt: float, u: tuple, rates: tuple, deltas: tuple, forced: tuple):
-        """One RK4 step from u = (eta, z1, z2) at t.
-
-        ``rates``, ``deltas`` and ``forced`` (an imposed input, or None for
-        the feedback law) are given at t, t + dt/2 and t + dt.  Returns the
-        new (eta, z1, z2) and the input applied at t.
-        """
-        e, p, q = u
-        half = 0.5 * dt
-        (r0, r1, r2), (d0, d1, d2), (f0, f1, f2) = rates, deltas, forced
-        a1, b1, c1, d_applied = self._rhs(e, p, q, r0, d0, f0)
-        a2, b2, c2, _ = self._rhs(e + half * a1, p + half * b1, q + half * c1, r1, d1, f1)
-        a3, b3, c3, _ = self._rhs(e + half * a2, p + half * b2, q + half * c2, r1, d1, f1)
-        a4, b4, c4, _ = self._rhs(e + dt * a3, p + dt * b3, q + dt * c3, r2, d2, f2)
-        sixth = dt / 6.0
-        return (
-            e + sixth * (a1 + 2 * a2 + 2 * a3 + a4),
-            p + sixth * (b1 + 2 * b2 + 2 * b3 + b4),
-            q + sixth * (c1 + 2 * c2 + 2 * c3 + c4),
-        ), d_applied
-
-
 def step_closed_loop(
     state: DelayState,
     traj: Trajectory,
@@ -424,19 +372,14 @@ def step_closed_loop(
     t = state.t
     k = _node_index(state)
     step_psi(state, dt)
-    stage_t = (t, t + 0.5 * dt, t + dt)
-    forced = (None,) * 3 if d_override is None else tuple(float(d_override(s)) for s in stage_t)
-    u, d_applied = _ScalarLoop.of(gains, eq, params).step(
-        dt,
-        (state.eta, float(state.z[0]), float(state.z[1])),
-        tuple(float(traj.rate(s)) for s in stage_t),
-        tuple(_delta_grid(state.dyn, state.buffer, k, 1).tolist()),
-        forced,
-    )
-    state.eta = u[0]
-    state.z = np.array(u[1:])
+    loop = ScalarLoop.of(gains, eq.d_star, params.d_min, params.d_max)
+    u0 = (state.eta, float(state.z[0]), float(state.z[1]))
+    dlt = _delta_grid(state.dyn, state.buffer, k, 1)
+    hist, d = loop.sweep(traj, np.array([t, t + dt]), dt, u0, dlt, d_override)
+    state.eta = float(hist[0, 1])
+    state.z = hist[1:, 1].copy()
     state.t = t + dt
-    return d_applied
+    return float(d[0])
 
 
 def reconstruct(state: DelayState, traj: Trajectory, eq: Equilibrium) -> tuple[GridFunction, float]:
@@ -487,58 +430,9 @@ class OracleTrace:
 
     CSV_COLUMNS = ("t", "eta", "delta", "z1", "z2", "D", "y", "log_error")
 
-    def rows(self):
-        for i in range(len(self.t)):
-            yield (
-                self.t[i],
-                self.eta[i],
-                self.delta[i],
-                self.z1[i],
-                self.z2[i],
-                self.d[i],
-                self.y[i],
-                self.log_error[i],
-            )
-
-
-def _scalar_sweep(
-    state: DelayState, loop: _ScalarLoop, t_node: np.ndarray, traj: Trajectory, d_override
-):
-    """Integrate (eta, z1, z2) over t_node on a psi history that covers it.
-
-    delta and the reference rate are taken at every stage time t_0,
-    t_0 + dt/2, t_1, ... first.  Returns delta at the nodes, the (3, n + 1)
-    array of (eta, z1, z2) and the input applied at each node; outputs go
-    straight to arrays, since per-step Python lists would hold a float
-    object per value and raise the process's peak memory.
-    """
-    n_steps = len(t_node) - 1
-    dt = state.buffer.dt
-    dlt = _delta_grid(state.dyn, state.buffer, 0, n_steps)
-    t_half = t_node[:-1] + 0.5 * dt
-
-    def staged(f) -> np.ndarray:
-        out = np.empty(2 * n_steps + 1)
-        out[0::2] = f(t_node)
-        out[1::2] = f(t_half)
-        return out
-
-    rate = staged(traj.rate)
-    forced = None
-    if d_override is not None:
-        forced = staged(lambda ts: [float(d_override(s)) for s in ts.tolist()])
-    hist = np.empty((3, n_steps + 1))
-    d = np.empty(n_steps + 1)
-    u = (state.eta, float(state.z[0]), float(state.z[1]))
-    hist[:, 0] = u
-    no_force = (None,) * 3
-    for k in range(n_steps):
-        s = slice(2 * k, 2 * k + 3)
-        stage_force = no_force if forced is None else forced[s].tolist()
-        u, d[k] = loop.step(dt, u, rate[s].tolist(), dlt[s].tolist(), stage_force)
-        hist[:, k + 1] = u
-    d[-1] = loop.applied(u[0], u[2], rate[-1], dlt[-1], None if forced is None else forced[-1])
-    return dlt[0::2].copy(), hist, d
+    def columns(self) -> list:
+        """The arrays named by CSV_COLUMNS, in that order."""
+        return [self.t, self.eta, self.delta, self.z1, self.z2, self.d, self.y, self.log_error]
 
 
 def simulate_closed_loop(
@@ -566,8 +460,12 @@ def simulate_closed_loop(
     _advance_psi(state.dyn, state.buffer, n_steps)
     # node times as a stepper reaches them by accumulating t <- t + dt
     t_node = np.concatenate([[0.0], np.cumsum(np.full(n_steps, dt))])
-    loop = _ScalarLoop.of(gains, eq, params)
-    delta_arr, hist, d = _scalar_sweep(state, loop, t_node, traj, d_override)
+    dlt = _delta_grid(state.dyn, state.buffer, 0, n_steps)
+    loop = ScalarLoop.of(gains, eq.d_star, params.d_min, params.d_max)
+    u0 = (state.eta, float(state.z[0]), float(state.z[1]))
+    hist, d = loop.sweep(traj, t_node, dt, u0, dlt, d_override)
+    delta_arr = dlt[0::2].copy()
+    del dlt  # free the stage array before the snapshots and y are built
     eta, z1, z2 = hist
     log_error = eta + delta_arr
 

@@ -20,13 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import ControllerGains, control
+from .controller import ControllerGains, ScalarLoop
 from .errors import (
     DependentBasis,
     Instability,
     NonPositiveOutput,
     PositivityViolation,
     RootSearchExhausted,
+    ValidationError,
 )
 from .grid import GridFunction, fd4, hermite_resample, simpson_weights
 from .model import Equilibrium, ModelParams
@@ -257,6 +258,16 @@ def characteristic_roots(eq: Equilibrium, params: ModelParams, count: int) -> li
     eigs = _collocation_eigenvalues(eq, params)
     found = _polish_roots(eigs, pairs_needed, kt_f, nodes_f, w_f, kt, nodes, w, omega_cap)
     if len(found) < pairs_needed:
+        # every eigenvalue was polished; when the argument principle finds no
+        # other root in the box down to a margin below the last one, the
+        # missing pairs lie above the frequency cap the grid resolves
+        sigma_lo = (found[-1].real if found else 0.0) - _CERT_MARGIN
+        if _winding_number(w_f * kt_f, nodes_f, sigma_lo, omega_cap) == 2 * len(found) + 1:
+            raise ValidationError(
+                "[numerics] age_nodes: %d nodes resolve %d of the %d conjugate pairs "
+                "needed below the frequency cap pi/(4h) = %.4g; use more age nodes "
+                "or fewer modes" % (len(nodes), len(found), pairs_needed, omega_cap)
+            )
         raise RootSearchExhausted(
             "found %d conjugate pairs, need %d" % (len(found), pairs_needed)
         )
@@ -394,6 +405,16 @@ def assemble(basis: GalerkinBasis, params: ModelParams) -> GalerkinSystem:
     )
 
 
+def _residual_map(basis: GalerkinBasis, a_matrix: np.ndarray, params: ModelParams) -> np.ndarray:
+    """B such that the transport defect of weights lam is lam @ B on the nodes.
+
+    R = (phi')^T lam + phi^T (A - D) lam + (mu + D) phi^T lam, in which the
+    applied dilution D cancels, so B = phi' + A^T phi + mu phi.
+    """
+    phi = basis.trial_matrix
+    return basis.derivative_matrix + a_matrix.T @ phi + phi * params.mu.values
+
+
 def residual(
     system: GalerkinSystem,
     basis: GalerkinBasis,
@@ -403,21 +424,12 @@ def residual(
 ) -> tuple[float, GridFunction]:
     """Transport-equation defect of the modal solution and its L2 norm.
 
-    R = (phi')^T lam + phi^T [M^-1 N - I D] lam + (mu + D) phi^T lam; the
-    applied dilution cancels identically, so the defect measures only how
-    far the modal flow is from transporting the represented profile.
+    ``d_applied`` cancels identically (see ``_residual_map``): the defect
+    measures only how far the modal flow is from transporting the profile.
     """
     lam = system.lam if lam is None else lam
-    prof_dot = basis.trial_matrix.T @ (system.a_matrix @ lam) - d_applied * (
-        basis.trial_matrix.T @ lam
-    )
-    r_nodes = (
-        basis.derivative_matrix.T @ lam
-        + prof_dot
-        + (params.mu.values + d_applied) * (basis.trial_matrix.T @ lam)
-    )
-    w = params.weights
-    r_l2 = math.sqrt(max(float(w @ (r_nodes * r_nodes)), 0.0))
+    r_nodes = lam @ _residual_map(basis, system.a_matrix, params)
+    r_l2 = math.sqrt(max(float(params.weights @ (r_nodes * r_nodes)), 0.0))
     return r_l2, GridFunction(r_nodes, params.a_max)
 
 
@@ -439,18 +451,9 @@ class GalerkinTrace:
 
     CSV_COLUMNS = ("t", "y_sim", "y_ref", "D", "z1", "z2", "r", "min_profile")
 
-    def rows(self):
-        for i in range(len(self.t)):
-            yield (
-                self.t[i],
-                self.y_sim[i],
-                self.y_ref[i],
-                self.d[i],
-                self.z1[i],
-                self.z2[i],
-                self.r[i],
-                self.min_profile[i],
-            )
+    def columns(self) -> list:
+        """The arrays named by CSV_COLUMNS, in that order."""
+        return [self.t, self.y_sim, self.y_ref, self.d, self.z1, self.z2, self.r, self.min_profile]
 
     def mean_relative_residual(self) -> float:
         """Time-average of r(t) / ||x_sim[t]||_L2, the declared normalization."""
@@ -458,6 +461,51 @@ class GalerkinTrace:
 
 
 _LAM_OVERFLOW = 1e12
+#: rows per block of the stage propagation and of the diagnostics; at 401
+#: ages a block's profiles or residual nodes take 205 kB
+_BLOCK = 64
+
+
+def _expm(m: np.ndarray) -> np.ndarray:
+    """exp(m) by scaling and squaring a Taylor series, in real matmuls.
+
+    m is scaled by 2^-s to a 1-norm of at most 1/2, summed to 16 terms (the
+    remainder is below 0.5^17 / 17! < 1e-19), and the sum squared s times
+    (Moler & Van Loan, SIAM Review 45, 2003).
+    """
+    norm = float(np.abs(m).sum(axis=0).max())
+    squarings = max(0, math.ceil(math.log2(2.0 * norm))) if norm > 0 else 0
+    x = m / 2.0**squarings
+    term = out = np.eye(len(m))
+    for k in range(1, 17):
+        term = (term @ x) / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _propagate(prop: np.ndarray, lam0: np.ndarray, p_vec: np.ndarray, n_stages: int, mu_nodes: np.ndarray):
+    """p^T mu_s for mu_s = prop^s lam0, s < n_stages, with mu_2k written to mu_nodes[k].
+
+    The first block of stages comes from repeated products, each later one
+    is the previous one times prop^_BLOCK.  The result ends at the first
+    stage with p^T mu_s <= 0, if there is one.
+    """
+    blk = np.empty((_BLOCK, len(lam0)))
+    blk[0] = lam0
+    for j in range(1, _BLOCK):
+        blk[j] = prop @ blk[j - 1]
+    jump = np.linalg.matrix_power(prop, _BLOCK).T
+    y_free = np.empty(n_stages)
+    for lo in range(0, n_stages, _BLOCK):
+        blk = blk @ jump if lo else blk
+        y = y_free[lo : lo + _BLOCK]
+        np.dot(blk[: len(y)], p_vec, out=y)
+        mu_nodes[lo // 2 : lo // 2 + (len(y) + 1) // 2] = blk[: len(y) : 2]
+        if y.min() <= 0:
+            return y_free[: lo + int(np.argmax(y <= 0)) + 1]
+    return y_free
 
 
 def simulate(
@@ -471,99 +519,75 @@ def simulate(
     snapshot_times: tuple[float, ...] = (),
     d_override=None,
 ) -> GalerkinTrace:
-    """Integrate the modal weights under the output-feedback loop.
+    """Run the modal weights under the output-feedback loop.
 
-    The modal state and the observer integrate as one coupled system with
-    the shared fixed-step fourth-order scheme.  Raises PositivityViolation
-    the first time the represented age profile dips below zero and
-    Instability if the weights overflow.
+    lam' = (A - D) lam gives lam(t) = e^{int (c - D)} mu(t) with the
+    input-free mu(t) = e^{(A - c) t} lam(0); c = A[1, 1], as A e_2 = d* e_2
+    up to quadrature.  mu is propagated exactly on the stage grid t_0,
+    t_0 + dt/2, t_1, ...; delta = log(p^T mu) drives the shared scalar loop
+    from eta(0) = -log y_ref(0), and lam = y_ref e^eta mu.  The diagnostics
+    follow in blocks of rows.  Raises what a stepwise loop would have met
+    first: NonPositiveOutput at a stage with p^T mu <= 0, and at a node
+    Instability when the weights overflow or PositivityViolation when the
+    represented profile dips below zero.
     """
-    n = len(system.lam)
-    n_steps = int(round(t_final / dt))
-    u = np.concatenate([system.lam, np.asarray(gains.z0, dtype=float)])
+    n, n_steps = len(system.lam), int(round(t_final / dt))
     a_mat = system.a_matrix
-    p_vec = system.p_vector
-    w = params.weights
+    c = float(a_mat[1, 1])
+    prop = _expm((a_mat - c * np.eye(n)) * (0.5 * dt))
+    lam = np.empty((n_steps + 1, n))  # mu at the nodes, scaled in place into the weights
+    y_free = _propagate(prop, system.lam, system.p_vector, 2 * n_steps + 1, lam)
+    s_bad = len(y_free) - 1 if y_free[-1] <= 0 else None
+    n_ok = n_steps if s_bad is None else max(s_bad - 1, 0) // 2
+    y_last = float(y_free[-1])
 
-    def rhs(tau: float, state: np.ndarray) -> np.ndarray:
-        lam, z1, z2 = state[:n], state[n], state[n + 1]
-        y = float(p_vec @ lam)
-        if y <= 0:
-            raise NonPositiveOutput("modal output %g <= 0 at t = %g" % (y, tau))
-        y_ref = float(traj.eval(tau))
-        rate = float(traj.rate(tau))
-        log_error = math.log(y / y_ref)
-        if d_override is not None:
-            d_app = float(d_override(tau))
-        else:
-            d_app = min(params.d_max, max(params.d_min, z2 - rate + gains.gamma * log_error))
-        dlam = a_mat @ lam - d_app * lam
-        dz1 = -gains.l1 * z1 + z2 + gains.l1 * log_error - rate - d_app
-        dz2 = -gains.l2 * z1 + gains.l2 * log_error
-        return np.concatenate([dlam, [dz1, dz2]])
+    ts = dt * np.arange(n_steps + 1)
+    u0 = (-math.log(float(traj.eval(0.0))), float(gains.z0[0]), float(gains.z0[1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.log(y_free[: 2 * n_ok + 1], out=y_free[: 2 * n_ok + 1])
+    loop = ScalarLoop.of(gains, c, params.d_min, params.d_max)
+    hist, d = loop.sweep(traj, ts[: n_ok + 1], dt, u0, delta, d_override)
+    y_ref = np.asarray(traj.eval(ts), dtype=float)
+    with np.errstate(over="ignore"):
+        y_sim = y_ref[: n_ok + 1] * np.exp(hist[0] + delta[0::2])
+    del delta, y_free  # only per-node arrays stay alive through the blocks
 
-    n1 = n_steps + 1
-    ts = dt * np.arange(n1)
-    cols = {k: np.zeros(n1) for k in ("y_sim", "d", "z1", "z2", "r", "min_profile", "profile_l2")}
-    lam_hist = np.zeros((n1, n))
+    phi, w = basis.trial_matrix, params.weights
+    res_map = _residual_map(basis, a_mat, params)
+    min_profile, profile_l2, r = (np.empty(n_ok + 1) for _ in range(3))
     snap_idx = {int(round(s / dt)): float(s) for s in snapshot_times}
     snapshots = {}
+    buf = np.empty((_BLOCK, phi.shape[1]))  # holds a block's profiles, then its residual nodes
+    for lo in range(0, n_ok + 1, _BLOCK):
+        hi = min(lo + _BLOCK, n_ok + 1)
+        blk = lam[lo:hi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            blk *= (y_ref[lo:hi] * np.exp(hist[0, lo:hi]))[:, None]
+            over = ~(np.isfinite(blk).all(axis=1) & np.isfinite(hist[:, lo:hi]).all(axis=0))
+            over |= np.abs(blk).max(axis=1) > _LAM_OVERFLOW
+            over[0] &= lo > 0  # the initial weights are not checked
+            prof = np.matmul(blk, phi, out=buf[: hi - lo])
+            pmin = prof.min(axis=1)
+        bad = np.flatnonzero(over | (pmin < 0))
+        if bad.size:
+            j = int(bad[0])
+            if over[j]:
+                raise Instability("modal weights overflowed at t = %g" % ts[lo + j])
+            raise PositivityViolation("profile minimum %g < 0 at t = %g" % (pmin[j], ts[lo + j]))
+        min_profile[lo:hi] = pmin
+        profile_l2[lo:hi] = np.sqrt(np.maximum(np.einsum("ij,ij,j->i", prof, prof, w), 0.0))
+        for i in sorted(snap_idx.keys() & range(lo, hi)):
+            snapshots[snap_idx[i]] = GridFunction(prof[i - lo].copy(), params.a_max)
+        r_nodes = np.matmul(blk, res_map, out=buf[: hi - lo])
+        r[lo:hi] = np.sqrt(np.maximum(np.einsum("ij,ij,j->i", r_nodes, r_nodes, w), 0.0))
+    if s_bad is not None:
+        y_bad = y_ref[n_ok] * np.exp(hist[0, -1]) * y_last
+        what = "measured output y = %g" if s_bad == 0 and d_override is None else "modal output %g"
+        raise NonPositiveOutput((what + " <= 0 at t = %g") % (y_bad, 0.5 * dt * s_bad))
 
-    def record(i: int):
-        lam = u[:n]
-        tau = ts[i]
-        lam_hist[i] = lam
-        profile = basis.trial_matrix.T @ lam
-        pmin = float(profile.min())
-        if pmin < 0:
-            raise PositivityViolation("profile minimum %g < 0 at t = %g" % (pmin, tau))
-        y = float(p_vec @ lam)
-        if d_override is not None:
-            d_app = float(d_override(tau))
-        else:
-            sample = control(y, traj, gains, u[n:], tau, params.d_min, params.d_max)
-            d_app = sample.d_applied
-        r_l2, _ = residual(
-            # residual is input-independent; pass the applied value anyway
-            GalerkinSystem(system.m_matrix, system.n_matrix, p_vec, lam, tau, a_mat),
-            basis,
-            params,
-            d_app,
-        )
-        cols["y_sim"][i] = y
-        cols["d"][i] = d_app
-        cols["z1"][i] = u[n]
-        cols["z2"][i] = u[n + 1]
-        cols["r"][i] = r_l2
-        cols["min_profile"][i] = pmin
-        cols["profile_l2"][i] = math.sqrt(max(float(w @ (profile * profile)), 0.0))
-        if i in snap_idx:
-            snapshots[snap_idx[i]] = GridFunction(profile, params.a_max)
-
-    record(0)
-    for i in range(n_steps):
-        tau = ts[i]
-        k1 = rhs(tau, u)
-        k2 = rhs(tau + 0.5 * dt, u + 0.5 * dt * k1)
-        k3 = rhs(tau + 0.5 * dt, u + 0.5 * dt * k2)
-        k4 = rhs(tau + dt, u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(u)) or float(np.max(np.abs(u[:n]))) > _LAM_OVERFLOW:
-            raise Instability("modal weights overflowed at t = %g" % (tau + dt))
-        record(i + 1)
-
-    system.lam = u[:n].copy()
+    system.lam = lam[-1].copy()
     system.t = float(ts[-1])
     return GalerkinTrace(
-        t=ts,
-        y_sim=cols["y_sim"],
-        y_ref=np.asarray(traj.eval(ts), dtype=float),
-        d=cols["d"],
-        z1=cols["z1"],
-        z2=cols["z2"],
-        r=cols["r"],
-        min_profile=cols["min_profile"],
-        profile_l2=cols["profile_l2"],
-        lam=lam_hist,
-        snapshots=snapshots,
+        t=ts, y_sim=y_sim, y_ref=y_ref, d=d, z1=hist[1], z2=hist[2], r=r,
+        min_profile=min_profile, profile_l2=profile_l2, lam=lam, snapshots=snapshots,
     )

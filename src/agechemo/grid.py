@@ -165,11 +165,3 @@ class GridFunction:
         nodes = np.linspace(0.0, a_max, n)
         return GridFunction(np.asarray(f(nodes), dtype=float), a_max, positive=positive)
 
-
-def rk4_step(f, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step of the shared fixed-step integrator."""
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)

@@ -3,7 +3,8 @@
 Deliberately self-contained: these helpers re-implement quadrature and
 scanning directly on closed-form integrands so that package results are
 checked against a code path that shares nothing with src/agechemo.
-``reference_closed_loop`` is the one exception; its docstring says why.
+``reference_closed_loop`` and ``reference_galerkin_loop`` are the
+exceptions; their docstrings say why.
 """
 import numpy as np
 
@@ -157,5 +158,93 @@ def reference_closed_loop(x0, traj, eq, gains, params, t_final, dt, snapshot_tim
 
     out["log_error"] = out["eta"] + out["delta"]
     out["psi"] = buf.node_values()
+    out["snapshots"] = snapshots
+    return out
+
+
+def reference_galerkin_loop(system, basis, traj, gains, params, t_final, dt, snapshot_times=(), d_override=None):
+    """The modal route as one coupled RK4 system of the weights and the observer.
+
+    An exception to this module's rule: it reads the package's assembled
+    system (A, p, the initial weights) and trial bank, so that it checks
+    ``galerkin.simulate``'s factorized propagation against the stepwise
+    loop it replaced.  Everything else is written out here: the saturated
+    law, the observer right-hand side, one RK4 step of (lam, z1, z2) per
+    dt, and the residual and profile diagnostics at every node.  Raises
+    the errors ``simulate`` raises, with the same messages.  Returns the
+    trace arrays and the snapshot profiles in a dict; ``system`` is left
+    unchanged.
+    """
+    import math
+
+    from agechemo.errors import Instability, NonPositiveOutput, PositivityViolation
+
+    n = len(system.lam)
+    n_steps = int(round(t_final / dt))
+    a_mat, p_vec = system.a_matrix, system.p_vector
+    phi, dphi = basis.trial_matrix, basis.derivative_matrix
+    w, mu = params.weights, params.mu.values
+    u = np.concatenate([system.lam, np.asarray(gains.z0, dtype=float)])
+
+    def law(tau, y, z2):
+        if d_override is not None:
+            return float(d_override(tau))
+        log_error = math.log(y / float(traj.eval(tau)))
+        raw = z2 - float(traj.rate(tau)) + gains.gamma * log_error
+        return min(params.d_max, max(params.d_min, raw))
+
+    def rhs(tau, state):
+        lam, z1, z2 = state[:n], state[n], state[n + 1]
+        y = float(p_vec @ lam)
+        if y <= 0:
+            raise NonPositiveOutput("modal output %g <= 0 at t = %g" % (y, tau))
+        rate = float(traj.rate(tau))
+        log_error = math.log(y / float(traj.eval(tau)))
+        d_app = law(tau, y, z2)
+        dlam = a_mat @ lam - d_app * lam
+        dz1 = -gains.l1 * z1 + z2 + gains.l1 * log_error - rate - d_app
+        dz2 = -gains.l2 * z1 + gains.l2 * log_error
+        return np.concatenate([dlam, [dz1, dz2]])
+
+    ts = dt * np.arange(n_steps + 1)
+    out = {k: np.zeros(n_steps + 1) for k in ("y_sim", "d", "z1", "z2", "r", "min_profile", "profile_l2")}
+    out["lam"] = np.zeros((n_steps + 1, n))
+    snap_idx = {int(round(s / dt)): float(s) for s in snapshot_times}
+    snapshots = {}
+
+    def record(i):
+        lam, tau = u[:n], ts[i]
+        profile = phi.T @ lam
+        pmin = float(profile.min())
+        if pmin < 0:
+            raise PositivityViolation("profile minimum %g < 0 at t = %g" % (pmin, tau))
+        y = float(p_vec @ lam)
+        if d_override is None and y <= 0:
+            raise NonPositiveOutput("measured output y = %g <= 0 at t = %g" % (y, tau))
+        d_app = law(tau, y, u[n + 1])
+        r_nodes = dphi.T @ lam + (phi.T @ (a_mat @ lam) - d_app * profile) + (mu + d_app) * profile
+        out["lam"][i] = lam
+        out["y_sim"][i] = y
+        out["d"][i] = d_app
+        out["z1"][i], out["z2"][i] = u[n], u[n + 1]
+        out["r"][i] = math.sqrt(max(float(w @ (r_nodes * r_nodes)), 0.0))
+        out["min_profile"][i] = pmin
+        out["profile_l2"][i] = math.sqrt(max(float(w @ (profile * profile)), 0.0))
+        if i in snap_idx:
+            snapshots[snap_idx[i]] = profile
+
+    record(0)
+    for i in range(n_steps):
+        tau = ts[i]
+        k1 = rhs(tau, u)
+        k2 = rhs(tau + 0.5 * dt, u + 0.5 * dt * k1)
+        k3 = rhs(tau + 0.5 * dt, u + 0.5 * dt * k2)
+        k4 = rhs(tau + dt, u + dt * k3)
+        u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(u)) or float(np.max(np.abs(u[:n]))) > 1e12:
+            raise Instability("modal weights overflowed at t = %g" % (tau + dt))
+        record(i + 1)
+
+    out["t"] = ts
     out["snapshots"] = snapshots
     return out

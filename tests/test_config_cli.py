@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from agechemo import galerkin
 from agechemo.cli import main
 from agechemo.config import build_model, build_trajectory, load_config
 from agechemo.errors import ParseError, ValidationError
@@ -164,6 +165,34 @@ def test_cli_non_finite_number_exits_3(tmp_path, capsys, old, new, key):
     for cmd in ("run", "verify", "roots"):
         assert main([cmd, str(path)]) == 3
         assert capsys.readouterr().err.startswith("input error: %s" % key)
+
+
+@pytest.mark.parametrize("age_nodes, n_modes", [(5, 6), (21, 8)])
+def test_cli_coarse_grid_exits_3(tmp_path, capsys, age_nodes, n_modes):
+    # the frequency cap pi/(4h) lies below the pairs the modes need
+    path = tmp_path / "coarse.cfg"
+    path.write_text(small_config_text(age_nodes=age_nodes, n_modes=n_modes))
+    for cmd in ("roots", "run"):
+        assert main([cmd, str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: [numerics] age_nodes") and "pi/(4h)" in err
+
+
+@pytest.mark.parametrize(
+    "drop, message",
+    [((0,), "error: argument principle counts"), ((0, 1), "error: found 1 conjugate pairs, need 2")],
+    ids=["count-mismatch", "shortfall"],
+)
+def test_cli_root_search_failure_exits_2(capsys, monkeypatch, drop, message):
+    # roots the polish loses on a fine grid are a run failure, not an input error
+    polish = galerkin._polish_roots
+
+    def lossy(*args):
+        return [r for i, r in enumerate(polish(*args)) if i not in drop]
+
+    monkeypatch.setattr(galerkin, "_polish_roots", lossy)
+    assert main(["roots", str(bundled("fig2a.cfg"))]) == 2
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_cli_verify_command(tmp_path, capsys):

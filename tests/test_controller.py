@@ -3,6 +3,7 @@ import pytest
 
 from agechemo.controller import (
     ControllerGains,
+    ScalarLoop,
     control,
     observer_matrix,
     observer_rhs,
@@ -85,6 +86,22 @@ def test_observer_eigenvalues_trial_gains():
     eigs = np.linalg.eigvals(observer_matrix(gains))
     assert np.allclose(sorted(eigs.real), [-2.0, -2.0], atol=1e-12)
     assert np.allclose(sorted(eigs.imag), [-2.0, 2.0], atol=1e-12)
+
+
+def test_scalar_loop_fourth_order():
+    # matched output, no input: (z1, z2)' = observer_matrix (z1, z2), eta' = 0
+    gains = ControllerGains(2.0, 4.0, 8.0)
+    vals, vecs = np.linalg.eig(observer_matrix(gains))
+    exact = (vecs @ np.diag(np.exp(vals)) @ np.linalg.solve(vecs, [1.0, 0.0])).real
+    loop = ScalarLoop.of(gains)
+
+    def err(dt):
+        n = int(round(1.0 / dt))
+        t_node = dt * np.arange(n + 1)
+        hist, _ = loop.sweep(make_constant(1.0), t_node, dt, (0.0, 1.0, 0.0), np.zeros(2 * n + 1), lambda t: 0.0)
+        return float(np.max(np.abs(hist[1:, -1] - exact)))
+
+    assert err(0.01) / err(0.005) > 12
 
 
 def test_model_blindness_identical_output_streams(trial):

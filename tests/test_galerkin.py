@@ -1,8 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from agechemo import galerkin
-from agechemo.errors import DependentBasis, PositivityViolation, RootSearchExhausted
+from agechemo.config import build_model, build_trajectory, build_x0, load_config
+from agechemo.controller import ControllerGains
+from agechemo.errors import (
+    AgeChemoError,
+    DependentBasis,
+    Instability,
+    NonPositiveOutput,
+    PositivityViolation,
+    RootSearchExhausted,
+)
 from agechemo.galerkin import (
     GalerkinBasis,
     assemble,
@@ -14,7 +25,8 @@ from agechemo.galerkin import (
 from agechemo.grid import GridFunction, hermite_resample, simpson_weights
 from agechemo.model import ModelParams, solve_equilibrium
 from agechemo.trajectories import make_constant
-from oracles import char_residual_highres
+from conftest import bundled
+from oracles import char_residual_highres, reference_galerkin_loop
 
 KNOWN_PAIRS = (-2.02 + 4.41j, -2.50 + 7.62j)
 
@@ -312,3 +324,123 @@ def test_positivity_violation_raised(trial, trial_basis):
             params.h,
             d_override=lambda t: 1.0,
         )
+
+
+def _modal_setup(name, n_modes=None):
+    cfg = load_config(bundled(name + ".cfg"))
+    params = build_model(cfg)
+    eq = solve_equilibrium(params)
+    x0 = build_x0(cfg, params, eq)
+    modes = n_modes or cfg.n_modes
+    basis = build_basis(x0, eq, characteristic_roots(eq, params, modes), modes, params)
+    gains = ControllerGains(cfg.gamma, cfg.l1, cfg.l2, cfg.z0)
+    return cfg, params, build_trajectory(cfg), gains, basis
+
+
+def _assert_matches_reference(trace, ref, tol=1e-8):
+    assert np.max(np.abs(trace.y_sim / ref["y_sim"] - 1.0)) < tol
+    for key in ("d", "z1", "z2", "r", "min_profile", "profile_l2", "lam"):
+        assert np.max(np.abs(getattr(trace, key) - ref[key])) < tol, key
+    assert list(trace.snapshots) == list(ref["snapshots"])
+    for t_snap, prof in trace.snapshots.items():
+        assert np.max(np.abs(prof.values - ref["snapshots"][t_snap])) < tol, t_snap
+
+
+@pytest.mark.parametrize(
+    "name, n_modes, dt_scale",
+    [("fig2a", None, 1.0), ("fig2b", None, 1.0), ("fig3", None, 1.0), ("const", None, 1.0), ("fig2a", 10, 0.5)],
+    ids=["fig2a", "fig2b", "fig3", "const", "fig2a-10-modes-half-dt"],
+)
+def test_simulate_matches_rk4_reference(name, n_modes, dt_scale):
+    cfg, params, traj, gains, basis = _modal_setup(name, n_modes)
+    args = (basis, traj, gains, params, cfg.t_final, cfg.dt * dt_scale, cfg.snapshot_times)
+    ref = reference_galerkin_loop(assemble(basis, params), *args)
+    system = assemble(basis, params)
+    trace = simulate(system, *args)
+    assert len(trace.snapshots) == 2
+    _assert_matches_reference(trace, ref)
+    assert np.array_equal(system.lam, trace.lam[-1]) and system.t == trace.t[-1]
+
+
+def test_simulate_matches_rk4_reference_open_loop():
+    cfg, params, traj, gains, basis = _modal_setup("fig2a")
+    args = (basis, traj, gains, params, 4.0, cfg.dt, (1.0, 3.0))
+    override = dict(d_override=lambda t: 0.9 + 0.3 * math.sin(2.0 * t))
+    ref = reference_galerkin_loop(assemble(basis, params), *args, **override)
+    trace = simulate(assemble(basis, params), *args, **override)
+    _assert_matches_reference(trace, ref)
+    assert np.array_equal(trace.d, 0.9 + 0.3 * np.sin(2.0 * trace.t))
+
+
+def _failure(call):
+    with pytest.raises(AgeChemoError) as info:
+        call()
+    return type(info.value), float(str(info.value).rsplit("t = ", 1)[1])
+
+
+def _failure_parity(make_system, basis, *args, **kwargs):
+    """simulate fails as the stepwise loop does: same error type, same time."""
+    ref = _failure(lambda: reference_galerkin_loop(make_system(), basis, *args, **kwargs))
+    new = _failure(lambda: simulate(make_system(), basis, *args, **kwargs))
+    assert new == ref
+    return new
+
+
+def test_failure_parity_positivity_violation():
+    # a flow that rotates the equilibrium weight into the first cosine mode
+    # turns the profile negative after a while, under feedback
+    cfg, params, traj, gains, basis = _modal_setup("fig2a")
+
+    def make_system():
+        system = assemble(basis, params)
+        system.a_matrix[2, 1] += 0.25
+        system.a_matrix[1, 2] -= 0.25
+        system.lam = np.zeros(6)
+        system.lam[1] = 1.0
+        return system
+
+    kind, t = _failure_parity(make_system, basis, make_constant(1.0), gains, params, 4.0, cfg.dt)
+    assert kind is PositivityViolation and t == 0.125
+
+
+@pytest.mark.parametrize(
+    "rotation, d_applied, t_fail",
+    [(0.0, -60.0, 0.455), (0.25, -226.0, 0.125)],
+    ids=["overflow", "overflow-and-negative-profile-at-one-node"],
+)
+def test_failure_parity_instability(rotation, d_applied, t_fail):
+    # in the second case the profile also turns negative at the node where
+    # the weights overflow; the stepwise loop checked the overflow first
+    cfg, params, traj, gains, basis = _modal_setup("fig2a")
+
+    def make_system():
+        system = assemble(basis, params)
+        system.a_matrix[2, 1] += rotation
+        system.a_matrix[1, 2] -= rotation
+        system.lam = np.zeros(6)
+        system.lam[1] = 1.0
+        return system
+
+    override = dict(d_override=lambda t: d_applied)
+    kind, t = _failure_parity(make_system, basis, make_constant(1.0), gains, params, 1.0, cfg.dt, **override)
+    assert kind is Instability and t == t_fail
+
+
+@pytest.mark.parametrize(
+    "p_vector, t_fail",
+    [([1.0, -1.4], 0.1425), ([1.0, -1.5], 0.135), ([-1.0, 0.0], 0.0)],
+    ids=["half-stage", "node", "initial"],
+)
+def test_failure_parity_nonpositive_output(p_vector, t_fail):
+    # an output functional that weighs the x0 trial against x* turns
+    # negative once the profile has relaxed towards x*; with the sign of the
+    # x0 weight flipped it is negative from the start
+    cfg, params, traj, gains, basis = _modal_setup("fig2a")
+
+    def make_system():
+        system = assemble(basis, params)
+        system.p_vector = np.array(p_vector + [0.0] * 4)
+        return system
+
+    kind, t = _failure_parity(make_system, basis, make_constant(1.0), gains, params, 4.0, cfg.dt)
+    assert kind is NonPositiveOutput and t == t_fail

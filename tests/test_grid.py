@@ -8,7 +8,6 @@ from agechemo.grid import (
     cumtrapz,
     fd4,
     hermite_resample,
-    rk4_step,
     simpson,
     simpson_weights,
 )
@@ -77,15 +76,3 @@ def test_gridfunction_inner_mismatch():
     with pytest.raises(GridMismatch):
         a.inner(b)
 
-
-def test_rk4_order():
-    # du/dt = -u, u(0) = 1, integrate to t = 1
-    def err(dt):
-        u = np.array([1.0])
-        t = 0.0
-        while t < 1.0 - 1e-12:
-            u = rk4_step(lambda tau, y: -y, t, u, dt)
-            t += dt
-        return abs(u[0] - np.exp(-1.0))
-
-    assert err(0.01) / err(0.005) > 12
