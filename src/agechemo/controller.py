@@ -59,7 +59,8 @@ def control(
     log_error = math.log(y / float(traj.eval(t)))
     loop = ScalarLoop.of(gains, d_min=d_min, d_max=d_max)
     d_applied = loop.rhs(log_error, 0.0, float(z[1]), rate, 0.0)[3]
-    d_fb = loop.feedback(float(z[1]), log_error)
+    # with no feedforward and no bounds, the law is its feedback part
+    d_fb = ScalarLoop.of(gains).rhs(log_error, 0.0, float(z[1]), 0.0, 0.0)[3]
     raw = d_fb - rate
     return ControlSample(-rate, d_fb, d_applied, raw < d_min or raw > d_max, log_error)
 
@@ -121,24 +122,25 @@ class ScalarLoop:
     d_min: float
     d_max: float
 
+    def __post_init__(self):
+        if self.d_min >= self.d_max:
+            raise ValueError("saturation interval needs lo < hi")
+
     @staticmethod
     def of(gains: ControllerGains, d_star=0.0, d_min=-math.inf, d_max=math.inf) -> "ScalarLoop":
         return ScalarLoop(gains.gamma, gains.l1, gains.l2, d_star, d_min, d_max)
-
-    def feedback(self, z2: float, log_error: float) -> float:
-        """The proportional-adaptive part of the law, z2 + gamma log_error."""
-        return z2 + self.gamma * log_error
 
     def rhs(self, eta: float, z1: float, z2: float, rate: float, dlt: float, forced=None):
         """(eta', z1', z2', D) at one stage, with log_error = eta + dlt.
 
         D is the imposed input ``forced``, or else the law: feedforward
-        -rate plus feedback, saturated to [d_min, d_max].  The observer is
+        -rate plus the proportional-adaptive feedback z2 + gamma log_error,
+        saturated to [d_min, d_max].  The observer is
         z1' = z2 - rate - D - l1 (z1 - log_error), z2' = -l2 (z1 - log_error).
         """
         log_error = eta + dlt
         if forced is None:
-            forced = saturate(self.feedback(z2, log_error) - rate, self.d_min, self.d_max)
+            forced = min(self.d_max, max(self.d_min, z2 + self.gamma * log_error - rate))
         mism = z1 - log_error
         return self.d_star - rate - forced, z2 - rate - forced - self.l1 * mism, -self.l2 * mism, forced
 
@@ -151,9 +153,10 @@ class ScalarLoop:
         reference rate and an imposed input ``d_override`` (a callable
         t -> D, or None for the feedback law) are taken there in one call
         each.  Returns the (3, n + 1) array of (eta, z1, z2) and the input
-        applied at each node; outputs go straight to arrays, since per-step
-        Python lists would hold a float object per value and raise the
-        process's peak memory.
+        applied at each node.  The loop reads its stage values from Python
+        lists and writes its outputs back to the arrays SWEEP_CHUNK steps at
+        a time, since lists for the whole horizon would hold a float object
+        per value and raise the process's peak memory.
         """
         n_steps = len(t_node) - 1
         t_half = t_node[:-1] + 0.5 * dt
@@ -172,21 +175,31 @@ class ScalarLoop:
         d = np.empty(n_steps + 1)
         hist[:, 0] = u = u0
         rhs, half, sixth = self.rhs, 0.5 * dt, dt / 6.0
-        for k in range(n_steps):
-            s = slice(2 * k, 2 * k + 3)
-            (r0, r1, r2), (d0, d1, d2) = rate[s].tolist(), delta[s].tolist()
-            f0, f1, f2 = (None,) * 3 if forced is None else forced[s].tolist()
-            e, p, q = u
-            a1, b1, c1, d[k] = rhs(e, p, q, r0, d0, f0)
-            a2, b2, c2, _ = rhs(e + half * a1, p + half * b1, q + half * c1, r1, d1, f1)
-            a3, b3, c3, _ = rhs(e + half * a2, p + half * b2, q + half * c2, r1, d1, f1)
-            a4, b4, c4, _ = rhs(e + dt * a3, p + dt * b3, q + dt * c3, r2, d2, f2)
-            u = (
-                e + sixth * (a1 + 2 * a2 + 2 * a3 + a4),
-                p + sixth * (b1 + 2 * b2 + 2 * b3 + b4),
-                q + sixth * (c1 + 2 * c2 + 2 * c3 + c4),
-            )
-            hist[:, k + 1] = u
+        for k0 in range(0, n_steps, SWEEP_CHUNK):
+            m = min(SWEEP_CHUNK, n_steps - k0)
+            s = slice(2 * k0, 2 * (k0 + m) + 1)
+            rs, ds = rate[s].tolist(), delta[s].tolist()
+            fs = [None] * (2 * m + 1) if forced is None else forced[s].tolist()
+            us, d_chunk = [], []
+            for j in range(0, 2 * m, 2):
+                e, p, q = u
+                a1, b1, c1, d0 = rhs(e, p, q, rs[j], ds[j], fs[j])
+                a2, b2, c2, _ = rhs(e + half * a1, p + half * b1, q + half * c1, rs[j + 1], ds[j + 1], fs[j + 1])
+                a3, b3, c3, _ = rhs(e + half * a2, p + half * b2, q + half * c2, rs[j + 1], ds[j + 1], fs[j + 1])
+                a4, b4, c4, _ = rhs(e + dt * a3, p + dt * b3, q + dt * c3, rs[j + 2], ds[j + 2], fs[j + 2])
+                u = (
+                    e + sixth * (a1 + 2 * a2 + 2 * a3 + a4),
+                    p + sixth * (b1 + 2 * b2 + 2 * b3 + b4),
+                    q + sixth * (c1 + 2 * c2 + 2 * c3 + c4),
+                )
+                us.append(u)
+                d_chunk.append(d0)
+            hist[:, k0 + 1 : k0 + m + 1] = np.array(us).T
+            d[k0 : k0 + m] = d_chunk
         last = None if forced is None else float(forced[-1])
         d[-1] = rhs(u[0], u[1], u[2], float(rate[-1]), float(delta[2 * n_steps]), last)[3]
         return hist, d
+
+
+#: RK4 steps per chunk of :meth:`ScalarLoop.sweep`'s stage lists
+SWEEP_CHUNK = 256

@@ -31,23 +31,38 @@ from .trajectories import Trajectory, validate
 # kernel contraction and history decay rate
 
 
-def _contraction_integrand(k_tilde: GridFunction, lam: float) -> np.ndarray:
-    kt = k_tilde.values
-    from .grid import cumquad4, simpson_weights
+class _Contraction:
+    """The kernel-invariant part of the contraction integral.
 
-    prefix = cumquad4(kt, k_tilde.h)
-    tail = prefix[-1] - prefix
-    w = simpson_weights(k_tilde.n, k_tilde.h)
-    mean_age = float(w @ (k_tilde.nodes * kt))
-    return np.abs(kt - lam * tail / mean_age)
+    int_0^A e^{sigma a} |kt(a) - lam tail(a) / mean_age| da, with
+    tail(a) = int_a^A kt; the tail, the Simpson weights and the mean age
+    depend on the kernel only, so one set-up serves every (lam, sigma) of
+    both searches.
+    """
+
+    def __init__(self, k_tilde: GridFunction):
+        from .grid import cumquad4, simpson_weights
+
+        self.kt = k_tilde.values
+        self.nodes = k_tilde.nodes
+        prefix = cumquad4(self.kt, k_tilde.h)
+        self.tail = prefix[-1] - prefix
+        self.w = simpson_weights(k_tilde.n, k_tilde.h)
+        self.mean_age = float(self.w @ (self.nodes * self.kt))
+
+    def integrand(self, lam: float) -> np.ndarray:
+        return np.abs(self.kt - lam * self.tail / self.mean_age)
+
+    def value(self, lam: float, sigma: float = 0.0) -> float:
+        return self.weighted(self.integrand(lam), sigma)
+
+    def weighted(self, integrand: np.ndarray, sigma: float) -> float:
+        weight = np.exp(sigma * self.nodes) if sigma else 1.0
+        return float(self.w @ (weight * integrand))
 
 
 def _contraction_value(k_tilde: GridFunction, lam: float, sigma: float = 0.0) -> float:
-    from .grid import simpson_weights
-
-    w = simpson_weights(k_tilde.n, k_tilde.h)
-    weight = np.exp(sigma * k_tilde.nodes) if sigma else 1.0
-    return float(w @ (weight * _contraction_integrand(k_tilde, lam)))
+    return _Contraction(k_tilde).value(lam, sigma)
 
 
 def b3_search(k_tilde: GridFunction) -> tuple[float, float]:
@@ -57,8 +72,9 @@ def b3_search(k_tilde: GridFunction) -> tuple[float, float]:
     exactly one by normalization) and refines with golden sections.
     Raises B3Fail when the minimum is not below one.
     """
+    value_at = _Contraction(k_tilde).value
     grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e2, 400)])
-    vals = [_contraction_value(k_tilde, lam) for lam in grid]
+    vals = [value_at(lam) for lam in grid]
     i0 = int(np.argmin(vals))
     lo = grid[max(i0 - 1, 0)]
     hi = grid[min(i0 + 1, len(grid) - 1)]
@@ -66,12 +82,12 @@ def b3_search(k_tilde: GridFunction) -> tuple[float, float]:
     for _ in range(90):
         c1 = hi - inv_phi * (hi - lo)
         c2 = lo + inv_phi * (hi - lo)
-        if _contraction_value(k_tilde, c1) < _contraction_value(k_tilde, c2):
+        if value_at(c1) < value_at(c2):
             hi = c2
         else:
             lo = c1
     lam = 0.5 * (lo + hi)
-    value = _contraction_value(k_tilde, lam)
+    value = value_at(lam)
     if value >= 1.0:
         raise B3Fail("kernel contraction minimum %.6f >= 1" % value)
     return float(lam), float(value)
@@ -81,18 +97,21 @@ def sigma_search(k_tilde: GridFunction, lam: float) -> float:
     """Largest exponential weight keeping the contraction integral below one.
 
     Bisection to 1e-6; returns the last verified-feasible endpoint, so the
-    returned rate strictly satisfies the inequality.
+    returned rate strictly satisfies the inequality.  The integrand at lam
+    is built once; each step only reweights it.
     """
-    if _contraction_value(k_tilde, lam) >= 1.0:
+    contraction = _Contraction(k_tilde)
+    value_at = functools.partial(contraction.weighted, contraction.integrand(lam))
+    if value_at(0.0) >= 1.0:
         raise B3Fail("contraction fails at sigma = 0; no decay rate exists")
     lo, hi = 0.0, 1.0
-    while _contraction_value(k_tilde, lam, hi) < 1.0:
+    while value_at(hi) < 1.0:
         hi *= 2.0
         if hi > 64.0:
             break
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _contraction_value(k_tilde, lam, mid) < 1.0:
+        if value_at(mid) < 1.0:
             lo = mid
         else:
             hi = mid
@@ -128,41 +147,50 @@ def _sym2_eigs(a11, a12, a22):
     return 0.5 * (tr - disc), 0.5 * (tr + disc)
 
 
+#: p1 rows per block of :func:`observer_quadratic`'s grid; a block's
+#: dozen temporaries stay near 40 kB each on the 200-point grid
+OQ_BLOCK = 25
+
+
 def observer_quadratic(l1: float, l2: float, grid_points: int = 200) -> ObserverQuadratic:
     """Grid-search a feasible (p1, p2), maximizing the observer decay rate.
 
     Exhaustive logarithmic grid over (0, 2] x (0, 4]; both 2x2 forms must
     be positive definite, and the returned pair maximizes
-    beta1 = min_eig(P~) / (4 max_eig(P)).
+    beta1 = min_eig(P~) / (4 max_eig(P)), at its first occurrence in
+    row-major order.  The grid is evaluated OQ_BLOCK rows of p1 at a time.
     """
     if l1 <= 0 or l2 <= 0:
         raise ValueError("observer gains must be positive")
     p1g = np.geomspace(1e-2, 2.0, grid_points)
     p2g = np.geomspace(1e-2, 4.0, grid_points)
-    P1, P2 = np.meshgrid(p1g, p2g, indexing="ij")
-    feas = (P1 * P1 < 4.0 * P2) & (
-        (2.0 + l1 * P1 - 2.0 * l2 * P2) ** 2 < 8.0 * l1 * P1 - 4.0 * l2 * P1 * P1
-    )
-    if not feas.any():
+    any_shape = False
+    best = None  # (beta1, p1, p2, k1, k2, kt1, kt2) at the best cell so far
+    for lo in range(0, grid_points, OQ_BLOCK):
+        P1, P2 = np.meshgrid(p1g[lo : lo + OQ_BLOCK], p2g, indexing="ij")
+        feas = (P1 * P1 < 4.0 * P2) & (
+            (2.0 + l1 * P1 - 2.0 * l2 * P2) ** 2 < 8.0 * l1 * P1 - 4.0 * l2 * P1 * P1
+        )
+        if not feas.any():
+            continue
+        any_shape = True
+        k1, k2 = _sym2_eigs(np.ones_like(P1), -P1 / 2.0, P2)
+        kt1, kt2 = _sym2_eigs(2.0 * l1 - l2 * P1, l2 * P2 - l1 * P1 / 2.0 - 1.0, P1)
+        feas &= (k1 > 0) & (kt1 > 0)
+        if not feas.any():
+            continue
+        beta1 = np.where(feas, kt1 / (4.0 * k2), -np.inf)
+        ij = np.unravel_index(int(np.argmax(beta1)), beta1.shape)
+        if best is None or beta1[ij] > best[0]:
+            best = tuple(float(a[ij]) for a in (beta1, P1, P2, k1, k2, kt1, kt2))
+    if not any_shape:
         raise NoFeasiblePair("no (p1, p2) satisfies the shape inequalities for l = (%g, %g)" % (l1, l2))
-    k1, k2 = _sym2_eigs(np.ones_like(P1), -P1 / 2.0, P2)
-    kt1, kt2 = _sym2_eigs(2.0 * l1 - l2 * P1, l2 * P2 - l1 * P1 / 2.0 - 1.0, P1)
-    feas &= (k1 > 0) & (kt1 > 0)
-    if not feas.any():
+    if best is None:
         raise NoFeasiblePair("no positive-definite pair found for l = (%g, %g)" % (l1, l2))
-    beta1 = np.where(feas, kt1 / (4.0 * k2), -np.inf)
-    i, j = np.unravel_index(int(np.argmax(beta1)), beta1.shape)
-    p1, p2 = float(P1[i, j]), float(P2[i, j])
-    b2 = ((2 * l1 - l2 * p1) ** 2 + (l1 * p1 - 2 * l2 * p2) ** 2) / (2.0 * float(kt1[i, j]))
+    beta1, p1, p2, k1, k2, kt1, kt2 = best
+    b2 = ((2 * l1 - l2 * p1) ** 2 + (l1 * p1 - 2 * l2 * p2) ** 2) / (2.0 * kt1)
     return ObserverQuadratic(
-        p1=p1,
-        p2=p2,
-        k1=float(k1[i, j]),
-        k2=float(k2[i, j]),
-        k1_tilde=float(kt1[i, j]),
-        k2_tilde=float(kt2[i, j]),
-        beta1=float(beta1[i, j]),
-        beta2=b2,
+        p1=p1, p2=p2, k1=k1, k2=k2, k1_tilde=kt1, k2_tilde=kt2, beta1=beta1, beta2=b2
     )
 
 

@@ -3,8 +3,9 @@
 Deliberately self-contained: these helpers re-implement quadrature and
 scanning directly on closed-form integrands so that package results are
 checked against a code path that shares nothing with src/agechemo.
-``reference_closed_loop`` and ``reference_galerkin_loop`` are the
-exceptions; their docstrings say why.
+``reference_closed_loop``, ``reference_galerkin_loop`` and
+``reference_contraction_value`` are the exceptions; their docstrings say
+why.
 """
 import numpy as np
 
@@ -248,3 +249,112 @@ def reference_galerkin_loop(system, basis, traj, gains, params, t_final, dt, sna
     out["t"] = ts
     out["snapshots"] = snapshots
     return out
+
+
+def reference_contraction_value(k_tilde, lam, sigma=0.0):
+    """The contraction integral with every kernel quantity rebuilt per call.
+
+    An exception to this module's rule: it reuses the package's
+    ``cumquad4`` and ``simpson_weights``, so that it checks the searches'
+    shared per-kernel set-up against the per-value computation it
+    replaced, in the same arithmetic order.
+    """
+    from agechemo.grid import cumquad4, simpson_weights
+
+    kt = k_tilde.values
+    prefix = cumquad4(kt, k_tilde.h)
+    tail = prefix[-1] - prefix
+    w = simpson_weights(k_tilde.n, k_tilde.h)
+    mean_age = float(w @ (k_tilde.nodes * kt))
+    integrand = np.abs(kt - lam * tail / mean_age)
+    weight = np.exp(sigma * k_tilde.nodes) if sigma else 1.0
+    return float(w @ (weight * integrand))
+
+
+def reference_b3_search(k_tilde):
+    """Log scan plus 90 golden sections on ``reference_contraction_value``; (lam, value)."""
+    import math
+
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e2, 400)])
+    vals = [reference_contraction_value(k_tilde, lam) for lam in grid]
+    i0 = int(np.argmin(vals))
+    lo, hi = grid[max(i0 - 1, 0)], grid[min(i0 + 1, len(grid) - 1)]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(90):
+        c1 = hi - inv_phi * (hi - lo)
+        c2 = lo + inv_phi * (hi - lo)
+        if reference_contraction_value(k_tilde, c1) < reference_contraction_value(k_tilde, c2):
+            hi = c2
+        else:
+            lo = c1
+    lam = 0.5 * (lo + hi)
+    return float(lam), reference_contraction_value(k_tilde, lam)
+
+
+def reference_sigma_search(k_tilde, lam):
+    """Doubling bracket, then 60 bisections on ``reference_contraction_value``."""
+    lo, hi = 0.0, 1.0
+    while reference_contraction_value(k_tilde, lam, hi) < 1.0:
+        hi *= 2.0
+        if hi > 64.0:
+            break
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if reference_contraction_value(k_tilde, lam, mid) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def reference_sweep(loop, traj, t_node, dt, u0, delta, d_override=None):
+    """RK4 of (eta, z1, z2) with the stage values sliced out step by step.
+
+    The scalar loop as one function per stage: the saturated law and the
+    observer right-hand side are written out here, and only the loop's
+    constants (gamma, l1, l2, d_star, d_min, d_max) are read from ``loop``.
+    Takes ``ScalarLoop.sweep``'s arguments and returns its (hist, d).
+    """
+    n_steps = len(t_node) - 1
+    t_half = t_node[:-1] + 0.5 * dt
+
+    def staged(f):
+        out = np.empty(2 * n_steps + 1)
+        out[0::2] = f(t_node)
+        out[1::2] = f(t_half)
+        return out
+
+    def rhs(eta, z1, z2, rate, dlt, forced):
+        log_error = eta + dlt
+        if forced is None:
+            feedback = z2 + loop.gamma * log_error
+            forced = min(loop.d_max, max(loop.d_min, feedback - rate))
+        mism = z1 - log_error
+        return loop.d_star - rate - forced, z2 - rate - forced - loop.l1 * mism, -loop.l2 * mism, forced
+
+    rate = staged(traj.rate)
+    forced = None
+    if d_override is not None:
+        forced = staged(lambda ts: [float(d_override(s)) for s in ts.tolist()])
+    hist = np.empty((3, n_steps + 1))
+    d = np.empty(n_steps + 1)
+    hist[:, 0] = u = u0
+    half, sixth = 0.5 * dt, dt / 6.0
+    for k in range(n_steps):
+        s = slice(2 * k, 2 * k + 3)
+        (r0, r1, r2), (d0, d1, d2) = rate[s].tolist(), delta[s].tolist()
+        f0, f1, f2 = (None,) * 3 if forced is None else forced[s].tolist()
+        e, p, q = u
+        a1, b1, c1, d[k] = rhs(e, p, q, r0, d0, f0)
+        a2, b2, c2, _ = rhs(e + half * a1, p + half * b1, q + half * c1, r1, d1, f1)
+        a3, b3, c3, _ = rhs(e + half * a2, p + half * b2, q + half * c2, r1, d1, f1)
+        a4, b4, c4, _ = rhs(e + dt * a3, p + dt * b3, q + dt * c3, r2, d2, f2)
+        u = (
+            e + sixth * (a1 + 2 * a2 + 2 * a3 + a4),
+            p + sixth * (b1 + 2 * b2 + 2 * b3 + b4),
+            q + sixth * (c1 + 2 * c2 + 2 * c3 + c4),
+        )
+        hist[:, k + 1] = u
+    last = None if forced is None else float(forced[-1])
+    d[-1] = rhs(u[0], u[1], u[2], float(rate[-1]), float(delta[2 * n_steps]), last)[3]
+    return hist, d

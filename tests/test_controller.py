@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from agechemo import controller
 from agechemo.controller import (
     ControllerGains,
     ScalarLoop,
@@ -12,6 +13,7 @@ from agechemo.controller import (
 )
 from agechemo.errors import NonPositiveOutput
 from agechemo.trajectories import make_constant, make_transition
+from oracles import reference_sweep
 
 
 def test_saturate_cases():
@@ -147,3 +149,59 @@ def test_hard_input_bounds_random(trial):
         sample = control(y, traj, gains, z, t, 0.5, 1.5)
         assert 0.5 <= sample.d_applied <= 1.5
         assert sample.d_applied == saturate(sample.d_ff + sample.d_fb, 0.5, 1.5)
+
+
+def _recorded_sweep(monkeypatch, name):
+    """The (loop, args) that the delay route hands ScalarLoop.sweep on a bundled config."""
+    from conftest import bundled
+
+    from agechemo import load_config, simulate_closed_loop, solve_equilibrium
+    from agechemo.config import build_model, build_trajectory, build_x0
+
+    cfg = load_config(bundled(name + ".cfg"))
+    params = build_model(cfg)
+    eq = solve_equilibrium(params)
+    traj = build_trajectory(cfg)
+    gains = ControllerGains(cfg.gamma, cfg.l1, cfg.l2, cfg.z0)
+    calls = []
+    sweep = ScalarLoop.sweep
+
+    def spy(loop, *args):
+        calls.append((loop, args))
+        return sweep(loop, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(ScalarLoop, "sweep", spy)
+        simulate_closed_loop(build_x0(cfg, params, eq), traj, eq, gains, params, cfg.t_final, cfg.dt)
+    (loop, args), = calls
+    return loop, args
+
+
+@pytest.mark.parametrize("name, bound", [("fig2a", None), ("fig2b", "d_max"), ("fig3", "d_min")])
+def test_sweep_matches_stepwise_reference(monkeypatch, name, bound):
+    loop, args = _recorded_sweep(monkeypatch, name)
+    hist, d = loop.sweep(*args)
+    ref_hist, ref_d = reference_sweep(loop, *args)
+    assert np.array_equal(hist, ref_hist) and np.array_equal(d, ref_d)
+    if bound is not None:
+        # saturation active for a stretch of the run, not only at t = 0
+        assert np.sum(d[1:] == getattr(loop, bound)) > 10
+
+
+def test_sweep_d_override_and_ragged_chunks(monkeypatch):
+    loop, (traj, t_node, dt, u0, delta, _) = _recorded_sweep(monkeypatch, "fig2a")
+    n_steps = len(t_node) - 1
+    assert n_steps % controller.SWEEP_CHUNK and n_steps % 7
+    override = lambda t: 1.0 + 0.3 * np.sin(t)
+    for chunk in (controller.SWEEP_CHUNK, 7, n_steps + 5):
+        monkeypatch.setattr(controller, "SWEEP_CHUNK", chunk)
+        for d_override in (None, override):
+            args = (traj, t_node, dt, u0, delta, d_override)
+            hist, d = loop.sweep(*args)
+            ref_hist, ref_d = reference_sweep(loop, *args)
+            assert np.array_equal(hist, ref_hist) and np.array_equal(d, ref_d)
+
+
+def test_scalar_loop_checks_bounds_once_built(trial):
+    with pytest.raises(ValueError, match="lo < hi"):
+        ScalarLoop.of(trial["gains"], d_min=1.5, d_max=0.5)

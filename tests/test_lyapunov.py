@@ -5,7 +5,7 @@ import pytest
 
 from agechemo import lyapunov
 from agechemo.delay import reconstruct, simulate_closed_loop
-from agechemo.errors import InvalidTrajectory
+from agechemo.errors import B3Fail, InvalidTrajectory
 from agechemo.lyapunov import (
     Certificate,
     _contraction_value,
@@ -28,6 +28,7 @@ from agechemo.lyapunov import (
     verify_decay,
 )
 from agechemo.trajectories import make_constant, make_ramp
+from oracles import reference_b3_search, reference_contraction_value, reference_sigma_search
 
 
 def test_b3_boundary_value(trial):
@@ -72,6 +73,59 @@ def test_sigma_integrand_monotone(trial, trial_cert):
     sigmas = np.linspace(0, 2, 21)
     vals = [_contraction_value(kt, lam, s) for s in sigmas]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.fixture(scope="module", params=[201, 401, 801])
+def trial_kernel(request, trial):
+    """The trial k_tilde on age grids of 201, 401 and 801 nodes."""
+    import dataclasses
+
+    from agechemo.config import build_model
+    from agechemo.model import solve_equilibrium
+
+    cfg = dataclasses.replace(trial["cfg"], age_nodes=request.param)
+    return solve_equilibrium(build_model(cfg)).k_tilde
+
+
+def test_contraction_value_matches_per_call_reference(trial_kernel):
+    for lam, sigma in ((0.0, 0.0), (0.7, 0.0), (0.7, 1.3), (12.0, 0.25)):
+        assert _contraction_value(trial_kernel, lam, sigma) == reference_contraction_value(
+            trial_kernel, lam, sigma
+        )
+
+
+def test_searches_match_reference_driven_searches(trial_kernel):
+    # the shared per-kernel set-up keeps each value's arithmetic, so the
+    # searches take the same branches and return the same bits
+    lam, value = b3_search(trial_kernel)
+    assert (lam, value) == reference_b3_search(trial_kernel)
+    assert sigma_search(trial_kernel, lam) == reference_sigma_search(trial_kernel, lam)
+
+
+def test_b3_search_rejects_non_contracting_kernel(trial):
+    # the integral scales with the kernel mass (tail / mean age does not),
+    # so a heavier kernel's minimum is that many times the trial minimum
+    kt = trial["eq"].k_tilde
+    _, value = b3_search(kt)
+    heavy = kt.with_values(kt.values * (2.0 / value))
+    with pytest.raises(B3Fail, match="kernel contraction minimum"):
+        b3_search(heavy)
+
+
+def test_sigma_search_rejects_non_contracting_lambda(trial):
+    # lam = 3: the integral is at least |1 - lam| = 2 for any kernel of mass one
+    kt = trial["eq"].k_tilde
+    assert _contraction_value(kt, 3.0) >= 1.0
+    with pytest.raises(B3Fail, match="contraction fails at sigma = 0"):
+        sigma_search(kt, 3.0)
+
+
+def test_observer_quadratic_blocks_match_whole_grid(monkeypatch):
+    # one block holding the whole grid is the unblocked search
+    blocked = [observer_quadratic(l1, l2) for l1, l2 in ((4.0, 8.0), (3.0, 6.0), (5.0, 10.0))]
+    monkeypatch.setattr(lyapunov, "OQ_BLOCK", 200)
+    whole = [observer_quadratic(l1, l2) for l1, l2 in ((4.0, 8.0), (3.0, 6.0), (5.0, 10.0))]
+    assert blocked == whole
 
 
 def test_infeasible_probe_rejected():
