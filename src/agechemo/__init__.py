@@ -7,18 +7,15 @@ inequalities along simulated traces.
 """
 
 from .config import ScenarioConfig, load_config
-from .controller import ControllerGains, ControlSample, control, observer_step, saturate
+from .controller import ControllerGains
 from .delay import (
     DelayState,
     OracleTrace,
-    delta,
     init_delay_state,
     pi_functional,
     pi_weight,
     reconstruct,
     simulate_closed_loop,
-    step_closed_loop,
-    step_psi,
 )
 from .galerkin import (
     GalerkinBasis,
@@ -27,7 +24,6 @@ from .galerkin import (
     assemble,
     build_basis,
     characteristic_roots,
-    residual,
     simulate,
 )
 from .grid import GridFunction
@@ -37,7 +33,6 @@ from .lyapunov import (
     build_certificate,
     clf_value,
     observer_quadratic,
-    overshoot_bound,
     rate_constants,
     saturation_fact_check,
     sigma_search,

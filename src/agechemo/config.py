@@ -157,6 +157,12 @@ def load_config(path: str | Path) -> ScenarioConfig:
             raise ValidationError("[%s] %s: not a finite number" % (section, key))
         return value
 
+    def geti(section: str, key: str) -> int:
+        value = getf(section, key)
+        if value != int(value):
+            raise ValidationError("[%s] %s: not an integer" % (section, key))
+        return int(value)
+
     a_max = getf("model", "a_max")
     if a_max <= 0:
         raise ValidationError("[model] a_max: must be positive")
@@ -191,10 +197,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ValidationError("[controller]: gamma, l1, l2 must be positive")
     z0 = (getf("controller", "z01"), getf("controller", "z02"))
 
-    n_modes = int(getf("numerics", "n_modes"))
+    n_modes = geti("numerics", "n_modes")
     if n_modes % 2 != 0 or n_modes < 4:
         raise ValidationError("[numerics] n_modes: must be even and >= 4")
-    age_nodes = int(getf("numerics", "age_nodes"))
+    age_nodes = geti("numerics", "age_nodes")
     if age_nodes % 2 == 0 or age_nodes < 5:
         raise ValidationError("[numerics] age_nodes: must be odd and >= 5")
     dt = getf("numerics", "dt")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveOutput
 from .trajectories import Trajectory
 
 
@@ -26,81 +25,6 @@ class ControllerGains:
     def __post_init__(self):
         if self.gamma <= 0 or self.l1 <= 0 or self.l2 <= 0:
             raise ValueError("gamma, l1, l2 must be positive")
-
-
-@dataclass(frozen=True)
-class ControlSample:
-    d_ff: float
-    d_fb: float
-    d_applied: float
-    saturated: bool
-    log_error: float
-
-
-def saturate(v: float, lo: float, hi: float) -> float:
-    if lo >= hi:
-        raise ValueError("saturation interval needs lo < hi")
-    return min(hi, max(lo, v))
-
-
-def control(
-    y: float,
-    traj: Trajectory,
-    gains: ControllerGains,
-    z: np.ndarray,
-    t: float,
-    d_min: float,
-    d_max: float,
-) -> ControlSample:
-    """Feedforward from the reference rate plus proportional-adaptive feedback."""
-    if y <= 0:
-        raise NonPositiveOutput("measured output y = %g <= 0 at t = %g" % (y, t))
-    rate = float(traj.rate(t))
-    log_error = math.log(y / float(traj.eval(t)))
-    loop = ScalarLoop.of(gains, d_min=d_min, d_max=d_max)
-    d_applied = loop.rhs(log_error, 0.0, float(z[1]), rate, 0.0)[3]
-    # with no feedforward and no bounds, the law is its feedback part
-    d_fb = ScalarLoop.of(gains).rhs(log_error, 0.0, float(z[1]), 0.0, 0.0)[3]
-    raw = d_fb - rate
-    return ControlSample(-rate, d_fb, d_applied, raw < d_min or raw > d_max, log_error)
-
-
-def observer_rhs(
-    z: np.ndarray, log_error: float, d_ff: float, d_applied: float, gains: ControllerGains
-) -> np.ndarray:
-    """Right-hand side of the adaptation observer.
-
-    dz1 = -l1 z1 + z2 + l1 log_error + d_ff - d_applied
-    dz2 = -l2 z1 + l2 log_error
-    """
-    return np.array(ScalarLoop.of(gains).rhs(log_error, float(z[0]), float(z[1]), -d_ff, 0.0, d_applied)[1:3])
-
-
-def observer_step(
-    z: np.ndarray,
-    y: float,
-    traj: Trajectory,
-    d_applied: float,
-    gains: ControllerGains,
-    t: float,
-    dt: float,
-) -> np.ndarray:
-    """Advance the observer one step, holding y and d_applied over [t, t+dt].
-
-    With the input held, the loop's eta' = -rate carries log(y / y_ref)
-    across the step, so this is one step of the shared scalar loop.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    u0 = (math.log(y / float(traj.eval(t))), float(z[0]), float(z[1]))
-    loop = ScalarLoop.of(gains, d_star=d_applied)
-    hist, _ = loop.sweep(traj, np.array([t, t + dt]), dt, u0, np.zeros(3), lambda s: d_applied)
-    return hist[1:, 1].copy()
-
-
-def observer_matrix(gains: ControllerGains) -> np.ndarray:
-    """The linear part of the observer dynamics (Hurwitz for positive gains)."""
-    return np.array([[-gains.l1, 1.0], [-gains.l2, 0.0]])
 
 
 @dataclass(frozen=True)

@@ -187,13 +187,6 @@ class DelayState:
     buffer: HistoryBuffer
     dyn: _PsiDynamics = field(repr=False)
 
-    def clone(self) -> "DelayState":
-        b = HistoryBuffer(self.buffer.t0, self.buffer.dt, capacity=len(self.buffer.val))
-        b.val[:] = self.buffer.val
-        b.der[:] = self.buffer.der
-        b.size = self.buffer.size
-        return DelayState(self.eta, self.z.copy(), self.t, b, self.dyn)
-
     def window(self, t: float | None = None) -> np.ndarray:
         """psi(t - a) on the age grid."""
         tt = self.t if t is None else t
@@ -300,14 +293,6 @@ def _advance_psi(dyn: _PsiDynamics, buf: HistoryBuffer, n_steps: int):
     buf.size += n_steps
 
 
-def step_psi(state: DelayState, dt: float):
-    """Advance the internal coordinate one step; input-independent by design."""
-    buf = state.buffer
-    if abs(dt - buf.dt) > 1e-12 * buf.dt:
-        raise ValueError("dt must equal the buffer step %g" % buf.dt)
-    _advance_psi(state.dyn, buf, 1)
-
-
 def _delta_grid(dyn: _PsiDynamics, buf: HistoryBuffer, k0: int, n: int) -> np.ndarray:
     """delta at t_k0 + (0, 1/2, 1, ..., n) dt, from one correlation per map.
 
@@ -333,53 +318,6 @@ def _delta_grid(dyn: _PsiDynamics, buf: HistoryBuffer, k0: int, n: int) -> np.nd
             "1 + <g, psi window> = %g <= 0 at t = %g" % (arg[p], (k0 + 0.5 * p) * dyn.dt)
         )
     return np.log(arg, out=arg)
-
-
-def _node_index(state: DelayState) -> int:
-    k = round(state.t / state.buffer.dt)
-    if abs(k * state.buffer.dt - state.t) > _EDGE_TOL:
-        raise HistoryGap("t = %g is not a node of the history grid" % state.t)
-    return k
-
-
-def delta(state: DelayState, eq: Equilibrium) -> float:
-    """Logarithmic output mismatch contributed by the internal coordinate."""
-    return float(_delta_grid(state.dyn, state.buffer, _node_index(state), 0)[0])
-
-
-def ide_residual(state: DelayState, t: float) -> float:
-    """|psi(t) - int_0^A kt(a) psi(t-a) da|, the renewal identity defect."""
-    window = state.buffer.eval(t - state.dyn.nodes)
-    lhs = float(state.buffer.eval(t))
-    return abs(lhs - float(state.dyn.weights @ (state.dyn.k_tilde * window)))
-
-
-def step_closed_loop(
-    state: DelayState,
-    traj: Trajectory,
-    eq: Equilibrium,
-    gains: ControllerGains,
-    params: ModelParams,
-    dt: float,
-    d_override=None,
-) -> float:
-    """One synchronized step of (psi, eta, z); returns the applied dilution at t.
-
-    psi advances first (it never reads the other states), then the
-    controlled scalar/observer block integrates with the internal
-    coordinate's contribution evaluated at the stage times.
-    """
-    t = state.t
-    k = _node_index(state)
-    step_psi(state, dt)
-    loop = ScalarLoop.of(gains, eq.d_star, params.d_min, params.d_max)
-    u0 = (state.eta, float(state.z[0]), float(state.z[1]))
-    dlt = _delta_grid(state.dyn, state.buffer, k, 1)
-    hist, d = loop.sweep(traj, np.array([t, t + dt]), dt, u0, dlt, d_override)
-    state.eta = float(hist[0, 1])
-    state.z = hist[1:, 1].copy()
-    state.t = t + dt
-    return float(d[0])
 
 
 def reconstruct(state: DelayState, traj: Trajectory, eq: Equilibrium) -> tuple[GridFunction, float]:
@@ -450,8 +388,7 @@ def simulate_closed_loop(
 
     psi is stepped over the whole horizon first; delta follows at nodes and
     half-nodes from the finished history, and the scalar block (eta, z1,
-    z2) is then integrated on its own, as a chain of ``step_closed_loop``
-    calls would do it.  ``d_override``, a callable t -> D, replaces the
+    z2) is then integrated on its own.  ``d_override``, a callable t -> D, replaces the
     feedback loop for open-loop experiments; the observer still integrates
     with the applied input.
     """

@@ -415,24 +415,6 @@ def _residual_map(basis: GalerkinBasis, a_matrix: np.ndarray, params: ModelParam
     return basis.derivative_matrix + a_matrix.T @ phi + phi * params.mu.values
 
 
-def residual(
-    system: GalerkinSystem,
-    basis: GalerkinBasis,
-    params: ModelParams,
-    d_applied: float,
-    lam: np.ndarray | None = None,
-) -> tuple[float, GridFunction]:
-    """Transport-equation defect of the modal solution and its L2 norm.
-
-    ``d_applied`` cancels identically (see ``_residual_map``): the defect
-    measures only how far the modal flow is from transporting the profile.
-    """
-    lam = system.lam if lam is None else lam
-    r_nodes = lam @ _residual_map(basis, system.a_matrix, params)
-    r_l2 = math.sqrt(max(float(params.weights @ (r_nodes * r_nodes)), 0.0))
-    return r_l2, GridFunction(r_nodes, params.a_max)
-
-
 @dataclass
 class GalerkinTrace:
     """Per-step record of a modal-route run."""

@@ -160,8 +160,3 @@ class GridFunction:
             continuous=self.continuous,
         )
 
-    @staticmethod
-    def from_callable(f, a_max: float, n: int, positive: bool = False) -> "GridFunction":
-        nodes = np.linspace(0.0, a_max, n)
-        return GridFunction(np.asarray(f(nodes), dtype=float), a_max, positive=positive)
-

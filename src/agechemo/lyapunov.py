@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .controller import ControllerGains, saturate
+from .controller import ControllerGains
 from .delay import DelayState, OracleTrace
 from .errors import B3Fail, InvalidTrajectory, LogDomain, NoFeasiblePair
 from .grid import GridFunction
@@ -59,10 +59,6 @@ class _Contraction:
     def weighted(self, integrand: np.ndarray, sigma: float) -> float:
         weight = np.exp(sigma * self.nodes) if sigma else 1.0
         return float(self.w @ (weight * integrand))
-
-
-def _contraction_value(k_tilde: GridFunction, lam: float, sigma: float = 0.0) -> float:
-    return _Contraction(k_tilde).value(lam, sigma)
 
 
 def b3_search(k_tilde: GridFunction) -> tuple[float, float]:
@@ -164,16 +160,12 @@ def observer_quadratic(l1: float, l2: float, grid_points: int = 200) -> Observer
         raise ValueError("observer gains must be positive")
     p1g = np.geomspace(1e-2, 2.0, grid_points)
     p2g = np.geomspace(1e-2, 4.0, grid_points)
-    any_shape = False
     best = None  # (beta1, p1, p2, k1, k2, kt1, kt2) at the best cell so far
     for lo in range(0, grid_points, OQ_BLOCK):
         P1, P2 = np.meshgrid(p1g[lo : lo + OQ_BLOCK], p2g, indexing="ij")
         feas = (P1 * P1 < 4.0 * P2) & (
             (2.0 + l1 * P1 - 2.0 * l2 * P2) ** 2 < 8.0 * l1 * P1 - 4.0 * l2 * P1 * P1
         )
-        if not feas.any():
-            continue
-        any_shape = True
         k1, k2 = _sym2_eigs(np.ones_like(P1), -P1 / 2.0, P2)
         kt1, kt2 = _sym2_eigs(2.0 * l1 - l2 * P1, l2 * P2 - l1 * P1 / 2.0 - 1.0, P1)
         feas &= (k1 > 0) & (kt1 > 0)
@@ -183,10 +175,8 @@ def observer_quadratic(l1: float, l2: float, grid_points: int = 200) -> Observer
         ij = np.unravel_index(int(np.argmax(beta1)), beta1.shape)
         if best is None or beta1[ij] > best[0]:
             best = tuple(float(a[ij]) for a in (beta1, P1, P2, k1, k2, kt1, kt2))
-    if not any_shape:
-        raise NoFeasiblePair("no (p1, p2) satisfies the shape inequalities for l = (%g, %g)" % (l1, l2))
     if best is None:
-        raise NoFeasiblePair("no positive-definite pair found for l = (%g, %g)" % (l1, l2))
+        raise NoFeasiblePair("no (p1, p2) satisfies the shape inequalities for l = (%g, %g)" % (l1, l2))
     beta1, p1, p2, k1, k2, kt1, kt2 = best
     b2 = ((2 * l1 - l2 * p1) ** 2 + (l1 * p1 - 2 * l2 * p2) ** 2) / (2.0 * kt1)
     return ObserverQuadratic(
@@ -322,21 +312,9 @@ def build_certificate(
         sigma=sigma,
         lambda_b3=lam,
         b3_value=value,
-        p1=oq.p1,
-        p2=oq.p2,
-        k1=oq.k1,
-        k2=oq.k2,
-        k1_tilde=oq.k1_tilde,
-        k2_tilde=oq.k2_tilde,
-        beta1=oq.beta1,
-        beta2=oq.beta2,
-        beta=rc.beta,
-        big_m=rc.big_m,
-        alpha1=rc.alpha1,
+        **oq._asdict(),
+        **rc._asdict(),
         alpha2=1.0,
-        mu1=rc.mu1,
-        mu2=rc.mu2,
-        l_rate=rc.l_rate,
         d_star=eq.d_star,
         a_max=params.a_max,
         gamma=gains.gamma,
@@ -551,33 +529,6 @@ def check_history_decay(
     )
 
 
-def check_observer_iss(trace: OracleTrace, cert: Certificate, stride: int = 10) -> int:
-    """Violation count of dJ/dt <= -2 beta1 J + beta2 delta^2 along a trace."""
-    idx = np.arange(0, len(trace.t), stride)
-    e1 = trace.z1[idx] - trace.eta[idx]
-    e2 = trace.z2[idx] - cert.d_star
-    j_vals = e1 * e1 - cert.p1 * e1 * e2 + cert.p2 * e2 * e2
-    ts = trace.t[idx]
-    surr = np.diff(j_vals) / np.diff(ts)
-    rhs = -2.0 * cert.beta1 * j_vals[:-1] + cert.beta2 * trace.delta[idx][:-1] ** 2
-    dd = np.abs(np.diff(j_vals, 2))
-    slack = (float(dd.max()) / (2.0 * (ts[1] - ts[0])) if len(dd) else 0.0) + 1e-10
-    return int(np.sum(surr > rhs + slack))
-
-
-def check_eta_decay(trace: OracleTrace, cert: Certificate, stride: int = 10) -> int:
-    """Violation count of d(eta^2)/dt <= -mu1 eta^2/(1+|eta|) + mu2 |e2 + gamma delta|."""
-    idx = np.arange(0, len(trace.t), stride)
-    eta2 = trace.eta[idx] ** 2
-    ts = trace.t[idx]
-    surr = np.diff(eta2) / np.diff(ts)
-    drive = np.abs(trace.z2[idx] - cert.d_star + cert.gamma * trace.delta[idx])[:-1]
-    rhs = -cert.mu1 * eta2[:-1] / (1.0 + np.abs(trace.eta[idx][:-1])) + cert.mu2 * drive
-    dd = np.abs(np.diff(eta2, 2))
-    slack = (float(dd.max()) / (2.0 * (ts[1] - ts[0])) if len(dd) else 0.0) + 1e-10
-    return int(np.sum(surr > rhs + slack))
-
-
 # ---------------------------------------------------------------------------
 # overshoot construction
 
@@ -604,14 +555,6 @@ def overshoot_log_bound(varsigma0: float, e0_norm: float, cert: Certificate) -> 
         return -math.inf
     v = kappa_v(arg, cert)
     return cert.sigma * cert.a_max + math.log(math.sqrt(v) + v) + max(0.0, v - 1.0)
-
-
-def overshoot_bound(varsigma0: float, e0_norm: float, cert: Certificate) -> float:
-    """Overshoot gain of the attractivity estimate; inf if it overflows."""
-    lb = overshoot_log_bound(varsigma0, e0_norm, cert)
-    if lb == -math.inf:
-        return 0.0
-    return math.exp(lb) if lb < 709.0 else math.inf
 
 
 def check_envelope(
@@ -688,9 +631,3 @@ def saturation_fact_check(n_samples: int = 1_000_000, seed: int = 20240801) -> F
         worst = max(worst, float(deficit.max(initial=0.0)))
     return FactReport(n_samples, n_bad, worst)
 
-
-def saturation_fact_pointwise(z: float, a: float, b: float) -> tuple[float, float]:
-    """(lhs, rhs) of the saturation inequality at one point."""
-    lhs = z * saturate(z, -a, b)
-    rhs = min(1.0, a, b) * z * z / (1.0 + abs(z))
-    return lhs, rhs

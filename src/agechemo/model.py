@@ -146,14 +146,6 @@ def solve_equilibrium(params: ModelParams) -> Equilibrium:
     )
 
 
-def equilibrium_pde_defect(eq: Equilibrium, params: ModelParams) -> np.ndarray:
-    """x*'(a) + (mu + d_star) x*(a) at interior nodes (central differences)."""
-    v = eq.x_star.values
-    h = params.h
-    dx = (v[2:] - v[:-2]) / (2 * h)
-    return dx + (params.mu.values[1:-1] + eq.d_star) * v[1:-1]
-
-
 def calibrate_birth_modulus(shape: GridFunction, d_star_target: float, params: ModelParams) -> float:
     """Scale c so that c * shape satisfies the renewal condition at d_star_target."""
     if np.any(shape.values < 0):

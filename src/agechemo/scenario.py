@@ -17,7 +17,7 @@ import numpy as np
 from . import delay, galerkin, lyapunov
 from .config import ScenarioConfig, build_model, build_trajectory, build_x0
 from .controller import ControllerGains
-from .errors import AgeChemoError, GridMismatch, InvalidTrajectory
+from .errors import AgeChemoError, GridMismatch
 from .model import solve_equilibrium
 from .trajectories import validate
 
@@ -128,6 +128,24 @@ def _write_snapshots(path: Path, nodes: np.ndarray, snapshots: dict):
     _write_csv(path, ["a"] + ["t=%g" % t for t in times], [nodes] + [snapshots[t].values for t in times])
 
 
+def _record_route(report: RunReport, cfg: ScenarioConfig, route: str, trace, nodes, out_path):
+    """Store a route's trace, its saturation fractions and its input-bounds check; write its CSVs."""
+    d = trace.d
+    report.traces[route] = trace
+    report.saturation[route] = (
+        float(np.sum(d <= cfg.d_min + 1e-12)) / len(d),
+        float(np.sum(d >= cfg.d_max - 1e-12)) / len(d),
+    )
+    report.add_check(
+        route + "_input_bounds",
+        bool(np.all((d >= cfg.d_min - 1e-12) & (d <= cfg.d_max + 1e-12))),
+        "D in [%g, %g]" % (d.min(), d.max()),
+    )
+    if out_path is not None:
+        _write_csv(out_path / (route + ".csv"), trace.CSV_COLUMNS, trace.columns())
+        _write_snapshots(out_path / (route + "_profiles.csv"), nodes, trace.snapshots)
+
+
 def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
     """Execute a scenario; deterministic for a fixed config."""
     params = build_model(cfg)
@@ -159,20 +177,13 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
     try:
         cert = lyapunov.build_certificate(traj, eq, gains, params, horizon=cfg.t_final)
         report.certificate = cert
-    except (InvalidTrajectory, AgeChemoError) as exc:
+    except AgeChemoError as exc:
         cert = None
         report.warnings.append("certificate unavailable: %s" % exc)
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-
-    def saturated_fractions(d: np.ndarray) -> tuple[float, float]:
-        n = len(d)
-        return (
-            float(np.sum(d <= cfg.d_min + 1e-12)) / n,
-            float(np.sum(d >= cfg.d_max - 1e-12)) / n,
-        )
 
     trace_g = trace_o = None
     if cfg.routes in ("both", "galerkin"):
@@ -182,33 +193,18 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
         trace_g = galerkin.simulate(
             system, basis, traj, gains, params, cfg.t_final, cfg.dt, cfg.snapshot_times
         )
-        report.traces["galerkin"] = trace_g
-        report.saturation["galerkin"] = saturated_fractions(trace_g.d)
-        report.add_check(
-            "galerkin_input_bounds",
-            bool(np.all((trace_g.d >= cfg.d_min - 1e-12) & (trace_g.d <= cfg.d_max + 1e-12))),
-            "D in [%g, %g]" % (trace_g.d.min(), trace_g.d.max()),
-        )
+        _record_route(report, cfg, "galerkin", trace_g, params.nodes, out_path)
         report.add_check(
             "galerkin_positivity",
             bool(np.all(trace_g.min_profile >= 0)),
             "min profile %.3g" % trace_g.min_profile.min(),
         )
-        if out_path is not None:
-            _write_csv(out_path / "galerkin.csv", trace_g.CSV_COLUMNS, trace_g.columns())
-            _write_snapshots(out_path / "galerkin_profiles.csv", params.nodes, trace_g.snapshots)
 
     if cfg.routes in ("both", "oracle"):
         trace_o = delay.simulate_closed_loop(
             x0, traj, eq, gains, params, cfg.t_final, cfg.dt, cfg.snapshot_times
         )
-        report.traces["oracle"] = trace_o
-        report.saturation["oracle"] = saturated_fractions(trace_o.d)
-        report.add_check(
-            "oracle_input_bounds",
-            bool(np.all((trace_o.d >= cfg.d_min - 1e-12) & (trace_o.d <= cfg.d_max + 1e-12))),
-            "D in [%g, %g]" % (trace_o.d.min(), trace_o.d.max()),
-        )
+        _record_route(report, cfg, "oracle", trace_o, params.nodes, out_path)
         report.add_check(
             "oracle_output_positive", bool(np.all(trace_o.y > 0)), "min y %.3g" % trace_o.y.min()
         )
@@ -242,9 +238,6 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
                     "%d violations / %d samples (slack %.3g)"
                     % (decay.n_violations, decay.n_samples, decay.slack),
                 )
-        if out_path is not None:
-            _write_csv(out_path / "oracle.csv", trace_o.CSV_COLUMNS, trace_o.columns())
-            _write_snapshots(out_path / "oracle_profiles.csv", params.nodes, trace_o.snapshots)
 
     if trace_g is not None and trace_o is not None:
         metrics = compare_routes(trace_g, trace_o)

@@ -63,6 +63,12 @@ def grid_scan_extrema(f, lo, hi, n=200_001):
     return float(ys.min()), float(ys.max())
 
 
+def saturate(v, lo, hi):
+    if lo >= hi:
+        raise ValueError("saturation interval needs lo < hi")
+    return min(hi, max(lo, v))
+
+
 def reference_closed_loop(x0, traj, eq, gains, params, t_final, dt, snapshot_times=(), d_override=None):
     """The delay route with every history read re-interpolated per RK stage.
 
@@ -77,7 +83,6 @@ def reference_closed_loop(x0, traj, eq, gains, params, t_final, dt, snapshot_tim
     """
     import math
 
-    from agechemo.controller import saturate
     from agechemo.delay import HistoryBuffer, init_delay_state
     from agechemo.errors import LogDomain
     from agechemo.grid import fd4
@@ -358,3 +363,30 @@ def reference_sweep(loop, traj, t_node, dt, u0, delta, d_override=None):
     last = None if forced is None else float(forced[-1])
     d[-1] = rhs(u[0], u[1], u[2], float(rate[-1]), float(delta[2 * n_steps]), last)[3]
     return hist, d
+
+
+def _violations(ts, vals, rhs):
+    """Samples where the forward difference of vals exceeds rhs plus a second-difference slack."""
+    surr = np.diff(vals) / np.diff(ts)
+    dd = np.abs(np.diff(vals, 2))
+    slack = (float(dd.max()) / (2.0 * (ts[1] - ts[0])) if len(dd) else 0.0) + 1e-10
+    return int(np.sum(surr > rhs + slack))
+
+
+def observer_iss_violations(trace, cert, stride=10):
+    """Violation count of dJ/dt <= -2 beta1 J + beta2 delta^2 along an oracle trace."""
+    idx = np.arange(0, len(trace.t), stride)
+    e1 = trace.z1[idx] - trace.eta[idx]
+    e2 = trace.z2[idx] - cert.d_star
+    j_vals = e1 * e1 - cert.p1 * e1 * e2 + cert.p2 * e2 * e2
+    rhs = -2.0 * cert.beta1 * j_vals[:-1] + cert.beta2 * trace.delta[idx][:-1] ** 2
+    return _violations(trace.t[idx], j_vals, rhs)
+
+
+def eta_decay_violations(trace, cert, stride=10):
+    """Violation count of d(eta^2)/dt <= -mu1 eta^2/(1+|eta|) + mu2 |e2 + gamma delta| along an oracle trace."""
+    idx = np.arange(0, len(trace.t), stride)
+    eta2 = trace.eta[idx] ** 2
+    drive = np.abs(trace.z2[idx] - cert.d_star + cert.gamma * trace.delta[idx])[:-1]
+    rhs = -cert.mu1 * eta2[:-1] / (1.0 + np.abs(trace.eta[idx][:-1])) + cert.mu2 * drive
+    return _violations(trace.t[idx], eta2, rhs)

@@ -157,6 +157,9 @@ def test_cli_model_value_error_exits_3(tmp_path, capsys, old, new, key):
         ("a_max = 2.0", "a_max = nan", "[model] a_max"),
         ("d_max = 1.5", "d_max = inf", "[model] d_max"),
         ("mu = constant 0.1", "mu = constant nan", "[model] mu"),
+        # a fractional count is rejected, not truncated
+        ("n_modes = 4", "n_modes = 6.9", "[numerics] n_modes"),
+        ("age_nodes = 401", "age_nodes = 401.5", "[numerics] age_nodes"),
     ],
 )
 def test_cli_non_finite_number_exits_3(tmp_path, capsys, old, new, key):
@@ -165,6 +168,19 @@ def test_cli_non_finite_number_exits_3(tmp_path, capsys, old, new, key):
     for cmd in ("run", "verify", "roots"):
         assert main([cmd, str(path)]) == 3
         assert capsys.readouterr().err.startswith("input error: %s" % key)
+
+
+def test_infeasible_observer_gains_leave_no_certificate(tmp_path, capsys):
+    # no (p1, p2) meets both shape inequalities for l = (0.0146, 0.0116)
+    from agechemo.scenario import run
+
+    path = tmp_path / "weak.cfg"
+    path.write_text(small_config_text().replace("l1 = 4.0\nl2 = 8.0", "l1 = 0.0146\nl2 = 0.0116"))
+    report = run(load_config(path))
+    assert report.certificate is None
+    assert "certificate unavailable: no (p1, p2) satisfies the shape inequalities" in report.warnings[-1]
+    assert main(["verify", str(path)]) == 2
+    assert "certificate unavailable: no (p1, p2)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("age_nodes, n_modes", [(5, 6), (21, 8)])

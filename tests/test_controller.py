@@ -1,27 +1,35 @@
+import math
+
 import numpy as np
 import pytest
 
 from agechemo import controller
-from agechemo.controller import (
-    ControllerGains,
-    ScalarLoop,
-    control,
-    observer_matrix,
-    observer_rhs,
-    observer_step,
-    saturate,
-)
+from agechemo.controller import ControllerGains, ScalarLoop
 from agechemo.errors import NonPositiveOutput
+from agechemo.galerkin import assemble, simulate
 from agechemo.trajectories import make_constant, make_transition
 from oracles import reference_sweep
 
 
+def _applied(loop, y, traj, z2, t):
+    """The input the loop's law applies at measured output y and observer state z2."""
+    return loop.rhs(math.log(y / float(traj.eval(t))), 0.0, z2, float(traj.rate(t)), 0.0)[3]
+
+
+def _observer_matrix(gains):
+    """The linear part of (z1', z2') in (z1, z2), read off ScalarLoop.rhs (affine in z)."""
+    f = lambda z1, z2: np.array(ScalarLoop.of(gains).rhs(0.0, z1, z2, 0.0, 0.0, 0.0)[1:3])
+    return np.column_stack([f(1.0, 0.0) - f(0.0, 0.0), f(0.0, 1.0) - f(0.0, 0.0)])
+
+
 def test_saturate_cases():
-    assert saturate(1.0, 0.5, 1.5) == 1.0
-    assert saturate(2.3, 0.5, 1.5) == 1.5
-    assert saturate(-1.0, 0.5, 1.5) == 0.5
+    # with no log error and no reference rate the law is z2, clamped to [0.5, 1.5]
+    loop = ScalarLoop(2.0, 4.0, 8.0, 0.0, 0.5, 1.5)
+    assert loop.rhs(0.0, 0.0, 1.0, 0.0, 0.0)[3] == 1.0
+    assert loop.rhs(0.0, 0.0, 2.3, 0.0, 0.0)[3] == 1.5
+    assert loop.rhs(0.0, 0.0, -1.0, 0.0, 0.0)[3] == 0.5
     with pytest.raises(ValueError):
-        saturate(0.0, 1.0, 1.0)
+        ScalarLoop(2.0, 4.0, 8.0, 0.0, 1.0, 1.0)
 
 
 def test_gain_validation():
@@ -32,51 +40,56 @@ def test_gain_validation():
 def test_equilibrium_input(trial):
     # perfect tracking with the correct adaptation state applies exactly d*
     eq = trial["eq"]
-    gains = trial["gains"]
     traj = make_constant(1.0)
-    sample = control(1.0, traj, gains, np.array([0.0, eq.d_star]), 0.0, 0.5, 1.5)
-    assert sample.d_applied == eq.d_star
-    assert sample.d_ff == 0.0
-    assert sample.log_error == 0.0
-    assert not sample.saturated
+    loop = ScalarLoop.of(trial["gains"], d_min=0.5, d_max=1.5)
+    assert float(traj.rate(0.0)) == 0.0  # no feedforward
+    assert _applied(loop, 1.0, traj, eq.d_star, 0.0) == eq.d_star
+    assert 0.5 < eq.d_star < 1.5  # not saturated
 
 
 def test_trial_initial_control(trial):
     # worst-case initial guess z02 = d_min with matched output: the applied
     # input starts at the lower bound
     gains, traj = trial["gains"], trial["traj"]
-    sample = control(1.0, traj, gains, np.array(gains.z0), 0.0, 0.5, 1.5)
+    loop = ScalarLoop.of(gains, d_min=0.5, d_max=1.5)
     assert gains.z0[1] == 0.5
-    assert sample.d_applied == 0.5
+    assert _applied(loop, float(traj.eval(0.0)), traj, gains.z0[1], 0.0) == 0.5
 
 
-def test_control_rejects_nonpositive_output(trial):
-    with pytest.raises(NonPositiveOutput):
-        control(0.0, trial["traj"], trial["gains"], np.zeros(2), 0.0, 0.5, 1.5)
+def test_control_rejects_nonpositive_output(trial, trial_basis):
+    # the law reads log(y / y_ref), so a route stops before it feeds the
+    # loop an output y <= 0
+    params = trial["params"]
+    system = assemble(trial_basis, params)
+    system.p_vector = -system.p_vector
+    with pytest.raises(NonPositiveOutput, match=r"measured output y = \S+ <= 0 at t = 0$"):
+        simulate(system, trial_basis, trial["traj"], trial["gains"], params, 1.0, params.h)
 
 
 def test_saturation_flag(trial):
     gains = trial["gains"]
     traj = make_constant(1.0)
-    sample = control(5.0, traj, gains, np.array([0.0, 1.0]), 0.0, 0.5, 1.5)
-    assert sample.saturated and sample.d_applied == 1.5
+    raw = _applied(ScalarLoop.of(gains), 5.0, traj, 1.0, 0.0)
+    assert raw > 1.5
+    assert _applied(ScalarLoop.of(gains, d_min=0.5, d_max=1.5), 5.0, traj, 1.0, 0.0) == 1.5
 
 
 def test_observer_fixed_point(trial):
     eq, gains = trial["eq"], trial["gains"]
     traj = make_constant(1.0)
-    z = np.array([0.0, eq.d_star])
+    loop = ScalarLoop.of(gains, d_star=eq.d_star)
     # D = D* + D_FF and matched output: the observer stands still
-    rhs = observer_rhs(z, 0.0, 0.0, eq.d_star, gains)
-    assert np.allclose(rhs, 0.0, atol=1e-15)
-    z_next = observer_step(z, 1.0, traj, eq.d_star, gains, 0.0, 0.01)
-    assert np.allclose(z_next, z, atol=1e-14)
+    rhs = loop.rhs(0.0, 0.0, eq.d_star, 0.0, 0.0, eq.d_star)
+    assert np.allclose(rhs[:3], 0.0, atol=1e-15)
+    hist, _ = loop.sweep(traj, np.array([0.0, 0.01]), 0.01, (0.0, 0.0, eq.d_star), np.zeros(3), lambda t: eq.d_star)
+    assert np.allclose(hist[1:, 1], [0.0, eq.d_star], atol=1e-14)
 
 
 def test_observer_affine_superposition(trial):
-    gains = trial["gains"]
+    loop = ScalarLoop.of(trial["gains"])
     za, zb = np.array([0.3, -0.7]), np.array([-1.1, 0.4])
-    f = lambda z: observer_rhs(z, 0.2, -0.1, 0.9, gains)
+    # log error 0.2, reference rate 0.1, applied input 0.9
+    f = lambda z: np.array(loop.rhs(0.2, z[0], z[1], 0.1, 0.0, 0.9)[1:3])
     lhs = f(za) + f(zb) - f(np.zeros(2))
     assert np.allclose(lhs, f(za + zb), atol=1e-14)
 
@@ -85,15 +98,16 @@ def test_observer_eigenvalues_trial_gains():
     # l = (4, 8): both eigenvalues sit at real part -2 (a conjugate pair,
     # not a repeated real root)
     gains = ControllerGains(2.0, 4.0, 8.0)
-    eigs = np.linalg.eigvals(observer_matrix(gains))
+    assert np.array_equal(_observer_matrix(gains), [[-4.0, 1.0], [-8.0, 0.0]])
+    eigs = np.linalg.eigvals(_observer_matrix(gains))
     assert np.allclose(sorted(eigs.real), [-2.0, -2.0], atol=1e-12)
     assert np.allclose(sorted(eigs.imag), [-2.0, 2.0], atol=1e-12)
 
 
 def test_scalar_loop_fourth_order():
-    # matched output, no input: (z1, z2)' = observer_matrix (z1, z2), eta' = 0
+    # matched output, no input: (z1, z2)' = observer matrix (z1, z2), eta' = 0
     gains = ControllerGains(2.0, 4.0, 8.0)
-    vals, vecs = np.linalg.eig(observer_matrix(gains))
+    vals, vecs = np.linalg.eig(_observer_matrix(gains))
     exact = (vecs @ np.diag(np.exp(vals)) @ np.linalg.solve(vecs, [1.0, 0.0])).real
     loop = ScalarLoop.of(gains)
 
@@ -107,48 +121,32 @@ def test_scalar_loop_fourth_order():
 
 
 def test_model_blindness_identical_output_streams(trial):
-    """Two plants with identical measured outputs get identical controls."""
-    gains, traj = trial["gains"], trial["traj"]
-
-    class PlantA:
-        scale = 17.3  # internals the controller must never see
-
-        def output(self, t):
-            return float(np.exp(0.1 * t))
-
-    class PlantB:
-        mortality = 0.42
-
-        def output(self, t):
-            return float(np.exp(0.1 * t))
-
-    def drive(plant):
-        z = np.array(gains.z0)
-        ds = []
-        for i in range(50):
-            t = 0.05 * i
-            sample = control(plant.output(t), traj, gains, z, t, 0.5, 1.5)
-            ds.append(sample.d_applied)
-            z = observer_step(z, plant.output(t), traj, sample.d_applied, gains, t, 0.05)
-        return np.array(ds), z
-
-    da, za = drive(PlantA())
-    db, zb = drive(PlantB())
-    assert np.array_equal(da, db)
-    assert np.array_equal(za, zb)
+    """Two plants with the same log error get the same input and observer flow."""
+    gains = trial["gains"]
+    # d_star, the plant's growth rate, enters eta' only
+    plant_a = ScalarLoop.of(gains, d_star=0.3, d_min=0.5, d_max=1.5)
+    plant_b = ScalarLoop.of(gains, d_star=1.7, d_min=0.5, d_max=1.5)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        eta, z1, z2, rate, dlt = rng.normal(0.0, 1.0, 5).tolist()
+        ra = plant_a.rhs(eta, z1, z2, rate, dlt)
+        rb = plant_b.rhs(eta, z1, z2, rate, dlt)
+        assert ra[1:] == rb[1:]
+        assert ra[0] != rb[0]
 
 
 def test_hard_input_bounds_random(trial):
     gains = trial["gains"]
     traj = make_transition(1.0, 3.0, 10.0)
+    bounded, free = ScalarLoop.of(gains, d_min=0.5, d_max=1.5), ScalarLoop.of(gains)
     rng = np.random.default_rng(7)
     for _ in range(500):
         y = float(10.0 ** rng.uniform(-3, 3))
-        z = rng.normal(0, 10, 2)
+        z2 = float(rng.normal(0, 10))
         t = float(rng.uniform(0, 20))
-        sample = control(y, traj, gains, z, t, 0.5, 1.5)
-        assert 0.5 <= sample.d_applied <= 1.5
-        assert sample.d_applied == saturate(sample.d_ff + sample.d_fb, 0.5, 1.5)
+        d_applied = _applied(bounded, y, traj, z2, t)
+        assert 0.5 <= d_applied <= 1.5
+        assert d_applied == min(1.5, max(0.5, _applied(free, y, traj, z2, t)))
 
 
 def _recorded_sweep(monkeypatch, name):

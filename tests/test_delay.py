@@ -5,15 +5,13 @@ import pytest
 
 from agechemo.delay import (
     WINDOW_BLOCK,
-    delta,
-    ide_residual,
+    _advance_psi,
+    _delta_grid,
     init_delay_state,
     pi_functional,
     pi_weight,
     reconstruct,
     simulate_closed_loop,
-    step_closed_loop,
-    step_psi,
 )
 from agechemo.config import build_model, build_trajectory, build_x0, load_config
 from agechemo.controller import ControllerGains
@@ -107,8 +105,7 @@ def test_init_rejects_inadmissible_profile(trial):
 def test_step_psi_zero_solution(trial):
     eq, params, gains = trial["eq"], trial["params"], trial["gains"]
     state = init_delay_state(eq.x_star, make_constant(1.0), eq, gains.z0, params, params.h)
-    for _ in range(100):
-        step_psi(state, params.h)
+    _advance_psi(state.dyn, state.buffer, 100)
     assert np.max(np.abs(state.buffer.node_values())) < 1e-14
 
 
@@ -118,8 +115,7 @@ def test_step_psi_constant_fixed_point(trial):
     c = 0.37
     state.buffer.val[: state.buffer.size] = c
     state.buffer.der[: state.buffer.size] = 0.0
-    for _ in range(200):
-        step_psi(state, params.h)
+    _advance_psi(state.dyn, state.buffer, 200)
     assert abs(state.buffer.val[state.buffer.size - 1] - c) < 1e-6
 
 
@@ -132,7 +128,7 @@ def test_ide_identity_along_run(fig2a_runs):
 def test_delta_zero_history(trial):
     eq, params, gains = trial["eq"], trial["params"], trial["gains"]
     state = init_delay_state(eq.x_star, make_constant(1.0), eq, gains.z0, params, params.h)
-    assert abs(delta(state, eq)) < 1e-14
+    assert abs(_delta_grid(state.dyn, state.buffer, 0, 0)[0]) < 1e-14
 
 
 def test_delta_bound_random_windows(trial, trial_cert):
@@ -157,8 +153,8 @@ def test_delta_log_domain_on_corrupted_history(trial):
     state = init_delay_state(eq.x_star, make_constant(1.0), eq, gains.z0, params, params.h)
     state.buffer.val[: state.buffer.size] = -2.0  # below the reconstruction floor
     state.buffer.der[: state.buffer.size] = 0.0
-    with pytest.raises(LogDomain):
-        delta(state, eq)
+    with pytest.raises(LogDomain, match="at t = 0$"):
+        _delta_grid(state.dyn, state.buffer, 0, 0)
 
 
 def test_delta_matches_direct_quadrature(trial, fig2a_runs):
@@ -176,15 +172,14 @@ def test_delta_matches_direct_quadrature(trial, fig2a_runs):
 
 
 def test_closed_loop_fixed_point(trial):
-    eq, params, gains = trial["eq"], trial["params"], trial["gains"]
-    traj = make_constant(1.0)
-    state = init_delay_state(eq.x_star, traj, eq, gains.z0, params, params.h)
-    state.z = np.array([0.0, eq.d_star])
-    for _ in range(100):
-        d = step_closed_loop(state, traj, eq, gains, params, params.h)
-    assert abs(state.eta) < 1e-12
-    assert np.allclose(state.z, [0.0, eq.d_star], atol=1e-12)
-    assert d == pytest.approx(eq.d_star, abs=1e-12)
+    eq, params, g = trial["eq"], trial["params"], trial["gains"]
+    gains = ControllerGains(g.gamma, g.l1, g.l2, (0.0, eq.d_star))
+    trace = simulate_closed_loop(eq.x_star, make_constant(1.0), eq, gains, params, 100 * params.h, params.h)
+    assert len(trace.t) == 101
+    assert np.max(np.abs(trace.eta)) < 1e-12
+    assert np.max(np.abs(trace.z1)) < 1e-12
+    assert np.max(np.abs(trace.z2 - eq.d_star)) < 1e-12
+    assert np.max(np.abs(trace.d - eq.d_star)) < 1e-12
 
 
 def test_open_loop_equilibrium_input_freezes_eta(trial):
@@ -262,21 +257,6 @@ def test_step_halving_convergence(trial):
     assert err1 / max(err2, 1e-16) > 4.0
 
 
-def test_state_clone_independent(trial):
-    eq, params, gains, x0, traj = (
-        trial["eq"],
-        trial["params"],
-        trial["gains"],
-        trial["x0"],
-        trial["traj"],
-    )
-    state = init_delay_state(x0, traj, eq, gains.z0, params, params.h)
-    twin = state.clone()
-    step_closed_loop(state, traj, eq, gains, params, params.h)
-    assert twin.t == 0.0 and state.t > 0.0
-    assert twin.buffer.size == state.buffer.size - 1
-
-
 TRACE_FIELDS = ("eta", "delta", "z1", "z2", "d", "y", "log_error")
 
 
@@ -332,31 +312,6 @@ def test_simulate_matches_hermite_reference_with_boundary_term(tmp_path):
         for name in TRACE_FIELDS:
             np.testing.assert_allclose(getattr(trace, name), ref[name], rtol=0, atol=1e-12, err_msg=name)
         np.testing.assert_allclose(trace.buffer.node_values(), ref["psi"], rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("dt_of", [lambda h: h, lambda h: 2.0 / 267], ids=["h", "2/267"])
-def test_step_chain_reproduces_simulate(trial, dt_of):
-    eq, params, gains, x0, traj = (
-        trial["eq"],
-        trial["params"],
-        trial["gains"],
-        trial["x0"],
-        trial["traj"],
-    )
-    dt = dt_of(params.h)
-    trace = simulate_closed_loop(x0, traj, eq, gains, params, 2.0, dt)
-    state = init_delay_state(x0, traj, eq, gains.z0, params, dt)
-    rows = [(state.eta, state.z[0], state.z[1], delta(state, eq))]
-    applied = []
-    for _ in range(len(trace.t) - 1):
-        applied.append(step_closed_loop(state, traj, eq, gains, params, dt))
-        rows.append((state.eta, state.z[0], state.z[1], delta(state, eq)))
-    got = dict(zip(("eta", "z1", "z2", "delta"), np.array(rows).T))
-    got["d"] = np.array(applied)
-    for name, values in got.items():
-        want = getattr(trace, name)[: len(values)]
-        np.testing.assert_allclose(values, want, rtol=0, atol=1e-14, err_msg=name)
-    assert np.array_equal(state.buffer.node_values(), trace.buffer.node_values())
 
 
 def test_trace_windows_equal_window_bitwise(fig2a_runs):

@@ -18,8 +18,8 @@ from agechemo.galerkin import (
     GalerkinBasis,
     assemble,
     build_basis,
+    _residual_map,
     characteristic_roots,
-    residual,
     simulate,
 )
 from agechemo.grid import GridFunction, hermite_resample, simpson_weights
@@ -249,22 +249,26 @@ def test_constant_input_scalar_mode(trial, trial_basis):
 
 
 def test_residual_zero_at_steady_state(trial, trial_basis):
-    eq, params = trial["eq"], trial["params"]
+    params = trial["params"]
     system = assemble(trial_basis, params)
     lam = np.zeros(6)
     lam[1] = 3.0
-    r, profile = residual(system, trial_basis, params, eq.d_star, lam=lam)
-    assert r < 1e-10
-    assert np.max(np.abs(profile.values)) < 1e-10
+    r_nodes = lam @ _residual_map(trial_basis, system.a_matrix, params)
+    assert math.sqrt(float(params.weights @ (r_nodes * r_nodes))) < 1e-10
+    assert np.max(np.abs(r_nodes)) < 1e-10
 
 
 def test_residual_input_independent(trial, trial_basis):
+    # R = (phi')^T lam + phi^T (A - D) lam + (mu + D) phi^T lam for any D is lam @ B
     params = trial["params"]
     system = assemble(trial_basis, params)
+    phi, dphi = trial_basis.trial_matrix, trial_basis.derivative_matrix
     lam = np.array([0.5, 1.0, 0.1, -0.2, 0.05, 0.02])
-    r1, _ = residual(system, trial_basis, params, 0.6, lam=lam)
-    r2, _ = residual(system, trial_basis, params, 1.4, lam=lam)
-    assert r1 == pytest.approx(r2, rel=1e-12)
+    want = lam @ _residual_map(trial_basis, system.a_matrix, params)
+    for d in (0.6, 1.4):
+        lam_dot = (system.a_matrix - d * np.eye(6)) @ lam
+        r_nodes = lam @ dphi + lam_dot @ phi + (params.mu.values + d) * (lam @ phi)
+        np.testing.assert_allclose(r_nodes, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_galerkin_orthogonality_along_run(trial, trial_basis, fig2a_runs):
@@ -273,10 +277,11 @@ def test_galerkin_orthogonality_along_run(trial, trial_basis, fig2a_runs):
     system = assemble(trial_basis, params)
     trace = fig2a_runs["galerkin"]
     w = params.weights
+    res_map = _residual_map(trial_basis, system.a_matrix, params)
     for i in (0, 400, 1200, 2400):
-        lam = trace.lam[i]
-        _, prof = residual(system, trial_basis, params, trace.d[i], lam=lam)
-        proj = (trial_basis.trial_matrix * w) @ prof.values
+        r_nodes = trace.lam[i] @ res_map
+        assert trace.r[i] == pytest.approx(math.sqrt(float(w @ (r_nodes * r_nodes))), rel=1e-12)
+        proj = (trial_basis.trial_matrix * w) @ r_nodes
         assert np.max(np.abs(proj)) < 1e-9
 
 

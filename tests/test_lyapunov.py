@@ -5,35 +5,38 @@ import pytest
 
 from agechemo import lyapunov
 from agechemo.delay import reconstruct, simulate_closed_loop
-from agechemo.errors import B3Fail, InvalidTrajectory
+from agechemo.controller import ScalarLoop
+from agechemo.errors import B3Fail, InvalidTrajectory, NoFeasiblePair
 from agechemo.lyapunov import (
     Certificate,
-    _contraction_value,
+    _Contraction,
     b3_search,
     check_envelope,
-    check_eta_decay,
     check_history_decay,
-    check_observer_iss,
     clf_value,
     kappa_v,
     observer_quadratic,
-    overshoot_bound,
     overshoot_log_bound,
     quadratic_pair_feasible,
     rate_constants,
     sample_clf,
     saturation_fact_check,
-    saturation_fact_pointwise,
     sigma_search,
     verify_decay,
 )
 from agechemo.trajectories import make_constant, make_ramp
-from oracles import reference_b3_search, reference_contraction_value, reference_sigma_search
+from oracles import (
+    eta_decay_violations,
+    observer_iss_violations,
+    reference_b3_search,
+    reference_contraction_value,
+    reference_sigma_search,
+)
 
 
 def test_b3_boundary_value(trial):
     # lambda = 0 reduces to the kernel normalization, exactly one
-    assert _contraction_value(trial["eq"].k_tilde, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert _Contraction(trial["eq"].k_tilde).value(0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_b3_search_trial_kernel(trial):
@@ -41,7 +44,8 @@ def test_b3_search_trial_kernel(trial):
     assert value < 1.0
     # independent dense scan over the same integrand
     grid = np.linspace(0.0, 3.0, 3001)
-    dense = min(_contraction_value(trial["eq"].k_tilde, g) for g in grid)
+    value_at = _Contraction(trial["eq"].k_tilde).value
+    dense = min(value_at(g) for g in grid)
     assert value <= dense + 1e-9
 
 
@@ -63,15 +67,15 @@ def test_sigma_bracketing(trial, trial_cert):
     lam = trial_cert.lambda_b3
     sigma = sigma_search(kt, lam)
     assert sigma > 0
-    assert _contraction_value(kt, lam, sigma) < 1.0
-    assert _contraction_value(kt, lam, sigma + 1e-4) > 1.0
+    assert _Contraction(kt).value(lam, sigma) < 1.0
+    assert _Contraction(kt).value(lam, sigma + 1e-4) > 1.0
 
 
 def test_sigma_integrand_monotone(trial, trial_cert):
     kt = trial["eq"].k_tilde
     lam = trial_cert.lambda_b3
     sigmas = np.linspace(0, 2, 21)
-    vals = [_contraction_value(kt, lam, s) for s in sigmas]
+    vals = [_Contraction(kt).value(lam, s) for s in sigmas]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -89,7 +93,7 @@ def trial_kernel(request, trial):
 
 def test_contraction_value_matches_per_call_reference(trial_kernel):
     for lam, sigma in ((0.0, 0.0), (0.7, 0.0), (0.7, 1.3), (12.0, 0.25)):
-        assert _contraction_value(trial_kernel, lam, sigma) == reference_contraction_value(
+        assert _Contraction(trial_kernel).value(lam, sigma) == reference_contraction_value(
             trial_kernel, lam, sigma
         )
 
@@ -115,7 +119,7 @@ def test_b3_search_rejects_non_contracting_kernel(trial):
 def test_sigma_search_rejects_non_contracting_lambda(trial):
     # lam = 3: the integral is at least |1 - lam| = 2 for any kernel of mass one
     kt = trial["eq"].k_tilde
-    assert _contraction_value(kt, 3.0) >= 1.0
+    assert _Contraction(kt).value(3.0) >= 1.0
     with pytest.raises(B3Fail, match="contraction fails at sigma = 0"):
         sigma_search(kt, 3.0)
 
@@ -130,6 +134,12 @@ def test_observer_quadratic_blocks_match_whole_grid(monkeypatch):
 
 def test_infeasible_probe_rejected():
     assert not quadratic_pair_feasible(4.0, 8.0, 2.0, 0.5)
+
+
+def test_observer_quadratic_rejects_weak_gains():
+    # for l = (0.0146, 0.0116) no grid pair meets both shape inequalities
+    with pytest.raises(NoFeasiblePair, match=r"l = \(0.0146, 0.0116\)"):
+        observer_quadratic(0.0146, 0.0116)
 
 
 def test_observer_quadratic_trial_gains():
@@ -256,10 +266,18 @@ def test_verify_decay_flags_wrong_rate():
 
 
 def test_saturation_fact_pointwise_cases():
-    lhs, rhs = saturation_fact_pointwise(0.0, 1.0, 1.0)
+    # z sat_[-a, b](z) >= min(1, a, b) z^2 / (1 + |z|), with the loop's own
+    # clamp: gamma = 1 and z2 = rate = 0 make the law log_error = z
+    def sides(z, a, b):
+        sat = ScalarLoop(1.0, 1.0, 1.0, 0.0, -a, b).rhs(z, 0.0, 0.0, 0.0, 0.0)[3]
+        return z * sat, min(1.0, a, b) * z * z / (1.0 + abs(z))
+
+    lhs, rhs = sides(0.0, 1.0, 1.0)
     assert lhs == 0.0 and rhs == 0.0
-    lhs, rhs = saturation_fact_pointwise(0.5, 1.0, 1.0)
+    lhs, rhs = sides(0.5, 1.0, 1.0)
     assert lhs > rhs  # strict inside the interval
+    lhs, rhs = sides(-7.0, 0.2, 3.0)
+    assert lhs == -7.0 * -0.2 and lhs >= rhs  # clamped at -a
 
 
 def test_saturation_fact_randomized():
@@ -288,16 +306,16 @@ def test_saturation_fact_blocks_match_one_shot_draw(monkeypatch):
 
 
 def test_overshoot_zero_and_monotone(trial_cert):
-    assert overshoot_bound(0.0, 0.0, trial_cert) == 0.0
-    # small arguments stay finite and grow
-    b1 = overshoot_bound(0.02, 0.02, trial_cert)
-    b2 = overshoot_bound(0.03, 0.03, trial_cert)
-    assert 0 < b1 < b2 < math.inf
-    # moderate arguments overflow the closed form; compare in log space
+    assert overshoot_log_bound(0.0, 0.0, trial_cert) == -math.inf
+    # small arguments give a finite gain that grows
+    b1 = overshoot_log_bound(0.02, 0.02, trial_cert)
+    b2 = overshoot_log_bound(0.03, 0.03, trial_cert)
+    assert -math.inf < b1 < b2 < 709.0
     l1 = overshoot_log_bound(1.0, 0.0, trial_cert)
     l2 = overshoot_log_bound(2.0, 0.0, trial_cert)
-    assert l1 < l2
-    assert overshoot_bound(2.0, 0.0, trial_cert) == math.inf
+    assert b2 < l1 < l2
+    # moderate arguments overflow the closed form e^{log bound}
+    assert l2 >= 709.0
 
 
 def test_kappa_v_strictly_increasing(trial_cert):
@@ -319,5 +337,5 @@ def test_history_decay_along_run(trial_cert, fig2a_runs):
 
 def test_observer_iss_and_eta_decay(trial_cert, fig2a_runs):
     trace = fig2a_runs["oracle"]
-    assert check_observer_iss(trace, trial_cert) == 0
-    assert check_eta_decay(trace, trial_cert) == 0
+    assert observer_iss_violations(trace, trial_cert) == 0
+    assert eta_decay_violations(trace, trial_cert) == 0
