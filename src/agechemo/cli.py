@@ -4,12 +4,14 @@
     agechemo verify <config>
     agechemo roots <config>
 
-Exit codes: 0 success, 2 acceptance-check failure, 3 input error.
+Exit codes: 0 success, 2 acceptance-check failure, 3 input error
+(including a usage error on the command line).
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from . import galerkin, lyapunov
@@ -80,8 +82,17 @@ def _cmd_roots(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="agechemo", description=__doc__)
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit as input errors (3, not 2)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, "input error: %s\n" % message)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="agechemo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a scenario and emit traces")
@@ -97,8 +108,11 @@ def main(argv=None) -> int:
     p_roots = sub.add_parser("roots", help="print the characteristic roots")
     p_roots.add_argument("config")
     p_roots.set_defaults(func=_cmd_roots)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ValidationError) as exc:

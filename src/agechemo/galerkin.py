@@ -43,6 +43,10 @@ _ALIAS_RESIDUAL_TOL = 5e-2
 #: Newton steps per eigenvalue; resolved eigenvalues converge in a few, and
 #: spurious high-frequency ones are dropped after this many
 _POLISH_ITERS = 10
+#: damping below which a Newton step counts as failed and the start is
+#: dropped; converging starts never damp below 1/8, while a spurious one
+#: would otherwise halve its step thirty times per iterate
+_POLISH_MIN_DAMPING = 2.0**-10
 #: right edge of the certified box: with k_tilde >= 0 integrating to one, no
 #: root has Re s > 0, and s = 0 sits 0.5 inside the edge
 _CERT_SIGMA_HI = 0.5
@@ -129,7 +133,8 @@ def _polish(s: complex, kt: np.ndarray, nodes: np.ndarray, w: np.ndarray, wa: np
     """Damped Newton from s on the rule (nodes, w); the root, or None.
 
     One exponential per iterate serves both the residual and the slope
-    (wa = w * nodes); gives up after _POLISH_ITERS steps.
+    (wa = w * nodes); gives up after _POLISH_ITERS steps, or once a step
+    has to be damped below _POLISH_MIN_DAMPING to reduce |f|.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         v = kt * np.exp(-s * nodes)
@@ -151,7 +156,7 @@ def _polish(s: complex, kt: np.ndarray, nodes: np.ndarray, w: np.ndarray, wa: np
                 if np.isfinite(abs(f_try)) and abs(f_try) < abs(f):
                     break
                 lam *= 0.5
-                if lam <= 1e-9:
+                if lam < _POLISH_MIN_DAMPING:
                     return None
             s, f = s_try, f_try
     return s if abs(f) < 1e-13 else None

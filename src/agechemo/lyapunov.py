@@ -61,27 +61,45 @@ class _Contraction:
         return float(self.w @ (weight * integrand))
 
 
+#: lambda rows per block of :func:`b3_search`'s log scan; a block's
+#: temporaries stay near 200 kB at 801 age nodes
+B3_BLOCK = 32
+
+
 def b3_search(k_tilde: GridFunction) -> tuple[float, float]:
     """Find the contraction constant minimizing the kernel deviation integral.
 
     Scans a logarithmic grid (plus the zero boundary, where the integral is
-    exactly one by normalization) and refines with golden sections.
-    Raises B3Fail when the minimum is not below one.
+    exactly one by normalization) B3_BLOCK values at a time and refines
+    with golden sections, stopping early at their fixed point.  Raises
+    B3Fail when the minimum is not below one.
     """
-    value_at = _Contraction(k_tilde).value
+    contraction = _Contraction(k_tilde)
+    value_at = contraction.value
     grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e2, 400)])
-    vals = [value_at(lam) for lam in grid]
-    i0 = int(np.argmin(vals))
+    scan = np.concatenate(
+        [
+            contraction.integrand(grid[lo : lo + B3_BLOCK, None]) @ contraction.w
+            for lo in range(0, len(grid), B3_BLOCK)
+        ]
+    )
+    # the block sums round differently from value_at's; both are sums of
+    # nonnegative terms within n ulps of each other, so value_at's argmin
+    # (a NaN's if there is one) is among the values this close to the
+    # scan's minimum
+    bound = scan.min() * (1.0 + 8.0 * len(contraction.w) * np.finfo(float).eps)
+    near = np.flatnonzero(~(scan > bound))
+    i0 = int(near[np.argmin([value_at(lam) for lam in grid[near]])])
     lo = grid[max(i0 - 1, 0)]
     hi = grid[min(i0 + 1, len(grid) - 1)]
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     for _ in range(90):
         c1 = hi - inv_phi * (hi - lo)
         c2 = lo + inv_phi * (hi - lo)
-        if value_at(c1) < value_at(c2):
-            hi = c2
-        else:
-            lo = c1
+        bracket = (lo, c2) if value_at(c1) < value_at(c2) else (c1, hi)
+        if bracket == (lo, hi):
+            break  # each step is a function of (lo, hi): the rest would repeat it
+        lo, hi = bracket
     lam = 0.5 * (lo + hi)
     value = value_at(lam)
     if value >= 1.0:
@@ -148,6 +166,12 @@ def _sym2_eigs(a11, a12, a22):
 OQ_BLOCK = 25
 
 
+#: gains pairs whose observer form is kept; a sweep over many gains would
+#: otherwise keep about 1 kB per pair for the life of the process
+OQ_MEMO = 16
+
+
+@functools.lru_cache(maxsize=OQ_MEMO)
 def observer_quadratic(l1: float, l2: float, grid_points: int = 200) -> ObserverQuadratic:
     """Grid-search a feasible (p1, p2), maximizing the observer decay rate.
 
@@ -155,6 +179,8 @@ def observer_quadratic(l1: float, l2: float, grid_points: int = 200) -> Observer
     be positive definite, and the returned pair maximizes
     beta1 = min_eig(P~) / (4 max_eig(P)), at its first occurrence in
     row-major order.  The grid is evaluated OQ_BLOCK rows of p1 at a time.
+    Memoized for the last OQ_MEMO arguments: the form depends on the gains
+    and the grid only.
     """
     if l1 <= 0 or l2 <= 0:
         raise ValueError("observer gains must be positive")
@@ -385,11 +411,16 @@ def clf_value(
 
 
 def sample_clf(
-    trace: OracleTrace, cert: Certificate, stride: int = 10
+    trace: OracleTrace, cert: Certificate, stride: int = 10, norms=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the history-form functional along an oracle trace."""
+    """Evaluate the history-form functional along an oracle trace.
+
+    norms: ``window_norms(trace, cert.sigma, stride)``, when already at hand.
+    """
     idx = np.arange(0, len(trace.t), stride)
-    w_norms, floors = (x.tolist() for x in _window_norms(trace, cert.sigma, idx))
+    if norms is None:
+        norms = window_norms(trace, cert.sigma, stride)
+    w_norms, floors = (x.tolist() for x in norms)
     vs = np.zeros(len(idx))
     for j, i in enumerate(idx):
         e1 = trace.z1[i] - trace.eta[i]
@@ -399,10 +430,15 @@ def sample_clf(
     return trace.t[idx], vs
 
 
-def _window_norms(
-    trace: OracleTrace, sigma: float, idx: np.ndarray
+def window_norms(
+    trace: OracleTrace, sigma: float, stride: int = 10
 ) -> tuple[np.ndarray, np.ndarray]:
-    """History norm W = max e^{-sigma a}|psi| and floor C = 1 + min(0, min psi) at t[idx]."""
+    """History norm W = max e^{-sigma a}|psi| and floor C = 1 + min(0, min psi).
+
+    Sampled at every stride-th time of the trace, as :func:`sample_clf` and
+    :func:`check_history_decay` read them.
+    """
+    idx = np.arange(0, len(trace.t), stride)
     decay = np.exp(-sigma * trace.nodes)
     ws = np.zeros(len(idx))
     cs = np.zeros(len(idx))
@@ -499,6 +535,7 @@ def check_history_decay(
     stride: int = 10,
     rel_tol: float = 1e-3,
     abs_tol_scale: float = 1e-5,
+    norms=None,
 ) -> HistoryDecayReport:
     """Sliding-norm decay and floor monotonicity of the internal coordinate.
 
@@ -506,11 +543,11 @@ def check_history_decay(
     increase; the floor functional 1 + min(0, min psi) must never decrease
     (that is what keeps the reconstruction positive).  Absolute tolerances
     are scaled to the initial norm: the trace resolves psi only down to its
-    integration floor.
+    integration floor.  norms: ``window_norms(trace, sigma, stride)``, when
+    already at hand.
     """
-    idx = np.arange(0, len(trace.t), stride)
-    ws, cs = _window_norms(trace, sigma, idx)
-    ts = trace.t[idx]
+    ws, cs = window_norms(trace, sigma, stride) if norms is None else norms
+    ts = trace.t[::stride]
     abs_tol = abs_tol_scale * ws[0] + 1e-15
     w_monotone = bool(np.all(np.diff(ws) <= rel_tol * ws[:-1] + abs_tol))
     # pairwise s <= t check via the running minimum of W e^{sigma t}

@@ -222,7 +222,8 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
             gap = "max gap < 1e-12" if cons < 1e-12 else "max gap %.3g" % cons
             report.add_check("oracle_output_consistency", cons < 1e-8, gap)
         if cert is not None:
-            hist = lyapunov.check_history_decay(trace_o, cert.sigma)
+            norms = lyapunov.window_norms(trace_o, cert.sigma)
+            hist = lyapunov.check_history_decay(trace_o, cert.sigma, norms=norms)
             report.add_check(
                 "history_decay",
                 hist.passed,
@@ -230,7 +231,7 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
                 % (hist.w0, hist.w_monotone, hist.w_envelope, hist.c_monotone),
             )
             if validity.valid:
-                ts, vs = lyapunov.sample_clf(trace_o, cert)
+                ts, vs = lyapunov.sample_clf(trace_o, cert, norms=norms)
                 decay = lyapunov.verify_decay(ts, vs, cert.l_rate)
                 report.add_check(
                     "clf_decay",

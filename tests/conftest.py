@@ -17,11 +17,45 @@ from agechemo import (
 )
 from agechemo.config import build_model, build_trajectory, build_x0
 from agechemo.galerkin import assemble, build_basis, simulate
+from agechemo.grid import GridFunction
+from agechemo.model import ModelParams
 from agechemo.scenario import run
 
 
 def bundled(name: str) -> Path:
     return Path(resources.files("agechemo") / "configs" / name)
+
+
+def motherhood_model(n, mu, k0):
+    """(Equilibrium, ModelParams) of a constant-mortality quadratic-motherhood model on n nodes."""
+    a_max = 2.0
+    a = np.linspace(0.0, a_max, n)
+    mk = lambda v: GridFunction(np.broadcast_to(v, (n,)).astype(float), a_max)
+    params = ModelParams(
+        mu=mk(mu),
+        k=mk(k0 * a * (a_max - a)),
+        p=mk(1.0),
+        a_max=a_max,
+        d_min=0.5,
+        d_max=1.5,
+        k_prime=mk(k0 * (a_max - 2.0 * a)),
+    )
+    return solve_equilibrium(params), params
+
+
+def _screen_kernels(n_kernels, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        (2 * int(rng.integers(100, 401)) + 1, float(rng.uniform(0.05, 0.15)),
+         float(rng.uniform(1.7, 2.4)), int(rng.choice([6, 8, 10])))
+        for _ in range(n_kernels)
+    ]
+
+
+#: (age nodes, mu, k0, root count) drawn from the ranges the kernel screen
+#: benchmark draws from: odd node counts 201..801, mu in [0.05, 0.15],
+#: k0 in [1.7, 2.4], 6, 8 or 10 modes
+SCREEN_KERNELS = _screen_kernels(12, 20261018)
 
 
 @pytest.fixture(scope="session")

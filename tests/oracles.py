@@ -312,6 +312,42 @@ def reference_sigma_search(k_tilde, lam):
     return lo
 
 
+def reference_polish(s, kt, nodes, w, wa, dampings=None):
+    """Damped Newton on int kt e^{-s a} - 1 that halves its step down to 1e-9.
+
+    The root polish as it was before the search gave up at a damping of
+    2**-10: at most 10 steps, each halving until |f| drops, giving up only
+    once the damping reaches 1e-9.  The root, or None.  ``dampings``, when
+    given, collects the damping of each accepted step.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = kt * np.exp(-s * nodes)
+        f = complex(w @ v) - 1.0
+        for _ in range(10):
+            if not np.isfinite(abs(f)):
+                return None
+            if abs(f) < 1e-13:
+                return s
+            slope = -complex(wa @ v)
+            if slope == 0 or not np.isfinite(abs(slope)):
+                return None
+            step = f / slope
+            lam = 1.0
+            while True:
+                s_try = s - lam * step
+                v = kt * np.exp(-s_try * nodes)
+                f_try = complex(w @ v) - 1.0
+                if np.isfinite(abs(f_try)) and abs(f_try) < abs(f):
+                    break
+                lam *= 0.5
+                if lam <= 1e-9:
+                    return None
+            if dampings is not None:
+                dampings.append(lam)
+            s, f = s_try, f_try
+    return s if abs(f) < 1e-13 else None
+
+
 def reference_sweep(loop, traj, t_node, dt, u0, delta, d_override=None):
     """RK4 of (eta, z1, z2) with the stage values sliced out step by step.
 

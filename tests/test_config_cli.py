@@ -211,6 +211,55 @@ def test_cli_root_search_failure_exits_2(capsys, monkeypatch, drop, message):
     assert capsys.readouterr().err.startswith(message)
 
 
+def _call(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["roots"], "the following arguments are required: config"),
+        (["run", "x.cfg", "--routes", "bogus"], "argument --routes: invalid choice: 'bogus'"),
+        (["frob", "x.cfg"], "argument command: invalid choice: 'frob'"),
+    ],
+)
+def test_cli_usage_error_exits_3(capsys, argv, message):
+    code, out, err = _call(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.splitlines()[0].startswith("usage: agechemo")
+    assert err.splitlines()[-1].startswith("input error: " + message)
+
+
+def test_cli_help_exits_0(capsys):
+    for argv in (["--help"], ["roots", "--help"]):
+        code, out, _ = _call(capsys, argv)
+        assert code == 0 and out.startswith("usage: agechemo")
+
+
+def test_cli_repeated_calls_agree(tmp_path, capsys):
+    # one parser serves every call in a process
+    weak = tmp_path / "weak.cfg"
+    weak.write_text(small_config_text().replace("l1 = 4.0\nl2 = 8.0", "l1 = 0.0146\nl2 = 0.0116"))
+    cases = [
+        (["roots", str(bundled("fig2a.cfg"))], 0),
+        (["verify", str(weak)], 2),
+        (["run", str(tmp_path / "missing.cfg")], 3),
+        (["roots"], 3),
+        (["run", str(weak), "--routes", "bogus"], 3),
+        ([], 3),
+    ]
+    first = [_call(capsys, argv) for argv, _ in cases]
+    second = [_call(capsys, argv) for argv, _ in cases]
+    assert first == second
+    assert [code for code, _, _ in first] == [want for _, want in cases]
+
+
 def test_cli_verify_command(tmp_path, capsys):
     path = tmp_path / "tiny.cfg"
     path.write_text(small_config_text())

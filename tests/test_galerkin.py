@@ -25,8 +25,8 @@ from agechemo.galerkin import (
 from agechemo.grid import GridFunction, hermite_resample, simpson_weights
 from agechemo.model import ModelParams, solve_equilibrium
 from agechemo.trajectories import make_constant
-from conftest import bundled
-from oracles import char_residual_highres, reference_galerkin_loop
+from conftest import SCREEN_KERNELS, bundled, motherhood_model
+from oracles import char_residual_highres, reference_galerkin_loop, reference_polish
 
 KNOWN_PAIRS = (-2.02 + 4.41j, -2.50 + 7.62j)
 
@@ -60,25 +60,9 @@ def test_root_count_ten(trial):
     assert sum(1 for r in roots if r.imag > 0) == 4
 
 
-def _motherhood_model(n, mu, k0):
-    a_max = 2.0
-    a = np.linspace(0.0, a_max, n)
-    mk = lambda v: GridFunction(np.broadcast_to(v, (n,)).astype(float), a_max)
-    params = ModelParams(
-        mu=mk(mu),
-        k=mk(k0 * a * (a_max - a)),
-        p=mk(1.0),
-        a_max=a_max,
-        d_min=0.5,
-        d_max=1.5,
-        k_prime=mk(k0 * (a_max - 2.0 * a)),
-    )
-    return solve_equilibrium(params), params
-
-
 def test_roots_keep_fourth_pair_by_real_part():
     # a kernel-screen draw on which a 360-start Newton grid skipped this pair
-    eq, params = _motherhood_model(271, 0.111592, 2.277297)
+    eq, params = motherhood_model(271, 0.111592, 2.277297)
     roots = characteristic_roots(eq, params, 10)
     pairs = [r for r in roots if r.imag > 0]
     assert abs(pairs[3] - (-3.1706 + 13.9686j)) < 1e-3
@@ -94,7 +78,7 @@ def test_roots_certified_box_separates_kept_pairs(trial, trial_roots):
 def test_roots_certified_when_no_further_root_below_cap():
     # at 21 nodes only two pairs lie in |Im s| <= pi/(4h), so the box
     # extends a fixed margin below the last kept pair
-    eq, params = _motherhood_model(21, 0.1, 2.0)
+    eq, params = motherhood_model(21, 0.1, 2.0)
     roots = characteristic_roots(eq, params, 6)
     assert roots.sigma_lo == pytest.approx(roots[3].real - 1.0)
     assert abs(roots[3] - (-2.4933 + 7.6159j)) < 1e-3
@@ -124,6 +108,78 @@ def test_root_certificate_rejects_root_on_contour(trial, trial_roots):
     assert galerkin._winding_number(wk, nodes, trial_roots[1].real + 1e-3, cap) == 1
     with pytest.raises(RootSearchExhausted, match="phase unresolved"):
         galerkin._winding_number(wk, nodes, trial_roots[1].real, cap)
+
+
+def _roots_or_error(eq, params, count):
+    try:
+        roots = characteristic_roots(eq, params, count)
+    except AgeChemoError as exc:
+        return type(exc), str(exc)
+    return list(roots), roots.sigma_lo, roots.omega_cap
+
+
+def _model(name):
+    """(eq, params, root count) of a bundled config, or of SCREEN_KERNELS[i] for "screen<i>"."""
+    if name.startswith("screen"):
+        n, mu, k0, count = SCREEN_KERNELS[int(name[6:])]
+        return (*motherhood_model(n, mu, k0), count)
+    cfg = load_config(bundled(name + ".cfg"))
+    params = build_model(cfg)
+    return solve_equilibrium(params), params, cfg.n_modes
+
+
+@pytest.mark.parametrize(
+    "name", ["fig2a", "fig2b", "fig3", "const"] + ["screen%d" % i for i in range(len(SCREEN_KERNELS))]
+)
+def test_roots_match_reference_polish_bitwise(monkeypatch, name):
+    # giving up at damping 2**-10 drops only starts that the 1e-9 floor
+    # also dropped: roots, box and errors keep every bit
+    eq, params, count = _model(name)
+    got = _roots_or_error(eq, params, count)
+    monkeypatch.setattr(galerkin, "_polish", reference_polish)
+    assert got == _roots_or_error(eq, params, count)
+
+
+def _refined_rule(eq, params):
+    """(kt, nodes, w, w * nodes) of the four-fold refined rule the polish runs on."""
+    nodes = np.linspace(0.0, params.a_max, 4 * (params.mu.n - 1) + 1)
+    kt = hermite_resample(params.nodes, eq.k_tilde.values, nodes)
+    w = simpson_weights(len(nodes), nodes[1] - nodes[0])
+    return kt, nodes, w, w * nodes
+
+
+def _eigenvalue_near(eq, params, z):
+    eigs = galerkin._collocation_eigenvalues(eq, params)
+    return complex(eigs[np.argmin(np.abs(eigs - z))])
+
+
+def test_polish_gives_up_early_on_spurious_start(monkeypatch):
+    # the collocation's spurious eigenvalue near -2.95 + 63.35i converges
+    # to no root; with the 1e-9 damping floor it cost 184 exponentials
+    eq, params = motherhood_model(773, 0.069957, 2.268876)
+    rule = _refined_rule(eq, params)
+    start = _eigenvalue_near(eq, params, -2.954 + 63.351j)
+    exp = np.exp
+    counts = []
+    for polish in (galerkin._polish, reference_polish):
+        calls = []
+        monkeypatch.setattr(np, "exp", lambda x: calls.append(None) or exp(x))
+        assert polish(start, *rule) is None
+        counts.append(len(calls))
+    monkeypatch.setattr(np, "exp", exp)
+    assert counts[0] <= 40 < counts[1]
+
+
+def test_polish_keeps_start_damped_to_one_eighth():
+    # this start's first Newton step is accepted only at damping 1/8, the
+    # smallest any converging start needed on the bundled and screened kernels
+    eq, params = motherhood_model(271, 0.111592, 2.277297)
+    rule = _refined_rule(eq, params)
+    start = _eigenvalue_near(eq, params, -3.2898 + 58.2761j)
+    dampings = []
+    want = reference_polish(start, *rule, dampings=dampings)
+    assert want is not None and min(dampings) == 0.125
+    assert galerkin._polish(start, *rule) == want
 
 
 def test_basis_second_trial_is_equilibrium(trial, trial_basis):

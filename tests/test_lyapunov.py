@@ -23,8 +23,10 @@ from agechemo.lyapunov import (
     saturation_fact_check,
     sigma_search,
     verify_decay,
+    window_norms,
 )
 from agechemo.trajectories import make_constant, make_ramp
+from conftest import SCREEN_KERNELS, motherhood_model
 from oracles import (
     eta_decay_violations,
     observer_iss_violations,
@@ -106,6 +108,17 @@ def test_searches_match_reference_driven_searches(trial_kernel):
     assert sigma_search(trial_kernel, lam) == reference_sigma_search(trial_kernel, lam)
 
 
+@pytest.mark.parametrize("kernel", range(len(SCREEN_KERNELS)), ids=lambda i: "screen%d" % i)
+def test_searches_match_reference_on_screened_kernels(kernel):
+    # the block scan picks the per-value scan's argmin, and the golden
+    # sections stop only at their fixed point
+    n, mu, k0, _ = SCREEN_KERNELS[kernel]
+    k_tilde = motherhood_model(n, mu, k0)[0].k_tilde
+    lam, value = b3_search(k_tilde)
+    assert (lam, value) == reference_b3_search(k_tilde)
+    assert sigma_search(k_tilde, lam) == reference_sigma_search(k_tilde, lam)
+
+
 def test_b3_search_rejects_non_contracting_kernel(trial):
     # the integral scales with the kernel mass (tail / mean age does not),
     # so a heavier kernel's minimum is that many times the trial minimum
@@ -125,11 +138,26 @@ def test_sigma_search_rejects_non_contracting_lambda(trial):
 
 
 def test_observer_quadratic_blocks_match_whole_grid(monkeypatch):
-    # one block holding the whole grid is the unblocked search
-    blocked = [observer_quadratic(l1, l2) for l1, l2 in ((4.0, 8.0), (3.0, 6.0), (5.0, 10.0))]
+    # one block holding the whole grid is the unblocked search; both sides
+    # search afresh, past the memo
+    search = observer_quadratic.__wrapped__
+    blocked = [search(l1, l2) for l1, l2 in ((4.0, 8.0), (3.0, 6.0), (5.0, 10.0))]
     monkeypatch.setattr(lyapunov, "OQ_BLOCK", 200)
-    whole = [observer_quadratic(l1, l2) for l1, l2 in ((4.0, 8.0), (3.0, 6.0), (5.0, 10.0))]
+    whole = [search(l1, l2) for l1, l2 in ((4.0, 8.0), (3.0, 6.0), (5.0, 10.0))]
     assert blocked == whole
+
+
+def test_observer_quadratic_memoized():
+    # the cached form is a fresh search's, and infeasible gains raise every time
+    assert observer_quadratic(4.0, 8.0) is observer_quadratic(4.0, 8.0)
+    assert observer_quadratic(4.0, 8.0) == observer_quadratic.__wrapped__(4.0, 8.0)
+    for _ in range(2):
+        with pytest.raises(NoFeasiblePair):
+            observer_quadratic(0.0146, 0.0116)
+    # a screen over many gains keeps only the last OQ_MEMO forms
+    for i in range(lyapunov.OQ_MEMO + 1):
+        observer_quadratic(4.0 + 0.01 * i, 8.0)
+    assert observer_quadratic.cache_info().currsize == lyapunov.OQ_MEMO
 
 
 def test_infeasible_probe_rejected():
@@ -333,6 +361,14 @@ def test_history_decay_along_run(trial_cert, fig2a_runs):
     report = check_history_decay(fig2a_runs["oracle"], trial_cert.sigma)
     assert report.passed
     assert report.w0 > 0
+
+
+def test_history_checks_take_shared_window_norms(trial_cert, fig2a_runs):
+    trace, sigma = fig2a_runs["oracle"], trial_cert.sigma
+    norms = window_norms(trace, sigma)
+    assert check_history_decay(trace, sigma, norms=norms) == check_history_decay(trace, sigma)
+    shared, own = sample_clf(trace, trial_cert, norms=norms), sample_clf(trace, trial_cert)
+    assert all(np.array_equal(a, b) for a, b in zip(shared, own))
 
 
 def test_observer_iss_and_eta_decay(trial_cert, fig2a_runs):
