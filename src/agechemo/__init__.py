@@ -14,7 +14,6 @@ from .delay import (
     init_delay_state,
     pi_functional,
     pi_weight,
-    reconstruct,
     simulate_closed_loop,
 )
 from .galerkin import (
@@ -31,7 +30,6 @@ from .lyapunov import (
     Certificate,
     b3_search,
     build_certificate,
-    clf_value,
     observer_quadratic,
     rate_constants,
     saturation_fact_check,

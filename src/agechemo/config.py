@@ -323,7 +323,7 @@ def build_x0(cfg: ScenarioConfig, params: ModelParams, eq: Equilibrium) -> GridF
         vals = slope * a + np.exp(-decay * a)
     else:
         vals = _table_or_form(cfg.x0_spec, a, cfg.age_nodes, "[model] x0")
-    gf = GridFunction(vals, cfg.a_max, positive=bool(np.all(vals > 0)))
+    gf = GridFunction(vals, cfg.a_max)
     if kind in ("compat-linear-exp", "scaled-equilibrium"):
         gap = abs(compatibility_gap(gf, params))
         if gap > 1e-9 * float(np.max(np.abs(vals))):

@@ -27,13 +27,14 @@ integrates the scalar block (eta, z1, z2) alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .controller import ControllerGains, ScalarLoop
 from .errors import HistoryGap, InvalidIC, LogDomain
-from .grid import GridFunction, cumquad4, fd4, hermite_basis, hermite_resample, simpson_weights
+from .grid import GridFunction, cumquad4, fd4, hermite_basis, hermite_eval, hermite_resample, simpson_weights
 from .model import Equilibrium, ModelParams, check_initial_condition
 from .trajectories import Trajectory
 
@@ -43,38 +44,23 @@ _EDGE_TOL = 1e-9
 class HistoryBuffer:
     """Uniformly sampled scalar history with cubic Hermite evaluation.
 
-    Stores (value, derivative) pairs at t0 + i*dt.  Queries clamp to the
-    last stored segment, so evaluation a fraction of a step beyond the
-    newest node extrapolates that segment's cubic (needed by the stage
-    evaluations of the explicit stepper).
+    Stores (value, derivative) pairs at t0 + i*dt; the first ``size`` of
+    ``val``/``der`` are set.  Queries clamp to the last stored segment, so
+    evaluation a fraction of a step beyond the newest node extrapolates
+    that segment's cubic (needed by the stage evaluations of the explicit
+    stepper).
     """
 
-    def __init__(self, t0: float, dt: float, capacity: int = 1024):
+    def __init__(self, t0: float, dt: float, val: np.ndarray, der: np.ndarray):
         self.t0 = t0
         self.dt = dt
-        self.val = np.zeros(capacity)
-        self.der = np.zeros(capacity)
-        self.size = 0
+        self.val = val
+        self.der = der
+        self.size = len(val)
 
     @property
     def t_last(self) -> float:
         return self.t0 + (self.size - 1) * self.dt
-
-    def reserve(self, n: int):
-        """Make room for ``n`` more nodes, at least doubling when it grows."""
-        need = self.size + n
-        if need > len(self.val):
-            cap = max(need, 2 * len(self.val))
-            self.val = np.concatenate([self.val[: self.size], np.zeros(cap - self.size)])
-            self.der = np.concatenate([self.der[: self.size], np.zeros(cap - self.size)])
-
-    def fill_initial(self, values: np.ndarray, derivs: np.ndarray):
-        n = len(values)
-        self.size = 0
-        self.reserve(n)
-        self.val[:n] = values
-        self.der[:n] = derivs
-        self.size = n
 
     def eval(self, t):
         """Cubic Hermite evaluation at times of any shape."""
@@ -84,15 +70,7 @@ class HistoryBuffer:
                 "query range [%g, %g] outside history [%g, %g]"
                 % (t.min(), t.max(), self.t0, self.t_last)
             )
-        u = (t - self.t0) / self.dt
-        i = np.clip(np.floor(u).astype(int), 0, self.size - 2)
-        h00, h10, h01, h11 = hermite_basis(u - i)
-        return (
-            h00 * self.val[i]
-            + h10 * self.dt * self.der[i]
-            + h01 * self.val[i + 1]
-            + h11 * self.dt * self.der[i + 1]
-        )
+        return hermite_eval(t, self.t0, self.dt, self.val[: self.size], self.der[: self.size])
 
     def node_values(self) -> np.ndarray:
         return self.val[: self.size].copy()
@@ -138,11 +116,6 @@ class _PsiDynamics:
     read interpolates up to the next node).
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    k_tilde: np.ndarray
-    g: np.ndarray
-    a_max: float
     dt: float
     n_hist: int
     a0: float
@@ -162,11 +135,6 @@ class _PsiDynamics:
         stages = [_read_map(coef, n_hist, dt, c2, 0) for c2 in (0, 1, 2)]
         wg = w * eq.g.values
         return _PsiDynamics(
-            nodes=params.nodes,
-            weights=w,
-            k_tilde=kt,
-            g=eq.g.values,
-            a_max=params.a_max,
             dt=dt,
             n_hist=n_hist,
             a0=a0,
@@ -177,20 +145,12 @@ class _PsiDynamics:
         )
 
 
-@dataclass
-class DelayState:
-    """Mutable closed-loop state: scalar coordinate, observer pair, history."""
+class DelayState(NamedTuple):
+    """The initial split: scalar coordinate, psi history, its read maps."""
 
     eta: float
-    z: np.ndarray
-    t: float
     buffer: HistoryBuffer
-    dyn: _PsiDynamics = field(repr=False)
-
-    def window(self, t: float | None = None) -> np.ndarray:
-        """psi(t - a) on the age grid."""
-        tt = self.t if t is None else t
-        return self.buffer.eval(tt - self.dyn.nodes)
+    dyn: _PsiDynamics
 
 
 def pi_weight(eq: Equilibrium, params: ModelParams) -> GridFunction:
@@ -203,7 +163,7 @@ def pi_weight(eq: Equilibrium, params: ModelParams) -> GridFunction:
     prefix = cumquad4(kt, params.h)
     tail = prefix[-1] - prefix
     survival = params.survival(eq.d_star)
-    return GridFunction(tail / survival, params.a_max, positive=True)
+    return GridFunction(tail / survival, params.a_max)
 
 
 def pi_functional(f: GridFunction, eq: Equilibrium, params: ModelParams) -> float:
@@ -224,7 +184,6 @@ def init_delay_state(
     x0: GridFunction,
     traj: Trajectory,
     eq: Equilibrium,
-    z0: tuple[float, float],
     params: ModelParams,
     dt: float,
 ) -> DelayState:
@@ -266,20 +225,20 @@ def init_delay_state(
     psi0_b = (1.0 + psi0_b) / (1.0 + c0) - 1.0
     eta0 = math.log(big_pi / y_ref0) + math.log1p(c0)
 
-    buffer = HistoryBuffer(-params.a_max, dt, capacity=n_hist + 1)
     hist_vals = psi0_b[::-1].copy()
-    buffer.fill_initial(hist_vals, fd4(hist_vals, dt))
+    buffer = HistoryBuffer(-params.a_max, dt, hist_vals, fd4(hist_vals, dt))
     dyn = _PsiDynamics.build(eq, params, dt)
     buffer.der[n_hist] = dyn.a0 * buffer.val[n_hist] + _stage_sums(dyn, buffer, n_hist)[0]
-    return DelayState(eta=eta0, z=np.asarray(z0, dtype=float), t=0.0, buffer=buffer, dyn=dyn)
+    return DelayState(eta0, buffer, dyn)
 
 
 def _advance_psi(dyn: _PsiDynamics, buf: HistoryBuffer, n_steps: int):
     """RK4-step psi ``n_steps`` times from the newest buffer node."""
     if buf.size < dyn.n_hist + 1:
         raise HistoryGap("history does not span one full age window")
-    buf.reserve(n_steps)
-    val, der, a0, dt = buf.val, buf.der, dyn.a0, dyn.dt
+    buf.val = val = np.concatenate([buf.val[: buf.size], np.zeros(n_steps)])
+    buf.der = der = np.concatenate([buf.der[: buf.size], np.zeros(n_steps)])
+    a0, dt = dyn.a0, dyn.dt
     half, sixth = 0.5 * dt, dt / 6.0
     for m in range(buf.size - 1, buf.size - 1 + n_steps):
         _, s_half, s_one = _stage_sums(dyn, buf, m)
@@ -320,15 +279,6 @@ def _delta_grid(dyn: _PsiDynamics, buf: HistoryBuffer, k0: int, n: int) -> np.nd
     return np.log(arg, out=arg)
 
 
-def reconstruct(state: DelayState, traj: Trajectory, eq: Equilibrium) -> tuple[GridFunction, float]:
-    """Rebuild the age profile and output at the state's time from the delay coordinates."""
-    window = state.window()
-    scale = float(traj.eval(state.t)) * math.exp(state.eta)
-    profile = eq.x_star.values * scale * (1.0 + window)
-    y = scale * (1.0 + float(state.dyn.weights @ (state.dyn.g * window)))
-    return GridFunction(profile, state.dyn.a_max, positive=bool(np.all(profile > 0))), y
-
-
 #: rows per block of :meth:`OracleTrace.windows`.  At 401 ages each
 #: temporary of ``HistoryBuffer.eval`` on a block is 26 kB and about a
 #: dozen are alive at once; 64-row blocks raised a long run's peak memory.
@@ -351,7 +301,6 @@ class OracleTrace:
     buffer: HistoryBuffer
     nodes: np.ndarray
     weights: np.ndarray
-    g: np.ndarray
     k_tilde: np.ndarray
 
     def window(self, t: float) -> np.ndarray:
@@ -392,14 +341,14 @@ def simulate_closed_loop(
     feedback loop for open-loop experiments; the observer still integrates
     with the applied input.
     """
-    state = init_delay_state(x0, traj, eq, gains.z0, params, dt)
+    state = init_delay_state(x0, traj, eq, params, dt)
     n_steps = int(round(t_final / dt))
     _advance_psi(state.dyn, state.buffer, n_steps)
     # node times as a stepper reaches them by accumulating t <- t + dt
     t_node = np.concatenate([[0.0], np.cumsum(np.full(n_steps, dt))])
     dlt = _delta_grid(state.dyn, state.buffer, 0, n_steps)
     loop = ScalarLoop.of(gains, eq.d_star, params.d_min, params.d_max)
-    u0 = (state.eta, float(state.z[0]), float(state.z[1]))
+    u0 = (state.eta, float(gains.z0[0]), float(gains.z0[1]))
     hist, d = loop.sweep(traj, t_node, dt, u0, dlt, d_override)
     delta_arr = dlt[0::2].copy()
     del dlt  # free the stage array before the snapshots and y are built
@@ -410,10 +359,10 @@ def simulate_closed_loop(
     snapshots = {}
     for i in sorted(snap_idx):
         if 0 <= i <= n_steps:
-            at_i = DelayState(
-                float(eta[i]), np.array([z1[i], z2[i]]), float(t_node[i]), state.buffer, state.dyn
-            )
-            snapshots[snap_idx[i]] = reconstruct(at_i, traj, eq)[0]
+            t_i = float(t_node[i])
+            scale = float(traj.eval(t_i)) * math.exp(eta[i])
+            window = state.buffer.eval(t_i - params.nodes)
+            snapshots[snap_idx[i]] = GridFunction(eq.x_star.values * scale * (1.0 + window), params.a_max)
 
     return OracleTrace(
         t=dt * np.arange(n_steps + 1),
@@ -428,6 +377,5 @@ def simulate_closed_loop(
         buffer=state.buffer,
         nodes=params.nodes,
         weights=params.weights,
-        g=eq.g.values,
         k_tilde=eq.k_tilde.values,
     )

@@ -306,13 +306,10 @@ def characteristic_roots(eq: Equilibrium, params: ModelParams, count: int) -> li
 
 @dataclass(frozen=True)
 class GalerkinBasis:
-    """Trial bank: x0, x*, then cosine/sine mode shapes per conjugate pair."""
+    """Trial bank: x0, x*, then cosine/sine mode shapes per conjugate pair, one per row."""
 
-    trials: list
     trial_matrix: np.ndarray = field(repr=False)
     derivative_matrix: np.ndarray = field(repr=False)
-    roots: list
-    n_modes: int
 
 
 def build_basis(
@@ -367,19 +364,17 @@ def build_basis(
             "the trial bank keeps it unmodified" % bc_defect,
             stacklevel=2,
         )
-    trials = [GridFunction(r, params.a_max) for r in rows]
-    return GalerkinBasis(trials, Phi, dPhi, list(roots), n_modes)
+    return GalerkinBasis(Phi, dPhi)
 
 
 @dataclass
 class GalerkinSystem:
-    """Modal system: mass/stiffness matrices, output vector, current weights."""
+    """Modal system: mass/stiffness matrices, output vector, initial weights."""
 
     m_matrix: np.ndarray
     n_matrix: np.ndarray
     p_vector: np.ndarray
     lam: np.ndarray
-    t: float
     a_matrix: np.ndarray = field(repr=False)
 
 
@@ -405,7 +400,6 @@ def assemble(basis: GalerkinBasis, params: ModelParams) -> GalerkinSystem:
         n_matrix=n_mat,
         p_vector=p_vec,
         lam=lam0,
-        t=0.0,
         a_matrix=np.linalg.solve(m, n_mat),
     )
 
@@ -572,8 +566,6 @@ def simulate(
         what = "measured output y = %g" if s_bad == 0 and d_override is None else "modal output %g"
         raise NonPositiveOutput((what + " <= 0 at t = %g") % (y_bad, 0.5 * dt * s_bad))
 
-    system.lam = lam[-1].copy()
-    system.t = float(ts[-1])
     return GalerkinTrace(
         t=ts, y_sim=y_sim, y_ref=y_ref, d=d, z1=hist[1], z2=hist[2], r=r,
         min_profile=min_profile, profile_l2=profile_l2, lam=lam, snapshots=snapshots,

@@ -86,6 +86,17 @@ def hermite_basis(t):
     )
 
 
+def hermite_eval(t, t0: float, h: float, val: np.ndarray, der: np.ndarray):
+    """Cubic Hermite interpolant of (val, der) at nodes t0 + i h, at times ``t``.
+
+    Queries outside the nodes extrapolate the first or last segment's cubic.
+    """
+    u = (np.asarray(t, dtype=float) - t0) / h
+    i = np.clip(np.floor(u).astype(int), 0, len(val) - 2)
+    h00, h10, h01, h11 = hermite_basis(u - i)
+    return h00 * val[i] + h10 * h * der[i] + h01 * val[i + 1] + h11 * h * der[i + 1]
+
+
 def hermite_resample(nodes: np.ndarray, values: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Cubic Hermite resampling of smooth uniform-grid data.
 
@@ -93,11 +104,7 @@ def hermite_resample(nodes: np.ndarray, values: np.ndarray, query: np.ndarray) -
     evaluation would inject O(h^2) kinks into smooth profiles.
     """
     h = nodes[1] - nodes[0]
-    d = fd4(values, h)
-    u = (np.asarray(query, dtype=float) - nodes[0]) / h
-    i = np.clip(np.floor(u).astype(int), 0, len(values) - 2)
-    h00, h10, h01, h11 = hermite_basis(u - i)
-    return h00 * values[i] + h10 * h * d[i] + h01 * values[i + 1] + h11 * h * d[i + 1]
+    return hermite_eval(query, nodes[0], h, values, fd4(values, h))
 
 
 @dataclass(frozen=True)
@@ -105,14 +112,11 @@ class GridFunction:
     """A function on [0, A] sampled on a uniform grid.
 
     Evaluation at arbitrary ages is piecewise-linear interpolation, exact
-    at the nodes.  ``positive``/``continuous`` are metadata flags set by
-    constructors that know the provenance of the samples.
+    at the nodes.
     """
 
     values: np.ndarray
     a_max: float
-    positive: bool = False
-    continuous: bool = True
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -152,11 +156,6 @@ class GridFunction:
                 % (self.n, self.a_max, other.n, other.a_max)
             )
 
-    def with_values(self, values: np.ndarray, positive: bool | None = None) -> "GridFunction":
-        return GridFunction(
-            values,
-            self.a_max,
-            positive=self.positive if positive is None else positive,
-            continuous=self.continuous,
-        )
+    def with_values(self, values: np.ndarray) -> "GridFunction":
+        return GridFunction(values, self.a_max)
 

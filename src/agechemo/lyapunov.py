@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .controller import ControllerGains
-from .delay import DelayState, OracleTrace
-from .errors import B3Fail, InvalidTrajectory, LogDomain, NoFeasiblePair
+from .delay import OracleTrace
+from .errors import B3Fail, InvalidTrajectory, NoFeasiblePair
 from .grid import GridFunction
 from .model import Equilibrium, ModelParams
 from .trajectories import Trajectory, validate
@@ -110,9 +110,10 @@ def b3_search(k_tilde: GridFunction) -> tuple[float, float]:
 def sigma_search(k_tilde: GridFunction, lam: float) -> float:
     """Largest exponential weight keeping the contraction integral below one.
 
-    Bisection to 1e-6; returns the last verified-feasible endpoint, so the
-    returned rate strictly satisfies the inequality.  The integrand at lam
-    is built once; each step only reweights it.
+    Bisection, at most 60 halvings, stopping early once the bracket no
+    longer moves (adjacent floats); returns the last verified-feasible
+    endpoint, so the returned rate strictly satisfies the inequality.  The
+    integrand at lam is built once; each step only reweights it.
     """
     contraction = _Contraction(k_tilde)
     value_at = functools.partial(contraction.weighted, contraction.integrand(lam))
@@ -125,10 +126,10 @@ def sigma_search(k_tilde: GridFunction, lam: float) -> float:
             break
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if value_at(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
+        bracket = (mid, hi) if value_at(mid) < 1.0 else (lo, mid)
+        if bracket == (lo, hi):
+            break  # each step is a function of (lo, hi): the rest would repeat it
+        lo, hi = bracket
     return lo
 
 
@@ -170,24 +171,27 @@ OQ_BLOCK = 25
 #: otherwise keep about 1 kB per pair for the life of the process
 OQ_MEMO = 16
 
+#: points per axis of :func:`observer_quadratic`'s logarithmic grid
+OQ_GRID = 200
+
 
 @functools.lru_cache(maxsize=OQ_MEMO)
-def observer_quadratic(l1: float, l2: float, grid_points: int = 200) -> ObserverQuadratic:
+def observer_quadratic(l1: float, l2: float) -> ObserverQuadratic:
     """Grid-search a feasible (p1, p2), maximizing the observer decay rate.
 
     Exhaustive logarithmic grid over (0, 2] x (0, 4]; both 2x2 forms must
     be positive definite, and the returned pair maximizes
     beta1 = min_eig(P~) / (4 max_eig(P)), at its first occurrence in
     row-major order.  The grid is evaluated OQ_BLOCK rows of p1 at a time.
-    Memoized for the last OQ_MEMO arguments: the form depends on the gains
-    and the grid only.
+    Memoized for the last OQ_MEMO gain pairs: the form depends on the gains
+    only.
     """
     if l1 <= 0 or l2 <= 0:
         raise ValueError("observer gains must be positive")
-    p1g = np.geomspace(1e-2, 2.0, grid_points)
-    p2g = np.geomspace(1e-2, 4.0, grid_points)
+    p1g = np.geomspace(1e-2, 2.0, OQ_GRID)
+    p2g = np.geomspace(1e-2, 4.0, OQ_GRID)
     best = None  # (beta1, p1, p2, k1, k2, kt1, kt2) at the best cell so far
-    for lo in range(0, grid_points, OQ_BLOCK):
+    for lo in range(0, OQ_GRID, OQ_BLOCK):
         P1, P2 = np.meshgrid(p1g[lo : lo + OQ_BLOCK], p2g, indexing="ij")
         feas = (P1 * P1 < 4.0 * P2) & (
             (2.0 + l1 * P1 - 2.0 * l2 * P2) ** 2 < 8.0 * l1 * P1 - 4.0 * l2 * P1 * P1
@@ -361,55 +365,6 @@ def _quadratic(cert: Certificate, e1: float, e2: float) -> float:
     return e1 * e1 - cert.p1 * e1 * e2 + cert.p2 * e2 * e2
 
 
-def clf_value(
-    state_or_profile,
-    z: np.ndarray,
-    traj: Trajectory,
-    eq: Equilibrium,
-    cert: Certificate,
-    params: ModelParams,
-    t: float | None = None,
-) -> tuple[float, float]:
-    """Evaluate the combined functional; returns (V, Q).
-
-    Accepts either the age profile (profile form) or the delay state
-    (history form); the two agree identically because the profile form's
-    ratios reduce to the history coordinates under the reconstruction map.
-    """
-    decay = np.exp(-cert.sigma * params.nodes)
-    if isinstance(state_or_profile, DelayState):
-        state = state_or_profile
-        tt = state.t if t is None else t
-        window = state.window(tt)
-        eta = state.eta
-        w_norm = float(np.max(decay * np.abs(window)))
-        floor = 1.0 + min(0.0, float(window.min()))
-        e1 = float(z[0]) - eta
-        e2 = float(z[1]) - cert.d_star
-        head = eta * eta
-    else:
-        profile: GridFunction = state_or_profile
-        if t is None:
-            raise ValueError("profile form needs an explicit time")
-        if np.any(profile.values <= 0):
-            raise LogDomain("profile must be strictly positive")
-        y_ref = float(traj.eval(t))
-        from .delay import pi_functional
-
-        scale = pi_functional(profile, eq, params) / y_ref
-        ratio = profile.values / (eq.x_star.values * y_ref)
-        w_norm = float(np.max(decay * np.abs(ratio - scale)))
-        floor = min(scale, float(ratio.min()))
-        if floor <= 0:
-            raise LogDomain("profile ratio floor is non-positive")
-        e1 = float(z[0]) - math.log(scale)
-        e2 = float(z[1]) - cert.d_star
-        head = math.log(scale) ** 2
-    q = _quadratic(cert, e1, e2) + 0.5 * cert.big_m * (w_norm / floor) ** 2
-    v = head + cert.alpha1 * math.sqrt(q) + cert.alpha2 * q
-    return v, q
-
-
 def sample_clf(
     trace: OracleTrace, cert: Certificate, stride: int = 10, norms=None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -466,12 +421,15 @@ class DecayReport:
         return self.n_violations == 0 and self.integrated_ok
 
 
+#: absolute slack added to every forward-difference comparison
+DECAY_ABS_EPS = 1e-12
+
+
 def verify_decay(
     times: np.ndarray,
     values: np.ndarray,
     l_rate: float,
     values_half: np.ndarray | None = None,
-    abs_eps: float = 1e-12,
 ) -> DecayReport:
     """Check the decay differential inequality along a sampled trace.
 
@@ -493,9 +451,8 @@ def verify_decay(
         slack = 2.0 * float(np.max(np.abs(surr - surr_half)))
     else:
         dd = np.abs(np.diff(values, 2))
-        step = times[1] - times[0]
-        slack = float(dd.max()) / (2.0 * step) if len(dd) else 0.0
-    slack += abs_eps
+        slack = float(dd.max()) / (2.0 * (times[1] - times[0])) if len(dd) else 0.0
+    slack += DECAY_ABS_EPS
     bad = surr > rhs + slack
     v0 = values[0]
     log_bound = math.log(max(v0, 1e-300)) + max(0.0, v0 - 1.0) - 0.5 * l_rate * times
@@ -529,12 +486,16 @@ class HistoryDecayReport:
         return self.w_monotone and self.w_envelope and self.c_monotone and self.floor_positive
 
 
+#: relative tolerance of the history norm's monotonicity and envelope checks
+HISTORY_REL_TOL = 1e-3
+#: absolute tolerance of those checks, as a multiple of the initial norm
+HISTORY_ABS_TOL_SCALE = 1e-5
+
+
 def check_history_decay(
     trace: OracleTrace,
     sigma: float,
     stride: int = 10,
-    rel_tol: float = 1e-3,
-    abs_tol_scale: float = 1e-5,
     norms=None,
 ) -> HistoryDecayReport:
     """Sliding-norm decay and floor monotonicity of the internal coordinate.
@@ -548,13 +509,13 @@ def check_history_decay(
     """
     ws, cs = window_norms(trace, sigma, stride) if norms is None else norms
     ts = trace.t[::stride]
-    abs_tol = abs_tol_scale * ws[0] + 1e-15
-    w_monotone = bool(np.all(np.diff(ws) <= rel_tol * ws[:-1] + abs_tol))
+    abs_tol = HISTORY_ABS_TOL_SCALE * ws[0] + 1e-15
+    w_monotone = bool(np.all(np.diff(ws) <= HISTORY_REL_TOL * ws[:-1] + abs_tol))
     # pairwise s <= t check via the running minimum of W e^{sigma t}
     grown = ws * np.exp(sigma * ts)
     running = np.minimum.accumulate(grown)
     w_envelope = bool(
-        np.all(ws <= np.exp(-sigma * ts) * running * (1.0 + rel_tol) + abs_tol)
+        np.all(ws <= np.exp(-sigma * ts) * running * (1.0 + HISTORY_REL_TOL) + abs_tol)
     )
     c_monotone = bool(np.all(np.diff(cs) >= -1e-6))
     return HistoryDecayReport(

@@ -136,13 +136,13 @@ def solve_equilibrium(params: ModelParams) -> Equilibrium:
 
         kp = fd4(params.k.values, params.h)
     k_tilde_prime = (kp - (d + params.mu.values) * params.k.values) * survival
-    mk = lambda v, pos: GridFunction(v, params.a_max, positive=pos)
+    mk = lambda v: GridFunction(v, params.a_max)
     return Equilibrium(
         d_star=d,
-        x_star=mk(x_star, True),
-        g=mk(x_star * params.p.values, bool(np.all(params.p.values > 0))),
-        k_tilde=mk(k_tilde, bool(np.all(k_tilde >= 0))),
-        k_tilde_prime=mk(k_tilde_prime, False),
+        x_star=mk(x_star),
+        g=mk(x_star * params.p.values),
+        k_tilde=mk(k_tilde),
+        k_tilde_prime=mk(k_tilde_prime),
     )
 
 

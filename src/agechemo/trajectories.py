@@ -29,9 +29,6 @@ class Trajectory:
     eval: Callable[[np.ndarray], np.ndarray]
     rate: Callable[[np.ndarray], np.ndarray]
 
-    def __call__(self, t):
-        return self.eval(t)
-
 
 @dataclass(frozen=True)
 class ValidityReport:
@@ -167,4 +164,4 @@ def reference_profile(traj: Trajectory, eq: Equilibrium, t: float) -> GridFuncti
     if t < 0:
         raise ValueError("t must be nonnegative")
     y = float(traj.eval(t))
-    return eq.x_star.with_values(eq.x_star.values * y, positive=True)
+    return eq.x_star.with_values(eq.x_star.values * y)

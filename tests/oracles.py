@@ -3,10 +3,12 @@
 Deliberately self-contained: these helpers re-implement quadrature and
 scanning directly on closed-form integrands so that package results are
 checked against a code path that shares nothing with src/agechemo.
-``reference_closed_loop``, ``reference_galerkin_loop`` and
-``reference_contraction_value`` are the exceptions; their docstrings say
-why.
+``reference_closed_loop``, ``reference_galerkin_loop``,
+``reference_contraction_value`` and ``reference_clf_profile`` are the
+exceptions; their docstrings say why.
 """
+import math
+
 import numpy as np
 
 # trial system closed forms
@@ -81,8 +83,6 @@ def reference_closed_loop(x0, traj, eq, gains, params, t_final, dt, snapshot_tim
     time.  Returns the trace arrays, the psi nodes and the snapshot
     profiles in a dict.
     """
-    import math
-
     from agechemo.delay import HistoryBuffer, init_delay_state
     from agechemo.errors import LogDomain
     from agechemo.grid import fd4
@@ -91,10 +91,12 @@ def reference_closed_loop(x0, traj, eq, gains, params, t_final, dt, snapshot_tim
     kt, ktp, g = eq.k_tilde.values, eq.k_tilde_prime.values, eq.g.values
     n_hist = int(round(a_max / dt))
     n_steps = int(round(t_final / dt))
-    start = init_delay_state(x0, traj, eq, gains.z0, params, dt)
-    buf = HistoryBuffer(-a_max, dt, capacity=n_hist + 1 + n_steps)
-    hist_vals = start.buffer.val[: n_hist + 1]
-    buf.fill_initial(hist_vals, fd4(hist_vals, dt))
+    start = init_delay_state(x0, traj, eq, params, dt)
+    val, der = np.zeros(n_hist + 1 + n_steps), np.zeros(n_hist + 1 + n_steps)
+    val[: n_hist + 1] = start.buffer.val[: n_hist + 1]
+    der[: n_hist + 1] = fd4(val[: n_hist + 1], dt)
+    buf = HistoryBuffer(-a_max, dt, val, der)
+    buf.size = n_hist + 1
 
     def psi_rhs(tau, psi_now):
         window = buf.eval(tau - nodes)
@@ -128,7 +130,7 @@ def reference_closed_loop(x0, traj, eq, gains, params, t_final, dt, snapshot_tim
     snap_idx = {int(round(s / dt)): float(s) for s in snapshot_times}
     snapshots = {}
     t = 0.0
-    u = np.array([start.eta, start.z[0], start.z[1]])
+    u = np.array([start.eta, gains.z0[0], gains.z0[1]], dtype=float)
 
     def record(i):
         dlt = delta_at(t)
@@ -181,8 +183,6 @@ def reference_galerkin_loop(system, basis, traj, gains, params, t_final, dt, sna
     trace arrays and the snapshot profiles in a dict; ``system`` is left
     unchanged.
     """
-    import math
-
     from agechemo.errors import Instability, NonPositiveOutput, PositivityViolation
 
     n = len(system.lam)
@@ -256,6 +256,30 @@ def reference_galerkin_loop(system, basis, traj, gains, params, t_final, dt, sna
     return out
 
 
+def reference_clf_profile(profile, z, traj, eq, cert, params, t):
+    """The combined functional (V, Q) from an age profile at time t.
+
+    The profile form: the scale is Pi(x) / y_ref(t), the history norm and
+    floor are taken on the ratio x / (x* y_ref) against that scale, and the
+    head term is the squared log scale.  An exception to this module's
+    rule: it reuses the package's ``pi_functional``, so that it checks the
+    history form along an oracle trace (eta and the psi window) against the
+    profile that trace reconstructs.
+    """
+    from agechemo.delay import pi_functional
+
+    y_ref = float(traj.eval(t))
+    scale = pi_functional(profile, eq, params) / y_ref
+    ratio = profile.values / (eq.x_star.values * y_ref)
+    w_norm = float(np.max(np.exp(-cert.sigma * params.nodes) * np.abs(ratio - scale)))
+    floor = min(scale, float(ratio.min()))
+    e1 = float(z[0]) - math.log(scale)
+    e2 = float(z[1]) - cert.d_star
+    q = e1 * e1 - cert.p1 * e1 * e2 + cert.p2 * e2 * e2 + 0.5 * cert.big_m * (w_norm / floor) ** 2
+    v = math.log(scale) ** 2 + cert.alpha1 * math.sqrt(q) + cert.alpha2 * q
+    return v, q
+
+
 def reference_contraction_value(k_tilde, lam, sigma=0.0):
     """The contraction integral with every kernel quantity rebuilt per call.
 
@@ -278,8 +302,6 @@ def reference_contraction_value(k_tilde, lam, sigma=0.0):
 
 def reference_b3_search(k_tilde):
     """Log scan plus 90 golden sections on ``reference_contraction_value``; (lam, value)."""
-    import math
-
     grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e2, 400)])
     vals = [reference_contraction_value(k_tilde, lam) for lam in grid]
     i0 = int(np.argmin(vals))

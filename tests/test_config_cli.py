@@ -276,6 +276,21 @@ def test_cli_run_single_route(tmp_path, capsys):
     assert not (tmp_path / "o" / "galerkin.csv").exists()
 
 
+@pytest.mark.parametrize("t_final", [0.3, 0.02])
+def test_cli_run_short_horizon(tmp_path, capsys, t_final):
+    # the IDE sample times start past 0.02 and 0.3; at 0.02 one CLF sample spans no interval
+    path = tmp_path / "short.cfg"
+    text = bundled("const.cfg").read_text()
+    path.write_text(re.sub(r"(?m)^t_final = .*$", "t_final = %g" % t_final, text))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) in (0, 2)
+    out = capsys.readouterr()
+    assert "error:" not in out.out + out.err
+    report = (tmp_path / "o" / "report.txt").read_text()
+    assert "oracle_ide_identity          PASS" in report
+    assert ("clf_decay not checked" in report) == (t_final < 0.1)
+    assert ("clf_decay                    PASS" in report) == (t_final > 0.1)
+
+
 def test_build_trajectory_kinds(tmp_path):
     for block, kind in (
         ("kind = ramp\ny4 = 0.3\ny1 = 0.75", "ramp"),

@@ -10,7 +10,6 @@ from agechemo.delay import (
     init_delay_state,
     pi_functional,
     pi_weight,
-    reconstruct,
     simulate_closed_loop,
 )
 from agechemo.config import build_model, build_trajectory, build_x0, load_config
@@ -59,59 +58,47 @@ def test_pi_functional_trial_profile_oracle(trial):
 
 
 def test_init_exact_tracking_start(trial):
-    eq, params, gains = trial["eq"], trial["params"], trial["gains"]
+    eq, params = trial["eq"], trial["params"]
     traj = make_constant(1.0)
-    state = init_delay_state(eq.x_star, traj, eq, gains.z0, params, params.h)
+    state = init_delay_state(eq.x_star, traj, eq, params, params.h)
     assert abs(state.eta) < 1e-12
-    assert np.max(np.abs(state.window(0.0))) < 1e-12
+    assert np.max(np.abs(state.buffer.eval(-params.nodes))) < 1e-12
 
 
 def test_init_weighted_mean_zero(trial):
-    eq, params, x0, traj, gains = (
-        trial["eq"],
-        trial["params"],
-        trial["x0"],
-        trial["traj"],
-        trial["gains"],
-    )
-    state = init_delay_state(x0, traj, eq, gains.z0, params, params.h)
+    eq, params, x0, traj = trial["eq"], trial["params"], trial["x0"], trial["traj"]
+    state = init_delay_state(x0, traj, eq, params, params.h)
     pi = pi_weight(eq, params)
-    psi0 = state.window(0.0)
+    psi0 = state.buffer.eval(-params.nodes)
     mean = float(params.weights @ (pi.values * eq.x_star.values * psi0))
     assert abs(mean) < 1e-8
 
 
 def test_init_eta_matches_functional(trial):
-    eq, params, x0, traj, gains = (
-        trial["eq"],
-        trial["params"],
-        trial["x0"],
-        trial["traj"],
-        trial["gains"],
-    )
-    state = init_delay_state(x0, traj, eq, gains.z0, params, params.h)
+    eq, params, x0, traj = trial["eq"], trial["params"], trial["x0"], trial["traj"]
+    state = init_delay_state(x0, traj, eq, params, params.h)
     # y_ref(0) = 1, so eta0 = ln Pi(x0) up to the recentering shift
     assert state.eta == pytest.approx(math.log(pi_functional(x0, eq, params)), abs=1e-8)
 
 
 def test_init_rejects_inadmissible_profile(trial):
-    params, eq, traj, gains = trial["params"], trial["eq"], trial["traj"], trial["gains"]
+    params, eq, traj = trial["params"], trial["eq"], trial["traj"]
     a = params.nodes
     literal = GridFunction(-0.054 * a + np.exp(-1.30 * a), params.a_max)
     with pytest.raises(InvalidIC):
-        init_delay_state(literal, traj, eq, gains.z0, params, params.h)
+        init_delay_state(literal, traj, eq, params, params.h)
 
 
 def test_step_psi_zero_solution(trial):
-    eq, params, gains = trial["eq"], trial["params"], trial["gains"]
-    state = init_delay_state(eq.x_star, make_constant(1.0), eq, gains.z0, params, params.h)
+    eq, params = trial["eq"], trial["params"]
+    state = init_delay_state(eq.x_star, make_constant(1.0), eq, params, params.h)
     _advance_psi(state.dyn, state.buffer, 100)
     assert np.max(np.abs(state.buffer.node_values())) < 1e-14
 
 
 def test_step_psi_constant_fixed_point(trial):
-    eq, params, gains = trial["eq"], trial["params"], trial["gains"]
-    state = init_delay_state(eq.x_star, make_constant(1.0), eq, gains.z0, params, params.h)
+    eq, params = trial["eq"], trial["params"]
+    state = init_delay_state(eq.x_star, make_constant(1.0), eq, params, params.h)
     c = 0.37
     state.buffer.val[: state.buffer.size] = c
     state.buffer.der[: state.buffer.size] = 0.0
@@ -126,8 +113,8 @@ def test_ide_identity_along_run(fig2a_runs):
 
 
 def test_delta_zero_history(trial):
-    eq, params, gains = trial["eq"], trial["params"], trial["gains"]
-    state = init_delay_state(eq.x_star, make_constant(1.0), eq, gains.z0, params, params.h)
+    eq, params = trial["eq"], trial["params"]
+    state = init_delay_state(eq.x_star, make_constant(1.0), eq, params, params.h)
     assert abs(_delta_grid(state.dyn, state.buffer, 0, 0)[0]) < 1e-14
 
 
@@ -149,8 +136,8 @@ def test_delta_bound_random_windows(trial, trial_cert):
 def test_delta_log_domain_on_corrupted_history(trial):
     from agechemo.errors import LogDomain
 
-    eq, params, gains = trial["eq"], trial["params"], trial["gains"]
-    state = init_delay_state(eq.x_star, make_constant(1.0), eq, gains.z0, params, params.h)
+    eq, params = trial["eq"], trial["params"]
+    state = init_delay_state(eq.x_star, make_constant(1.0), eq, params, params.h)
     state.buffer.val[: state.buffer.size] = -2.0  # below the reconstruction floor
     state.buffer.der[: state.buffer.size] = 0.0
     with pytest.raises(LogDomain, match="at t = 0$"):
@@ -195,21 +182,28 @@ def test_reconstruct_exact_tracking(trial):
     eq, params, gains = trial["eq"], trial["params"], trial["gains"]
     traj = make_constant(2.5)
     x0 = eq.x_star.with_values(2.5 * eq.x_star.values)
-    state = init_delay_state(x0, traj, eq, gains.z0, params, params.h)
-    profile, y = reconstruct(state, traj, eq)
-    assert np.allclose(profile.values, 2.5 * eq.x_star.values, rtol=1e-10)
-    assert y == pytest.approx(2.5, rel=1e-10)
+    trace = simulate_closed_loop(x0, traj, eq, gains, params, params.h, params.h, (0.0,))
+    assert np.allclose(trace.snapshots[0.0].values, 2.5 * eq.x_star.values, rtol=1e-10)
+    assert trace.y[0] == pytest.approx(2.5, rel=1e-10)
 
 
 def test_reconstruct_output_consistency(trial, fig2a_runs):
     # <p, profile> equals the reconstructed output within quadrature tolerance
-    params = trial["params"]
-    trace = fig2a_runs["oracle"]
-    for t_snap, profile in trace.snapshots.items():
-        i = int(round(t_snap / params.h))
-        y_profile = float(params.weights @ (params.p.values * profile.values))
-        assert y_profile == pytest.approx(trace.y[i], rel=1e-10)
-        assert np.all(profile.values > 0)
+    eq, params, gains, x0, traj = (
+        trial["eq"],
+        trial["params"],
+        trial["gains"],
+        trial["x0"],
+        trial["traj"],
+    )
+    start = simulate_closed_loop(x0, traj, eq, gains, params, params.h, params.h, (0.0,))
+    assert 0.0 in start.snapshots
+    for trace in (start, fig2a_runs["oracle"]):
+        for t_snap, profile in trace.snapshots.items():
+            i = int(round(t_snap / params.h))
+            y_profile = float(params.weights @ (params.p.values * profile.values))
+            assert y_profile == pytest.approx(trace.y[i], rel=1e-10)
+            assert np.all(profile.values > 0)
 
 
 def test_psi_input_independence_bitwise(trial):
@@ -229,8 +223,8 @@ def test_psi_input_independence_bitwise(trial):
 
 
 def test_history_gap_raised(trial):
-    eq, params, gains = trial["eq"], trial["params"], trial["gains"]
-    state = init_delay_state(eq.x_star, make_constant(1.0), eq, gains.z0, params, params.h)
+    eq, params = trial["eq"], trial["params"]
+    state = init_delay_state(eq.x_star, make_constant(1.0), eq, params, params.h)
     with pytest.raises(HistoryGap):
         state.buffer.eval(-3.0)
     with pytest.raises(HistoryGap):

@@ -7,6 +7,7 @@ from agechemo.grid import (
     cumquad4,
     cumtrapz,
     fd4,
+    hermite_eval,
     hermite_resample,
     simpson,
     simpson_weights,
@@ -55,6 +56,14 @@ def test_hermite_resample_smooth():
     q = np.linspace(0, 2, 301)
     out = hermite_resample(x, np.exp(-x), q)
     assert np.max(np.abs(out - np.exp(-q))) < 1e-8
+
+
+def test_hermite_eval_exact_for_cubics_past_both_ends():
+    # exact values and slopes: each segment's cubic is the cubic itself
+    x = np.linspace(-1.0, 1.0, 9)
+    q = np.linspace(-1.1, 1.1, 57)
+    out = hermite_eval(q, x[0], x[1] - x[0], x**3 - 2 * x, 3 * x**2 - 2)
+    np.testing.assert_allclose(out, q**3 - 2 * q, rtol=0, atol=1e-13)
 
 
 def test_gridfunction_eval_exact_at_nodes():

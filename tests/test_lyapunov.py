@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from agechemo import lyapunov
-from agechemo.delay import reconstruct, simulate_closed_loop
-from agechemo.controller import ScalarLoop
+from agechemo.delay import simulate_closed_loop
+from agechemo.controller import ControllerGains, ScalarLoop
 from agechemo.errors import B3Fail, InvalidTrajectory, NoFeasiblePair
 from agechemo.lyapunov import (
     Certificate,
@@ -13,7 +13,6 @@ from agechemo.lyapunov import (
     b3_search,
     check_envelope,
     check_history_decay,
-    clf_value,
     kappa_v,
     observer_quadratic,
     overshoot_log_bound,
@@ -31,6 +30,7 @@ from oracles import (
     eta_decay_violations,
     observer_iss_violations,
     reference_b3_search,
+    reference_clf_profile,
     reference_contraction_value,
     reference_sigma_search,
 )
@@ -243,13 +243,12 @@ def test_certificate_invariants(trial_cert):
 
 
 def test_clf_zero_at_exact_tracking(trial, trial_cert):
-    eq, params, gains = trial["eq"], trial["params"], trial["gains"]
-    from agechemo.delay import init_delay_state
-
-    traj = make_constant(1.0)
-    state = init_delay_state(eq.x_star, traj, eq, (0.0, eq.d_star), params, params.h)
-    v, q = clf_value(state, state.z, traj, eq, trial_cert, params)
-    assert v < 1e-20 and q < 1e-24
+    eq, params, g = trial["eq"], trial["params"], trial["gains"]
+    gains = ControllerGains(g.gamma, g.l1, g.l2, (0.0, eq.d_star))
+    trace = simulate_closed_loop(eq.x_star, make_constant(1.0), eq, gains, params, 100 * params.h, params.h)
+    ts, vs = sample_clf(trace, trial_cert)
+    assert len(ts) == 11
+    assert np.max(vs) < 1e-20
 
 
 def test_clf_profile_and_history_forms_agree(trial, trial_cert):
@@ -260,14 +259,11 @@ def test_clf_profile_and_history_forms_agree(trial, trial_cert):
         trial["x0"],
         trial["traj"],
     )
-    from agechemo.delay import init_delay_state
-
-    state = init_delay_state(x0, traj, eq, gains.z0, params, params.h)
-    v_hist, q_hist = clf_value(state, state.z, traj, eq, trial_cert, params)
-    profile, _ = reconstruct(state, traj, eq)
-    v_prof, q_prof = clf_value(profile, state.z, traj, eq, trial_cert, params, t=0.0)
-    assert v_prof == pytest.approx(v_hist, rel=1e-8)
-    assert q_prof == pytest.approx(q_hist, rel=1e-8)
+    trace = simulate_closed_loop(x0, traj, eq, gains, params, params.h, params.h, (0.0,))
+    _, vs = sample_clf(trace, trial_cert)
+    z = (trace.z1[0], trace.z2[0])
+    v_prof, _ = reference_clf_profile(trace.snapshots[0.0], z, traj, eq, trial_cert, params, 0.0)
+    assert vs[0] == pytest.approx(v_prof, rel=1e-8)
 
 
 def test_clf_initial_value_regression(trial, trial_cert, fig2a_runs):
