@@ -32,7 +32,9 @@ Grammar (all keys required unless noted, unknown keys rejected):
 Every number must be finite.  Tables are values on the uniform age grid
 with exactly age_nodes entries.
 dt is snapped to an exact divisor of a_max so that the delay window tiles
-the time grid.
+the time grid; t_final must span at least one step, and each snapshot time
+is snapped to the nearest step (duplicates and times outside the horizon
+are dropped).
 """
 from __future__ import annotations
 
@@ -208,6 +210,11 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if dt <= 0 or t_final <= 0:
         raise ValidationError("[numerics]: dt and t_final must be positive")
     dt = a_max / max(1, round(a_max / dt))  # snap to an exact divisor of the window
+    n_steps = round(t_final / dt)
+    if n_steps == 0:
+        raise ValidationError(
+            "[numerics] t_final: %g is less than half a time step (dt = %g)" % (t_final, dt)
+        )
 
     routes = "both"
     snapshot_times: tuple = (1.0, t_final)
@@ -219,7 +226,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
             snapshot_times = tuple(
                 _floats(parser["outputs"]["snapshot_times"].split(), "[outputs] snapshot_times")
             )
-    snapshot_times = tuple(s for s in snapshot_times if 0 <= s <= t_final)
+    # snapped to the step grid like dt, so that each label names the profile stored under it
+    snapshot_times = tuple(
+        dict.fromkeys(round(s / dt) * dt for s in snapshot_times if 0 <= round(s / dt) <= n_steps)
+    )
 
     return ScenarioConfig(
         a_max=a_max,
@@ -246,7 +256,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     )
 
 
-def _table_or_form(spec: tuple, nodes: np.ndarray, n: int, where: str) -> np.ndarray:
+def _table_or_form(spec: tuple, n: int, where: str) -> np.ndarray:
     name = spec[0]
     if name == "table":
         vals = np.asarray(spec[1:], dtype=float)
@@ -262,15 +272,15 @@ def build_model(cfg: ScenarioConfig) -> ModelParams:
     """Materialize the model grids from the config's named forms."""
     n = cfg.age_nodes
     nodes = np.linspace(0.0, cfg.a_max, n)
-    mu = _table_or_form(cfg.mu_spec, nodes, n, "[model] mu")
-    p = _table_or_form(cfg.p_spec, nodes, n, "[model] p")
+    mu = _table_or_form(cfg.mu_spec, n, "[model] mu")
+    p = _table_or_form(cfg.p_spec, n, "[model] p")
     k_prime = None
     if cfg.k_spec[0] == "quadratic-motherhood":
         k0 = cfg.k_spec[1]
         k = k0 * nodes * (cfg.a_max - nodes)
         k_prime = k0 * (cfg.a_max - 2.0 * nodes)
     else:
-        k = _table_or_form(cfg.k_spec, nodes, n, "[model] k")
+        k = _table_or_form(cfg.k_spec, n, "[model] k")
         if cfg.k_spec[0] == "constant":
             k_prime = np.zeros(n)
     mk = lambda v: GridFunction(v, cfg.a_max)
@@ -322,7 +332,7 @@ def build_x0(cfg: ScenarioConfig, params: ModelParams, eq: Equilibrium) -> GridF
         slope, decay = cfg.x0_spec[1], cfg.x0_spec[2]
         vals = slope * a + np.exp(-decay * a)
     else:
-        vals = _table_or_form(cfg.x0_spec, a, cfg.age_nodes, "[model] x0")
+        vals = _table_or_form(cfg.x0_spec, cfg.age_nodes, "[model] x0")
     gf = GridFunction(vals, cfg.a_max)
     if kind in ("compat-linear-exp", "scaled-equilibrium"):
         gap = abs(compatibility_gap(gf, params))

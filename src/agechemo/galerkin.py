@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .grid import GridFunction, fd4, hermite_resample, simpson_weights
-from .model import Equilibrium, ModelParams
+from .model import COMPAT_RTOL, Equilibrium, ModelParams, compatibility_gap
 from .trajectories import Trajectory
 
 #: Chebyshev-Lobatto collocation degree of the delay-equation generator
@@ -72,20 +72,17 @@ class CertifiedRoots(list):
         self.omega_cap = omega_cap
 
 
-def _char_residual(s: complex, k_tilde: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> complex:
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = complex(weights @ (k_tilde * np.exp(-s * nodes)))
-    return val - 1.0
-
-
-def _char_values(s: np.ndarray, wk: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """int kt e^{-s a} da - 1 at many points s, as chunked sums (wk = w * kt)."""
-    out = np.empty(len(s), dtype=complex)
+def _char_values(s, wk: np.ndarray, nodes: np.ndarray):
+    """int kt e^{-s a} da - 1 at a point s or at many, as chunked sums (wk = w * kt)."""
+    pts = np.atleast_1d(s)
+    out = np.empty(len(pts), dtype=complex)
     rows = max(1, _CHUNK // len(nodes))
-    for lo in range(0, len(s), rows):
-        block = np.outer(s[lo : lo + rows], -nodes)
-        out[lo : lo + rows] = np.exp(block, out=block) @ wk
-    return out - 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(pts), rows):
+            block = np.outer(pts[lo : lo + rows], -nodes)
+            out[lo : lo + rows] = np.exp(block, out=block) @ wk
+    out -= 1.0
+    return out if np.ndim(s) else complex(out[0])
 
 
 def _collocation_eigenvalues(eq: Equilibrium, params: ModelParams) -> np.ndarray:
@@ -162,7 +159,7 @@ def _polish(s: complex, kt: np.ndarray, nodes: np.ndarray, w: np.ndarray, wa: np
     return s if abs(f) < 1e-13 else None
 
 
-def _polish_roots(eigs, needed, kt_f, nodes_f, w_f, kt, nodes, w, omega_cap) -> list[complex]:
+def _polish_roots(eigs, needed, kt_f, nodes_f, w_f, wk, nodes, omega_cap) -> list[complex]:
     """Distinct roots in 0 < Im s <= omega_cap polished from the eigenvalues.
 
     Starts run in order of decreasing real part, and stop once needed + 1
@@ -178,7 +175,7 @@ def _polish_roots(eigs, needed, kt_f, nodes_f, w_f, kt, nodes, w, omega_cap) -> 
         s = _polish(complex(z), kt_f, nodes_f, w_f, wa_f)
         if s is None or s.imag <= 1e-6 or s.imag > omega_cap:
             continue
-        if abs(_char_residual(s, kt, nodes, w)) > _ALIAS_RESIDUAL_TOL:
+        if abs(_char_values(s, wk, nodes)) > _ALIAS_RESIDUAL_TOL:
             continue  # not a root of the native-grid kernel: an alias
         if all(abs(s - r) >= _DEDUP_DIST for r in found):
             found.append(s)
@@ -251,23 +248,25 @@ def characteristic_roots(eq: Equilibrium, params: ModelParams, count: int) -> li
     if count % 2 != 0 or count < 4:
         raise ValueError("count must be even and >= 4")
     kt = eq.k_tilde.values
-    nodes, w = params.nodes, params.weights
+    nodes = params.nodes
+    wk = params.weights * kt
     omega_cap = math.pi / (4 * params.h)
 
     n_fine = 4 * (params.mu.n - 1) + 1
     nodes_f = np.linspace(0.0, params.a_max, n_fine)
     kt_f = hermite_resample(nodes, kt, nodes_f)
     w_f = simpson_weights(n_fine, nodes_f[1] - nodes_f[0])
+    wk_f = w_f * kt_f
 
     pairs_needed = count // 2 - 1
     eigs = _collocation_eigenvalues(eq, params)
-    found = _polish_roots(eigs, pairs_needed, kt_f, nodes_f, w_f, kt, nodes, w, omega_cap)
+    found = _polish_roots(eigs, pairs_needed, kt_f, nodes_f, w_f, wk, nodes, omega_cap)
     if len(found) < pairs_needed:
         # every eigenvalue was polished; when the argument principle finds no
         # other root in the box down to a margin below the last one, the
         # missing pairs lie above the frequency cap the grid resolves
         sigma_lo = (found[-1].real if found else 0.0) - _CERT_MARGIN
-        if _winding_number(w_f * kt_f, nodes_f, sigma_lo, omega_cap) == 2 * len(found) + 1:
+        if _winding_number(wk_f, nodes_f, sigma_lo, omega_cap) == 2 * len(found) + 1:
             raise ValidationError(
                 "[numerics] age_nodes: %d nodes resolve %d of the %d conjugate pairs "
                 "needed below the frequency cap pi/(4h) = %.4g; use more age nodes "
@@ -283,11 +282,8 @@ def characteristic_roots(eq: Equilibrium, params: ModelParams, count: int) -> li
         # the trivial root is pinned by the native-grid normalization (that
         # is where the equilibrium dilution rate was solved); nontrivial
         # roots were determined on the refined rule
-        if r == 0:
-            bad = abs(_char_residual(r, kt, nodes, w)) >= ROOT_RESIDUAL_TOL
-        else:
-            bad = abs(_char_residual(r, kt_f, nodes_f, w_f)) >= ROOT_RESIDUAL_TOL
-        if bad:
+        residual = _char_values(r, wk, nodes) if r == 0 else _char_values(r, wk_f, nodes_f)
+        if abs(residual) >= ROOT_RESIDUAL_TOL:
             raise RootSearchExhausted("root %s failed the residual check" % r)
 
     last = found[pairs_needed - 1].real
@@ -295,7 +291,7 @@ def characteristic_roots(eq: Equilibrium, params: ModelParams, count: int) -> li
         sigma_lo = 0.5 * (last + found[pairs_needed].real)
     else:
         sigma_lo = last - _CERT_MARGIN
-    winding = _winding_number(w_f * kt_f, nodes_f, sigma_lo, omega_cap)
+    winding = _winding_number(wk_f, nodes_f, sigma_lo, omega_cap)
     if winding != len(roots):
         raise RootSearchExhausted(
             "argument principle counts %d roots in Re s >= %.4g, |Im s| <= %.4g; "
@@ -357,8 +353,8 @@ def build_basis(
     if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
         raise DependentBasis("trial Gram condition number %.3g exceeds %g" % (cond, GRAM_COND_LIMIT))
 
-    bc_defect = abs(x0.values[0] - float(w @ (params.k.values * x0.values)))
-    if bc_defect > 1e-6 * float(np.max(np.abs(x0.values))):
+    bc_defect = abs(compatibility_gap(x0, params))
+    if bc_defect > COMPAT_RTOL * float(np.max(np.abs(x0.values))):
         warnings.warn(
             "initial profile violates the boundary condition by %.3g; "
             "the trial bank keeps it unmodified" % bc_defect,

@@ -2,8 +2,8 @@
 
 All integral operators in the toolkit share one convention: functions on
 [0, A] are sampled on a uniform grid with an odd node count and integrated
-with composite Simpson weights.  Evaluation between nodes is piecewise
-linear, exact at the nodes.
+with composite Simpson weights.  Smooth profiles are resampled between
+nodes with cubic Hermite interpolation.
 """
 from __future__ import annotations
 
@@ -109,11 +109,7 @@ def hermite_resample(nodes: np.ndarray, values: np.ndarray, query: np.ndarray) -
 
 @dataclass(frozen=True)
 class GridFunction:
-    """A function on [0, A] sampled on a uniform grid.
-
-    Evaluation at arbitrary ages is piecewise-linear interpolation, exact
-    at the nodes.
-    """
+    """Values of a function on [0, A] at the nodes of a uniform grid."""
 
     values: np.ndarray
     a_max: float
@@ -136,25 +132,8 @@ class GridFunction:
     def h(self) -> float:
         return self.a_max / (self.n - 1)
 
-    def __call__(self, a):
-        return np.interp(a, self.nodes, self.values)
-
     def integral(self) -> float:
         return simpson(self.values, self.h)
-
-    def inner(self, other: "GridFunction") -> float:
-        """L2 inner product over [0, A]; grids must coincide."""
-        self._check_same_grid(other)
-        return simpson(self.values * other.values, self.h)
-
-    def _check_same_grid(self, other: "GridFunction"):
-        from .errors import GridMismatch
-
-        if self.n != other.n or self.a_max != other.a_max:
-            raise GridMismatch(
-                "grids differ: (%d, %g) vs (%d, %g)"
-                % (self.n, self.a_max, other.n, other.a_max)
-            )
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(values, self.a_max)

@@ -148,11 +148,10 @@ class ObserverQuadratic(NamedTuple):
     beta2: float
 
 
-def quadratic_pair_feasible(l1: float, l2: float, p1: float, p2: float) -> bool:
-    """The two shape inequalities on (p1, p2) for gains (l1, l2)."""
-    return (
-        p1 * p1 < 4.0 * p2
-        and (2.0 + l1 * p1 - 2.0 * l2 * p2) ** 2 < 8.0 * l1 * p1 - 4.0 * l2 * p1 * p1
+def quadratic_pair_feasible(l1: float, l2: float, p1, p2):
+    """The two shape inequalities on (p1, p2) for gains (l1, l2); elementwise on arrays."""
+    return (p1 * p1 < 4.0 * p2) & (
+        (2.0 + l1 * p1 - 2.0 * l2 * p2) ** 2 < 8.0 * l1 * p1 - 4.0 * l2 * p1 * p1
     )
 
 
@@ -193,9 +192,7 @@ def observer_quadratic(l1: float, l2: float) -> ObserverQuadratic:
     best = None  # (beta1, p1, p2, k1, k2, kt1, kt2) at the best cell so far
     for lo in range(0, OQ_GRID, OQ_BLOCK):
         P1, P2 = np.meshgrid(p1g[lo : lo + OQ_BLOCK], p2g, indexing="ij")
-        feas = (P1 * P1 < 4.0 * P2) & (
-            (2.0 + l1 * P1 - 2.0 * l2 * P2) ** 2 < 8.0 * l1 * P1 - 4.0 * l2 * P1 * P1
-        )
+        feas = quadratic_pair_feasible(l1, l2, P1, P2)
         k1, k2 = _sym2_eigs(np.ones_like(P1), -P1 / 2.0, P2)
         kt1, kt2 = _sym2_eigs(2.0 * l1 - l2 * P1, l2 * P2 - l1 * P1 / 2.0 - 1.0, P1)
         feas &= (k1 > 0) & (kt1 > 0)

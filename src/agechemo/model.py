@@ -157,17 +157,15 @@ def calibrate_birth_modulus(shape: GridFunction, d_star_target: float, params: M
     return 1.0 / integral
 
 
-def check_initial_condition(x0: GridFunction, params: ModelParams, rtol: float = COMPAT_RTOL) -> bool:
+def check_initial_condition(x0: GridFunction, params: ModelParams) -> bool:
     """Admissibility of an initial profile: positive and boundary compatible.
 
-    Compatibility means x0(0) = <k, x0> within rtol * max|x0|.
+    Compatibility means x0(0) = <k, x0> within COMPAT_RTOL * max|x0|.
     """
     v = x0.values
     if not np.all(v > 0):
         return False
-    w = params.weights
-    boundary_gap = abs(v[0] - float(w @ (params.k.values * v)))
-    return boundary_gap <= rtol * float(np.max(np.abs(v)))
+    return abs(compatibility_gap(x0, params)) <= COMPAT_RTOL * float(np.max(np.abs(v)))
 
 
 def compatibility_gap(x0: GridFunction, params: ModelParams) -> float:

@@ -36,7 +36,6 @@ class ValidityReport:
     sup_rate: float
     valid: bool
     t_crit: Optional[float]
-    may_reexit: bool = False
 
 
 def make_ramp(y4: float, y1: float) -> Trajectory:
@@ -128,7 +127,7 @@ def validate(
 
     For ramps the rate is monotone, so the entry time into the band is
     computed in closed form; for other kinds the first probe-grid entry is
-    reported and re-exit is flagged rather than resolved.
+    reported, and a later exit from the band is not resolved.
     """
     hz = _probe_horizon(traj, horizon)
     ts = np.linspace(0.0, hz, probe_points)
@@ -139,7 +138,6 @@ def validate(
     valid = lo_band < inf_rate and sup_rate < hi_band
 
     t_crit: Optional[float] = None
-    may_reexit = False
     if valid:
         t_crit = 0.0
     elif traj.kind == "ramp":
@@ -153,10 +151,8 @@ def validate(
     else:
         inside = (rates > lo_band) & (rates < hi_band)
         if inside.any():
-            first = int(np.argmax(inside))
-            t_crit = float(ts[first])
-            may_reexit = bool((~inside[first:]).any())
-    return ValidityReport(inf_rate, sup_rate, valid, t_crit, may_reexit)
+            t_crit = float(ts[np.argmax(inside)])
+    return ValidityReport(inf_rate, sup_rate, valid, t_crit)
 
 
 def reference_profile(traj: Trajectory, eq: Equilibrium, t: float) -> GridFunction:

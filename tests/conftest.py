@@ -1,3 +1,4 @@
+import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -24,6 +25,14 @@ from agechemo.scenario import run
 
 def bundled(name: str) -> Path:
     return Path(resources.files("agechemo") / "configs" / name)
+
+
+def bundled_with(tmp_path: Path, name: str, key: str, value: str) -> Path:
+    """A copy of a bundled config whose ``key = ...`` line reads ``key = value``."""
+    text = re.sub(r"(?m)^%s = .*$" % key, "%s = %s" % (key, value), bundled(name).read_text())
+    path = tmp_path / name
+    path.write_text(text)
+    return path
 
 
 def motherhood_model(n, mu, k0):

@@ -8,7 +8,8 @@ from agechemo import galerkin
 from agechemo.cli import main
 from agechemo.config import build_model, build_trajectory, load_config
 from agechemo.errors import ParseError, ValidationError
-from conftest import bundled, small_config_text
+from agechemo.scenario import run
+from conftest import bundled, bundled_with, small_config_text
 
 
 def test_bundled_transition_config_parses():
@@ -160,6 +161,8 @@ def test_cli_model_value_error_exits_3(tmp_path, capsys, old, new, key):
         # a fractional count is rejected, not truncated
         ("n_modes = 4", "n_modes = 6.9", "[numerics] n_modes"),
         ("age_nodes = 401", "age_nodes = 401.5", "[numerics] age_nodes"),
+        # a horizon that rounds to zero steps of dt = 0.005
+        ("t_final = 4.0", "t_final = 0.001", "[numerics] t_final"),
     ],
 )
 def test_cli_non_finite_number_exits_3(tmp_path, capsys, old, new, key):
@@ -279,9 +282,7 @@ def test_cli_run_single_route(tmp_path, capsys):
 @pytest.mark.parametrize("t_final", [0.3, 0.02])
 def test_cli_run_short_horizon(tmp_path, capsys, t_final):
     # the IDE sample times start past 0.02 and 0.3; at 0.02 one CLF sample spans no interval
-    path = tmp_path / "short.cfg"
-    text = bundled("const.cfg").read_text()
-    path.write_text(re.sub(r"(?m)^t_final = .*$", "t_final = %g" % t_final, text))
+    path = bundled_with(tmp_path, "const.cfg", "t_final", "%g" % t_final)
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) in (0, 2)
     out = capsys.readouterr()
     assert "error:" not in out.out + out.err
@@ -289,6 +290,24 @@ def test_cli_run_short_horizon(tmp_path, capsys, t_final):
     assert "oracle_ide_identity          PASS" in report
     assert ("clf_decay not checked" in report) == (t_final < 0.1)
     assert ("clf_decay                    PASS" in report) == (t_final > 0.1)
+
+
+def test_snapshot_times_snap_to_the_step_grid(tmp_path):
+    # with dt = 0.005, 0.333 is stored at step 67 (t = 0.335), and 1.001 at step 200 like 1.0
+    cfg = load_config(bundled_with(tmp_path, "fig2a.cfg", "snapshot_times", "0.333 1.0 1.001"))
+    assert ["%g" % s for s in cfg.snapshot_times] == ["0.335", "1"]
+    run(cfg, tmp_path / "o")
+    for route in ("galerkin", "oracle"):
+        header = (tmp_path / "o" / (route + "_profiles.csv")).read_text().split("\n", 1)[0]
+        assert header == "a,t=0.335,t=1"
+    report = (tmp_path / "o" / "report.txt").read_text()
+    assert "profile_gap_t0.335 = " in report and "profile_gap_t1 = " in report
+
+
+def test_snapshot_times_filtered_by_step_index(tmp_path):
+    # fig2a: dt = 0.005, t_final = 12, so steps 0..2400 are stored
+    path = bundled_with(tmp_path, "fig2a.cfg", "snapshot_times", "-0.003 -0.001 12.002 12.003")
+    assert load_config(path).snapshot_times == (0.0, 12.0)
 
 
 def test_build_trajectory_kinds(tmp_path):

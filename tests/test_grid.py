@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from agechemo.errors import GridMismatch
 from agechemo.grid import (
     GridFunction,
     cumquad4,
@@ -66,22 +65,9 @@ def test_hermite_eval_exact_for_cubics_past_both_ends():
     np.testing.assert_allclose(out, q**3 - 2 * q, rtol=0, atol=1e-13)
 
 
-def test_gridfunction_eval_exact_at_nodes():
-    gf = GridFunction(np.array([1.0, 2.0, 4.0]), 2.0)
-    assert gf(0.0) == 1.0 and gf(1.0) == 2.0 and gf(2.0) == 4.0
-    assert gf(0.5) == pytest.approx(1.5)
-
-
 def test_gridfunction_validation():
     with pytest.raises(ValueError):
         GridFunction(np.array([1.0]), 2.0)
     with pytest.raises(ValueError):
         GridFunction(np.array([1.0, 2.0]), -1.0)
-
-
-def test_gridfunction_inner_mismatch():
-    a = GridFunction(np.ones(11), 2.0)
-    b = GridFunction(np.ones(21), 2.0)
-    with pytest.raises(GridMismatch):
-        a.inner(b)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agechemo import lyapunov
 from agechemo.delay import simulate_closed_loop
@@ -162,6 +164,20 @@ def test_observer_quadratic_memoized():
 
 def test_infeasible_probe_rejected():
     assert not quadratic_pair_feasible(4.0, 8.0, 2.0, 0.5)
+
+
+_GAINS_AND_PAIR = st.tuples(
+    st.floats(0.01, 10.0), st.floats(0.01, 10.0), st.floats(1e-3, 2.0), st.floats(1e-3, 4.0)
+)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(_GAINS_AND_PAIR, min_size=1, max_size=40))
+def test_quadratic_pair_feasible_on_arrays_matches_scalar_verdicts(rows):
+    l1, l2, p1, p2 = (np.array(col) for col in zip(*rows))
+    verdicts = quadratic_pair_feasible(l1, l2, p1, p2)
+    assert verdicts.shape == (len(rows),)
+    assert verdicts.tolist() == [bool(quadratic_pair_feasible(*row)) for row in rows]
 
 
 def test_observer_quadratic_rejects_weak_gains():

@@ -9,7 +9,7 @@ from agechemo.errors import GridMismatch
 from agechemo.galerkin import assemble, simulate
 from agechemo.scenario import compare_routes, run
 from agechemo.trajectories import Trajectory
-from conftest import bundled, small_config_text
+from conftest import bundled, bundled_with, small_config_text
 from agechemo.config import load_config
 
 
@@ -157,6 +157,24 @@ def test_output_consistency_check_can_fail(tmp_path, monkeypatch):
 
     monkeypatch.setattr(delay, "simulate_closed_loop", skewed)
     assert consistency(run(cfg)) == (False, "max gap 1e-06")
+
+
+def test_ide_samples_end_at_the_last_stored_node(tmp_path, monkeypatch):
+    # t_final = 1.0024 rounds to 200 steps of 0.005: the last stored node is t = 1
+    cfg = dataclasses.replace(
+        load_config(bundled_with(tmp_path, "const.cfg", "t_final", "1.0024")), routes="oracle"
+    )
+    sampled = []
+    residual = delay.OracleTrace.ide_residual
+
+    def recording(trace, t):
+        sampled.append(t)
+        return residual(trace, t)
+
+    monkeypatch.setattr(delay.OracleTrace, "ide_residual", recording)
+    t_end = run(cfg).traces["oracle"].t[-1]
+    assert t_end < cfg.t_final and len(sampled) == 8
+    assert max(sampled) <= t_end
 
 
 def _write_per_value(path, names, rows):

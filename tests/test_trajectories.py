@@ -76,7 +76,6 @@ def test_ramp_validity_and_entry_time(trial):
     assert not rep.valid
     assert rep.sup_rate == pytest.approx(2.5, abs=1e-6)
     assert rep.t_crit == pytest.approx(1.6, abs=0.01)
-    assert not rep.may_reexit
 
 
 def test_flat_ramp_always_valid(trial):
