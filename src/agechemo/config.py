@@ -32,9 +32,10 @@ Grammar (all keys required unless noted, unknown keys rejected):
 Every number must be finite.  Tables are values on the uniform age grid
 with exactly age_nodes entries.
 dt is snapped to an exact divisor of a_max so that the delay window tiles
-the time grid; t_final must span at least one step, and each snapshot time
-is snapped to the nearest step (duplicates and times outside the horizon
-are dropped).
+the time grid, and t_final must span at least one step.  Each route keys a
+snapshot by the time of the step nearest each snapshot time; times that
+share a step or fall outside the horizon are dropped
+(controller.snapshot_steps).
 """
 from __future__ import annotations
 
@@ -210,8 +211,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if dt <= 0 or t_final <= 0:
         raise ValidationError("[numerics]: dt and t_final must be positive")
     dt = a_max / max(1, round(a_max / dt))  # snap to an exact divisor of the window
-    n_steps = round(t_final / dt)
-    if n_steps == 0:
+    if round(t_final / dt) == 0:
         raise ValidationError(
             "[numerics] t_final: %g is less than half a time step (dt = %g)" % (t_final, dt)
         )
@@ -226,10 +226,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
             snapshot_times = tuple(
                 _floats(parser["outputs"]["snapshot_times"].split(), "[outputs] snapshot_times")
             )
-    # snapped to the step grid like dt, so that each label names the profile stored under it
-    snapshot_times = tuple(
-        dict.fromkeys(round(s / dt) * dt for s in snapshot_times if 0 <= round(s / dt) <= n_steps)
-    )
 
     return ScenarioConfig(
         a_max=a_max,

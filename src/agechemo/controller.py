@@ -68,26 +68,27 @@ class ScalarLoop:
         mism = z1 - log_error
         return self.d_star - rate - forced, z2 - rate - forced - self.l1 * mism, -self.l2 * mism, forced
 
-    def sweep(
-        self, traj: Trajectory, t_node: np.ndarray, dt: float, u0: tuple, delta: np.ndarray, d_override=None
-    ):
-        """Integrate (eta, z1, z2) from u0 over the nodes t_node, one RK4 step per dt.
+    def sweep(self, traj: Trajectory, dt: float, u0: tuple, delta: np.ndarray, d_override=None):
+        """Integrate (eta, z1, z2) from u0 over the nodes t_k = k dt, one RK4 step per dt.
 
-        ``delta`` is given on the stage grid t_0, t_0 + dt/2, t_1, ...; the
-        reference rate and an imposed input ``d_override`` (a callable
-        t -> D, or None for the feedback law) are taken there in one call
-        each.  Returns the (3, n + 1) array of (eta, z1, z2) and the input
-        applied at each node.  The loop reads its stage values from Python
-        lists and writes its outputs back to the arrays SWEEP_CHUNK steps at
-        a time, since lists for the whole horizon would hold a float object
-        per value and raise the process's peak memory.
+        ``delta`` is given on the stage grid t_0, t_0 + dt/2, t_1, ..., so
+        its length sets the horizon; the reference rate and an imposed input
+        ``d_override`` (a callable t -> D, or None for the feedback law) are
+        taken there in one call each.  Returns the node times t, the
+        (3, n + 1) array of (eta, z1, z2), the input applied at each node,
+        y_ref(t) and the output y = y_ref e^{eta + delta}.  The loop reads
+        its stage values from Python lists and writes its outputs back to
+        the arrays SWEEP_CHUNK steps at a time, since lists for the whole
+        horizon would hold a float object per value and raise the process's
+        peak memory.
         """
-        n_steps = len(t_node) - 1
-        t_half = t_node[:-1] + 0.5 * dt
+        n_steps = (len(delta) - 1) // 2
+        t = dt * np.arange(n_steps + 1)
+        t_half = t[:-1] + 0.5 * dt
 
         def staged(f) -> np.ndarray:
             out = np.empty(2 * n_steps + 1)
-            out[0::2] = f(t_node)
+            out[0::2] = f(t)
             out[1::2] = f(t_half)
             return out
 
@@ -122,7 +123,20 @@ class ScalarLoop:
             d[k0 : k0 + m] = d_chunk
         last = None if forced is None else float(forced[-1])
         d[-1] = rhs(u[0], u[1], u[2], float(rate[-1]), float(delta[2 * n_steps]), last)[3]
-        return hist, d
+        y_ref = np.asarray(traj.eval(t), dtype=float)
+        with np.errstate(over="ignore"):  # a run that overflows is the route's to report
+            y = y_ref * np.exp(hist[0] + delta[0::2])
+        return t, hist, d, y_ref, y
+
+
+def snapshot_steps(times, t: np.ndarray, dt: float) -> dict:
+    """{i: t[i]} in step order for the steps i = round(s / dt) of the given times.
+
+    Each requested time s names the node nearest it; times whose step lies
+    off 0..len(t) - 1 are dropped, and times that share a step give one entry.
+    """
+    steps = {round(s / dt) for s in times}.intersection(range(len(t)))
+    return {i: float(t[i]) for i in sorted(steps)}
 
 
 #: RK4 steps per chunk of :meth:`ScalarLoop.sweep`'s stage lists

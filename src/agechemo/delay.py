@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .controller import ControllerGains, ScalarLoop
+from .controller import ControllerGains, ScalarLoop, snapshot_steps
 from .errors import HistoryGap, InvalidIC, LogDomain
 from .grid import GridFunction, cumquad4, fd4, hermite_basis, hermite_eval, hermite_resample, simpson_weights
 from .model import Equilibrium, ModelParams, check_initial_condition
@@ -344,35 +344,27 @@ def simulate_closed_loop(
     state = init_delay_state(x0, traj, eq, params, dt)
     n_steps = int(round(t_final / dt))
     _advance_psi(state.dyn, state.buffer, n_steps)
-    # node times as a stepper reaches them by accumulating t <- t + dt
-    t_node = np.concatenate([[0.0], np.cumsum(np.full(n_steps, dt))])
     dlt = _delta_grid(state.dyn, state.buffer, 0, n_steps)
     loop = ScalarLoop.of(gains, eq.d_star, params.d_min, params.d_max)
-    u0 = (state.eta, float(gains.z0[0]), float(gains.z0[1]))
-    hist, d = loop.sweep(traj, t_node, dt, u0, dlt, d_override)
-    delta_arr = dlt[0::2].copy()
-    del dlt  # free the stage array before the snapshots and y are built
-    eta, z1, z2 = hist
-    log_error = eta + delta_arr
+    t, (eta, z1, z2), d, _, y = loop.sweep(traj, dt, (state.eta, *gains.z0), dlt, d_override)
+    delta = dlt[0::2].copy()
+    del dlt  # free the stage array before the snapshots are built
 
-    snap_idx = {int(round(s / dt)): float(s) for s in snapshot_times}
     snapshots = {}
-    for i in sorted(snap_idx):
-        if 0 <= i <= n_steps:
-            t_i = float(t_node[i])
-            scale = float(traj.eval(t_i)) * math.exp(eta[i])
-            window = state.buffer.eval(t_i - params.nodes)
-            snapshots[snap_idx[i]] = GridFunction(eq.x_star.values * scale * (1.0 + window), params.a_max)
+    for i, t_i in snapshot_steps(snapshot_times, t, dt).items():
+        scale = float(traj.eval(t_i)) * math.exp(eta[i])
+        window = state.buffer.eval(t_i - params.nodes)
+        snapshots[t_i] = GridFunction(eq.x_star.values * scale * (1.0 + window), params.a_max)
 
     return OracleTrace(
-        t=dt * np.arange(n_steps + 1),
+        t=t,
         eta=eta,
-        delta=delta_arr,
+        delta=delta,
         z1=z1,
         z2=z2,
         d=d,
-        y=np.asarray(traj.eval(t_node), dtype=float) * np.exp(log_error),
-        log_error=log_error,
+        y=y,
+        log_error=eta + delta,
         snapshots=snapshots,
         buffer=state.buffer,
         nodes=params.nodes,

@@ -41,10 +41,6 @@ class DependentBasis(AgeChemoError):
     """Trial functions are numerically linearly dependent."""
 
 
-class PositivityViolation(AgeChemoError):
-    """Approximated age profile dipped below zero."""
-
-
 class Instability(AgeChemoError):
     """Modal weights overflowed during integration."""
 

@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import ControllerGains, ScalarLoop
+from .controller import ControllerGains, ScalarLoop, snapshot_steps
 from .errors import (
     DependentBasis,
     Instability,
     NonPositiveOutput,
-    PositivityViolation,
     RootSearchExhausted,
     ValidationError,
 )
@@ -503,10 +502,11 @@ def simulate(
     up to quadrature.  mu is propagated exactly on the stage grid t_0,
     t_0 + dt/2, t_1, ...; delta = log(p^T mu) drives the shared scalar loop
     from eta(0) = -log y_ref(0), and lam = y_ref e^eta mu.  The diagnostics
-    follow in blocks of rows.  Raises what a stepwise loop would have met
-    first: NonPositiveOutput at a stage with p^T mu <= 0, and at a node
-    Instability when the weights overflow or PositivityViolation when the
-    represented profile dips below zero.
+    follow in blocks of rows.  As y = y_ref e^eta p^T mu, the first stage
+    with y <= 0 does not depend on the input: NonPositiveOutput is raised
+    there before the loop runs.  Instability is raised at the first node
+    where the weights overflow; a profile below zero is recorded in
+    ``min_profile``, not raised.
     """
     n, n_steps = len(system.lam), int(round(t_final / dt))
     a_mat = system.a_matrix
@@ -514,53 +514,38 @@ def simulate(
     prop = _expm((a_mat - c * np.eye(n)) * (0.5 * dt))
     lam = np.empty((n_steps + 1, n))  # mu at the nodes, scaled in place into the weights
     y_free = _propagate(prop, system.lam, system.p_vector, 2 * n_steps + 1, lam)
-    s_bad = len(y_free) - 1 if y_free[-1] <= 0 else None
-    n_ok = n_steps if s_bad is None else max(s_bad - 1, 0) // 2
-    y_last = float(y_free[-1])
-
-    ts = dt * np.arange(n_steps + 1)
-    u0 = (-math.log(float(traj.eval(0.0))), float(gains.z0[0]), float(gains.z0[1]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta = np.log(y_free[: 2 * n_ok + 1], out=y_free[: 2 * n_ok + 1])
+    if y_free[-1] <= 0:
+        raise NonPositiveOutput(
+            "modal output p^T mu = %g <= 0 at t = %g" % (y_free[-1], 0.5 * dt * (len(y_free) - 1))
+        )
     loop = ScalarLoop.of(gains, c, params.d_min, params.d_max)
-    hist, d = loop.sweep(traj, ts[: n_ok + 1], dt, u0, delta, d_override)
-    y_ref = np.asarray(traj.eval(ts), dtype=float)
-    with np.errstate(over="ignore"):
-        y_sim = y_ref[: n_ok + 1] * np.exp(hist[0] + delta[0::2])
-    del delta, y_free  # only per-node arrays stay alive through the blocks
+    u0 = (-math.log(float(traj.eval(0.0))), *gains.z0)
+    ts, hist, d, y_ref, y_sim = loop.sweep(traj, dt, u0, np.log(y_free, out=y_free), d_override)
+    del y_free  # only per-node arrays stay alive through the blocks
 
     phi, w = basis.trial_matrix, params.weights
     res_map = _residual_map(basis, a_mat, params)
-    min_profile, profile_l2, r = (np.empty(n_ok + 1) for _ in range(3))
-    snap_idx = {int(round(s / dt)): float(s) for s in snapshot_times}
+    min_profile, profile_l2, r = (np.empty(n_steps + 1) for _ in range(3))
+    snap = snapshot_steps(snapshot_times, ts, dt)
     snapshots = {}
     buf = np.empty((_BLOCK, phi.shape[1]))  # holds a block's profiles, then its residual nodes
-    for lo in range(0, n_ok + 1, _BLOCK):
-        hi = min(lo + _BLOCK, n_ok + 1)
+    for lo in range(0, n_steps + 1, _BLOCK):
+        hi = min(lo + _BLOCK, n_steps + 1)
         blk = lam[lo:hi]
         with np.errstate(over="ignore", invalid="ignore"):
             blk *= (y_ref[lo:hi] * np.exp(hist[0, lo:hi]))[:, None]
             over = ~(np.isfinite(blk).all(axis=1) & np.isfinite(hist[:, lo:hi]).all(axis=0))
             over |= np.abs(blk).max(axis=1) > _LAM_OVERFLOW
-            over[0] &= lo > 0  # the initial weights are not checked
-            prof = np.matmul(blk, phi, out=buf[: hi - lo])
-            pmin = prof.min(axis=1)
-        bad = np.flatnonzero(over | (pmin < 0))
-        if bad.size:
-            j = int(bad[0])
-            if over[j]:
-                raise Instability("modal weights overflowed at t = %g" % ts[lo + j])
-            raise PositivityViolation("profile minimum %g < 0 at t = %g" % (pmin[j], ts[lo + j]))
-        min_profile[lo:hi] = pmin
+        over[0] &= lo > 0  # the initial weights are not checked
+        if over.any():
+            raise Instability("modal weights overflowed at t = %g" % ts[lo + int(np.argmax(over))])
+        prof = np.matmul(blk, phi, out=buf[: hi - lo])
+        min_profile[lo:hi] = prof.min(axis=1)
         profile_l2[lo:hi] = np.sqrt(np.maximum(np.einsum("ij,ij,j->i", prof, prof, w), 0.0))
-        for i in sorted(snap_idx.keys() & range(lo, hi)):
-            snapshots[snap_idx[i]] = GridFunction(prof[i - lo].copy(), params.a_max)
+        for i in sorted(snap.keys() & range(lo, hi)):
+            snapshots[snap[i]] = GridFunction(prof[i - lo].copy(), params.a_max)
         r_nodes = np.matmul(blk, res_map, out=buf[: hi - lo])
         r[lo:hi] = np.sqrt(np.maximum(np.einsum("ij,ij,j->i", r_nodes, r_nodes, w), 0.0))
-    if s_bad is not None:
-        y_bad = y_ref[n_ok] * np.exp(hist[0, -1]) * y_last
-        what = "measured output y = %g" if s_bad == 0 and d_override is None else "modal output %g"
-        raise NonPositiveOutput((what + " <= 0 at t = %g") % (y_bad, 0.5 * dt * s_bad))
 
     return GalerkinTrace(
         t=ts, y_sim=y_sim, y_ref=y_ref, d=d, z1=hist[1], z2=hist[2], r=r,

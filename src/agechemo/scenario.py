@@ -129,17 +129,12 @@ def _write_snapshots(path: Path, nodes: np.ndarray, snapshots: dict):
 
 
 def _record_route(report: RunReport, cfg: ScenarioConfig, route: str, trace, nodes, out_path):
-    """Store a route's trace, its saturation fractions and its input-bounds check; write its CSVs."""
+    """Store a route's trace and its saturation fractions; write its CSVs."""
     d = trace.d
     report.traces[route] = trace
     report.saturation[route] = (
         float(np.sum(d <= cfg.d_min + 1e-12)) / len(d),
         float(np.sum(d >= cfg.d_max - 1e-12)) / len(d),
-    )
-    report.add_check(
-        route + "_input_bounds",
-        bool(np.all((d >= cfg.d_min - 1e-12) & (d <= cfg.d_max + 1e-12))),
-        "D in [%g, %g]" % (d.min(), d.max()),
     )
     if out_path is not None:
         _write_csv(out_path / (route + ".csv"), trace.CSV_COLUMNS, trace.columns())
@@ -205,9 +200,6 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
             x0, traj, eq, gains, params, cfg.t_final, cfg.dt, cfg.snapshot_times
         )
         _record_route(report, cfg, "oracle", trace_o, params.nodes, out_path)
-        report.add_check(
-            "oracle_output_positive", bool(np.all(trace_o.y > 0)), "min y %.3g" % trace_o.y.min()
-        )
         t_end = trace_o.t[-1]  # the last stored node; an off-grid t_final may lie past it
         ide = max(trace_o.ide_residual(t) for t in np.linspace(min(0.5, t_end), t_end, 8))
         report.add_check("oracle_ide_identity", ide < IDE_TOL, "max residual %.3g" % ide)
@@ -261,17 +253,7 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
 
     if out_path is not None:
         (out_path / "report.txt").write_text(report.render())
-        if cert is not None:
-            _write_decay_csv(out_path / "decay_violations.csv", report)
     return report
-
-
-def _write_decay_csv(path: Path, report: RunReport):
-    with open(path, "w", newline="") as fh:
-        fh.write("check,passed,detail\n")
-        for name, ok, detail in report.checks:
-            if name in ("clf_decay", "history_decay"):
-                fh.write('%s,%s,"%s"\n' % (name, ok, detail))
 
 
 def _tracking_checks(cfg, eq, traj, report, trace_g, trace_o):

@@ -127,7 +127,7 @@ def reference_closed_loop(x0, traj, eq, gains, params, t_final, dt, snapshot_tim
 
     buf.der[n_hist] = psi_rhs(0.0, buf.val[n_hist])
     out = {k: np.zeros(n_steps + 1) for k in ("eta", "delta", "z1", "z2", "d", "y")}
-    snap_idx = {int(round(s / dt)): float(s) for s in snapshot_times}
+    snap_idx = {round(s / dt): round(s / dt) * dt for s in snapshot_times}  # keyed by the node time
     snapshots = {}
     t = 0.0
     u = np.array([start.eta, gains.z0[0], gains.z0[1]], dtype=float)
@@ -179,11 +179,12 @@ def reference_galerkin_loop(system, basis, traj, gains, params, t_final, dt, sna
     loop it replaced.  Everything else is written out here: the saturated
     law, the observer right-hand side, one RK4 step of (lam, z1, z2) per
     dt, and the residual and profile diagnostics at every node.  Raises
-    the errors ``simulate`` raises, with the same messages.  Returns the
+    NonPositiveOutput or Instability at the first stage or node that meets
+    one, and records a negative profile in ``min_profile``.  Returns the
     trace arrays and the snapshot profiles in a dict; ``system`` is left
     unchanged.
     """
-    from agechemo.errors import Instability, NonPositiveOutput, PositivityViolation
+    from agechemo.errors import Instability, NonPositiveOutput
 
     n = len(system.lam)
     n_steps = int(round(t_final / dt))
@@ -215,15 +216,13 @@ def reference_galerkin_loop(system, basis, traj, gains, params, t_final, dt, sna
     ts = dt * np.arange(n_steps + 1)
     out = {k: np.zeros(n_steps + 1) for k in ("y_sim", "d", "z1", "z2", "r", "min_profile", "profile_l2")}
     out["lam"] = np.zeros((n_steps + 1, n))
-    snap_idx = {int(round(s / dt)): float(s) for s in snapshot_times}
+    snap_idx = {round(s / dt): round(s / dt) * dt for s in snapshot_times}  # keyed by the node time
     snapshots = {}
 
     def record(i):
         lam, tau = u[:n], ts[i]
         profile = phi.T @ lam
         pmin = float(profile.min())
-        if pmin < 0:
-            raise PositivityViolation("profile minimum %g < 0 at t = %g" % (pmin, tau))
         y = float(p_vec @ lam)
         if d_override is None and y <= 0:
             raise NonPositiveOutput("measured output y = %g <= 0 at t = %g" % (y, tau))

@@ -62,7 +62,7 @@ def test_control_rejects_nonpositive_output(trial, trial_basis):
     params = trial["params"]
     system = assemble(trial_basis, params)
     system.p_vector = -system.p_vector
-    with pytest.raises(NonPositiveOutput, match=r"measured output y = \S+ <= 0 at t = 0$"):
+    with pytest.raises(NonPositiveOutput, match=r"^modal output p\^T mu = \S+ <= 0 at t = 0$"):
         simulate(system, trial_basis, trial["traj"], trial["gains"], params, 1.0, params.h)
 
 
@@ -81,7 +81,7 @@ def test_observer_fixed_point(trial):
     # D = D* + D_FF and matched output: the observer stands still
     rhs = loop.rhs(0.0, 0.0, eq.d_star, 0.0, 0.0, eq.d_star)
     assert np.allclose(rhs[:3], 0.0, atol=1e-15)
-    hist, _ = loop.sweep(traj, np.array([0.0, 0.01]), 0.01, (0.0, 0.0, eq.d_star), np.zeros(3), lambda t: eq.d_star)
+    _, hist, _, _, _ = loop.sweep(traj, 0.01, (0.0, 0.0, eq.d_star), np.zeros(3), lambda t: eq.d_star)
     assert np.allclose(hist[1:, 1], [0.0, eq.d_star], atol=1e-14)
 
 
@@ -113,8 +113,7 @@ def test_scalar_loop_fourth_order():
 
     def err(dt):
         n = int(round(1.0 / dt))
-        t_node = dt * np.arange(n + 1)
-        hist, _ = loop.sweep(make_constant(1.0), t_node, dt, (0.0, 1.0, 0.0), np.zeros(2 * n + 1), lambda t: 0.0)
+        _, hist, _, _, _ = loop.sweep(make_constant(1.0), dt, (0.0, 1.0, 0.0), np.zeros(2 * n + 1), lambda t: 0.0)
         return float(np.max(np.abs(hist[1:, -1] - exact)))
 
     assert err(0.01) / err(0.005) > 12
@@ -175,29 +174,34 @@ def _recorded_sweep(monkeypatch, name):
     return loop, args
 
 
+def _assert_sweep_matches_reference(loop, traj, dt, u0, delta, d_override):
+    """sweep equals the stepwise reference fed the clock t_k = k dt, bitwise."""
+    t, hist, d, y_ref, y = loop.sweep(traj, dt, u0, delta, d_override)
+    assert np.array_equal(t, dt * np.arange(len(delta) // 2 + 1))
+    ref_hist, ref_d = reference_sweep(loop, traj, t, dt, u0, delta, d_override)
+    assert np.array_equal(hist, ref_hist) and np.array_equal(d, ref_d)
+    assert np.array_equal(y_ref, traj.eval(t)) and np.array_equal(y, y_ref * np.exp(hist[0] + delta[0::2]))
+    return d
+
+
 @pytest.mark.parametrize("name, bound", [("fig2a", None), ("fig2b", "d_max"), ("fig3", "d_min")])
 def test_sweep_matches_stepwise_reference(monkeypatch, name, bound):
     loop, args = _recorded_sweep(monkeypatch, name)
-    hist, d = loop.sweep(*args)
-    ref_hist, ref_d = reference_sweep(loop, *args)
-    assert np.array_equal(hist, ref_hist) and np.array_equal(d, ref_d)
+    d = _assert_sweep_matches_reference(loop, *args)
     if bound is not None:
         # saturation active for a stretch of the run, not only at t = 0
         assert np.sum(d[1:] == getattr(loop, bound)) > 10
 
 
 def test_sweep_d_override_and_ragged_chunks(monkeypatch):
-    loop, (traj, t_node, dt, u0, delta, _) = _recorded_sweep(monkeypatch, "fig2a")
-    n_steps = len(t_node) - 1
+    loop, (traj, dt, u0, delta, _) = _recorded_sweep(monkeypatch, "fig2a")
+    n_steps = len(delta) // 2
     assert n_steps % controller.SWEEP_CHUNK and n_steps % 7
     override = lambda t: 1.0 + 0.3 * np.sin(t)
     for chunk in (controller.SWEEP_CHUNK, 7, n_steps + 5):
         monkeypatch.setattr(controller, "SWEEP_CHUNK", chunk)
         for d_override in (None, override):
-            args = (traj, t_node, dt, u0, delta, d_override)
-            hist, d = loop.sweep(*args)
-            ref_hist, ref_d = reference_sweep(loop, *args)
-            assert np.array_equal(hist, ref_hist) and np.array_equal(d, ref_d)
+            _assert_sweep_matches_reference(loop, traj, dt, u0, delta, d_override)
 
 
 def test_scalar_loop_checks_bounds_once_built(trial):

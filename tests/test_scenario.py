@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from agechemo import delay, scenario
+from agechemo import delay, galerkin, scenario
+from agechemo.cli import main
 from agechemo.delay import simulate_closed_loop
 from agechemo.errors import GridMismatch
 from agechemo.galerkin import assemble, simulate
@@ -49,7 +50,6 @@ def test_transition_report_passes_all_checks(fig2a_report):
     assert fig2a_report.passed, fig2a_report.render()
     names = {name: (ok, detail) for name, ok, detail in fig2a_report.checks}
     for required in (
-        "galerkin_input_bounds",
         "galerkin_positivity",
         "oracle_ide_identity",
         "history_decay",
@@ -60,6 +60,8 @@ def test_transition_report_passes_all_checks(fig2a_report):
         assert required in names and names[required][0], (required, names.get(required))
     assert fig2a_report.metrics.y_gap_linf < 0.05
     assert not fig2a_report.warnings
+    # checks that held by construction are not run
+    assert not names.keys() & {"galerkin_input_bounds", "oracle_input_bounds", "oracle_output_positive"}
 
 
 def test_report_carries_config_hash(fig3_report):
@@ -86,7 +88,7 @@ def test_periodic_report_runs_with_warnings(fig2b_report):
     assert not fig2b_report.validity.valid
     assert any("certificate unavailable" in w for w in fig2b_report.warnings)
     names = {name for name, _, _ in fig2b_report.checks}
-    assert "galerkin_positivity" in names and "oracle_input_bounds" in names
+    assert "galerkin_positivity" in names and "oracle_ide_identity" in names
 
 
 def test_all_bundled_scenarios_positive(fig2a_runs, fig3_report, fig2b_report):
@@ -157,6 +159,50 @@ def test_output_consistency_check_can_fail(tmp_path, monkeypatch):
 
     monkeypatch.setattr(delay, "simulate_closed_loop", skewed)
     assert consistency(run(cfg)) == (False, "max gap 1e-06")
+
+
+def test_galerkin_positivity_check_can_fail(tmp_path, monkeypatch, capsys):
+    # a flow that rotates the equilibrium weight into the first cosine mode
+    # drives the modal profile below zero; the run records it and goes on
+    path = tmp_path / "tiny.cfg"
+    path.write_text(small_config_text())
+    assemble_model = galerkin.assemble
+
+    def rotated(*args):
+        system = assemble_model(*args)
+        system.a_matrix[2, 1] += 0.5
+        system.a_matrix[1, 2] -= 0.5
+        return system
+
+    monkeypatch.setattr(galerkin, "assemble", rotated)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    report = (tmp_path / "o" / "report.txt").read_text()
+    failed = [line.split()[0] for line in report.splitlines() if "  FAIL  " in line]
+    assert failed == ["galerkin_positivity"]
+    assert "galerkin_positivity          FAIL  min profile -0.0166" in report
+
+
+def test_tracking_settled_check_can_fail(tmp_path):
+    # const.cfg settles within 1e-3 by t = 8, not by t = 2
+    def settled(t_final):
+        report = run(load_config(bundled_with(tmp_path, "const.cfg", "t_final", t_final)))
+        return {name: (ok, detail) for name, ok, detail in report.checks}["tracking_settled"]
+
+    assert settled("8.0") == (True, "|log error| at end 6.25e-08")
+    assert settled("2.0") == (False, "|log error| at end 0.00711")
+
+
+@pytest.mark.parametrize("route", ["galerkin", "oracle"])
+def test_snapshots_keyed_by_the_nearest_step(trial, trial_basis, route):
+    # dt = 0.005: 0.333 names step 67 (t = 0.335), and 1.001 step 200 like 1.0
+    params, gains, dt = trial["params"], trial["gains"], trial["cfg"].dt
+    times = (0.333, 1.0, 1.001)
+    if route == "galerkin":
+        trace = simulate(assemble(trial_basis, params), trial_basis, trial["traj"], gains, params, 1.5, dt, times)
+    else:
+        trace = simulate_closed_loop(trial["x0"], trial["traj"], trial["eq"], gains, params, 1.5, dt, times)
+    assert list(trace.snapshots) == [trace.t[67], trace.t[200]]
+    assert ["%g" % t for t in trace.snapshots] == ["0.335", "1"]
 
 
 def test_ide_samples_end_at_the_last_stored_node(tmp_path, monkeypatch):
