@@ -7,8 +7,11 @@ traces plus a deterministic text report keyed by the config hash.
 """
 from __future__ import annotations
 
+import functools
 import io
 import math
+import os
+import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,7 +24,7 @@ from .errors import AgeChemoError, GridMismatch
 from .model import solve_equilibrium
 from .trajectories import validate
 
-ROUTE_GAP_BUDGET = 0.05  # relative, transition scenarios only
+ROUTE_GAP_BUDGET = 0.05  # relative, every reference kind
 TRACKING_TOL = {"transition": 0.02, "constant": 1e-3, "ramp": 0.01}
 IDE_TOL = 1e-6
 
@@ -128,21 +131,97 @@ def _write_snapshots(path: Path, nodes: np.ndarray, snapshots: dict):
     _write_csv(path, ["a"] + ["t=%g" % t for t in times], [nodes] + [snapshots[t].values for t in times])
 
 
-def _record_route(report: RunReport, cfg: ScenarioConfig, route: str, trace, nodes, out_path):
-    """Store a route's trace and its saturation fractions; write its CSVs."""
+def _record_route(report: RunReport, cfg: ScenarioConfig, route: str, trace):
+    """Store a route's trace and its saturation fractions."""
     d = trace.d
     report.traces[route] = trace
     report.saturation[route] = (
         float(np.sum(d <= cfg.d_min + 1e-12)) / len(d),
         float(np.sum(d >= cfg.d_max - 1e-12)) / len(d),
     )
+
+
+def _write_route(out_path, route: str, trace, nodes):
+    """Write a route's per-step and profile CSVs, if there is an output directory."""
     if out_path is not None:
         _write_csv(out_path / (route + ".csv"), trace.CSV_COLUMNS, trace.columns())
         _write_snapshots(out_path / (route + "_profiles.csv"), nodes, trace.snapshots)
 
 
+def _galerkin_route(cfg, eq, params, x0, traj, gains, out_path) -> galerkin.GalerkinTrace:
+    """The whole Galerkin route: roots, basis, assembly, simulation and its CSVs."""
+    roots = galerkin.characteristic_roots(eq, params, cfg.n_modes)
+    basis = galerkin.build_basis(x0, eq, roots, cfg.n_modes, params)
+    system = galerkin.assemble(basis, params)
+    trace = galerkin.simulate(system, basis, traj, gains, params, cfg.t_final, cfg.dt, cfg.snapshot_times)
+    _write_route(out_path, "galerkin", trace, params.nodes)
+    return trace
+
+
+class _Child:
+    """``fn()`` computed in a forked child process, or inline on a single CPU.
+
+    Where the process may run on two or more CPUs, the child runs ``fn`` and
+    sends ``(ok, value or exception)`` back through a pipe, pickled, while
+    the caller goes on with other work; ``result()`` then returns the value
+    or raises the exception. The child always ends with ``os._exit`` and
+    ``result()`` always reaps it, so call ``result()`` exactly once, also
+    when the caller's own work failed. On one CPU the two computations would
+    only take turns, so ``fn`` runs inline, at once, and its exception
+    propagates from the constructor as in a serial program.
+    """
+
+    def __init__(self, fn):
+        self._pid = None
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        if not hasattr(os, "fork") or cpus < 2:
+            self._value = fn()
+            return
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                try:
+                    payload = (True, fn())
+                except BaseException as exc:
+                    payload = (False, exc)
+                with os.fdopen(write_fd, "wb") as fh:
+                    fh.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self._pid, self._read_fd = pid, read_fd
+
+    def result(self):
+        if self._pid is None:
+            return self._value
+        try:
+            with os.fdopen(self._read_fd, "rb") as fh:
+                data = fh.read()
+        finally:
+            _, status = os.waitpid(self._pid, 0)
+        if status != 0:
+            code = os.waitstatus_to_exitcode(status)
+            raise RuntimeError(
+                "forked child %d %s before it sent a result"
+                % (self._pid, "was killed by signal %d" % -code if code < 0 else "exited with status %d" % code)
+            )
+        ok, value = pickle.loads(data)  # bytes that the child above wrote
+        if ok:
+            return value
+        raise value
+
+
 def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
-    """Execute a scenario; deterministic for a fixed config."""
+    """Execute a scenario; deterministic for a fixed config.
+
+    With both routes and two usable CPUs, the Galerkin route runs in a forked
+    child (``_Child``) while this process runs the delay route; the report,
+    the CSVs and the error raised on a failure are those of a serial run.
+    """
     params = build_model(cfg)
     eq = solve_equilibrium(params)
     traj = build_trajectory(cfg)
@@ -180,28 +259,36 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    trace_g = trace_o = None
-    if cfg.routes in ("both", "galerkin"):
-        roots = galerkin.characteristic_roots(eq, params, cfg.n_modes)
-        basis = galerkin.build_basis(x0, eq, roots, cfg.n_modes, params)
-        system = galerkin.assemble(basis, params)
-        trace_g = galerkin.simulate(
-            system, basis, traj, gains, params, cfg.t_final, cfg.dt, cfg.snapshot_times
-        )
-        _record_route(report, cfg, "galerkin", trace_g, params.nodes, out_path)
+    route_g = functools.partial(_galerkin_route, cfg, eq, params, x0, traj, gains, out_path)
+    child = _Child(route_g) if cfg.routes == "both" else None
+    trace_g = route_g() if cfg.routes == "galerkin" else None
+    trace_o = None
+    try:
+        if cfg.routes in ("both", "oracle"):
+            trace_o = delay.simulate_closed_loop(
+                x0, traj, eq, gains, params, cfg.t_final, cfg.dt, cfg.snapshot_times
+            )
+            t_end = trace_o.t[-1]  # the last stored node; an off-grid t_final may lie past it
+            ide = max(trace_o.ide_residual(t) for t in np.linspace(min(0.5, t_end), t_end, 8))
+            norms = lyapunov.window_norms(trace_o, cert.sigma) if cert is not None else None
+    finally:
+        # joined on every path; a Galerkin failure wins, as it does serially
+        if child is not None:
+            trace_g = child.result()
+
+    # recorded and written in the serial order, so that a failure above
+    # leaves no delay-route CSV behind
+    if trace_g is not None:
+        _record_route(report, cfg, "galerkin", trace_g)
         report.add_check(
             "galerkin_positivity",
             bool(np.all(trace_g.min_profile >= 0)),
             "min profile %.3g" % trace_g.min_profile.min(),
         )
 
-    if cfg.routes in ("both", "oracle"):
-        trace_o = delay.simulate_closed_loop(
-            x0, traj, eq, gains, params, cfg.t_final, cfg.dt, cfg.snapshot_times
-        )
-        _record_route(report, cfg, "oracle", trace_o, params.nodes, out_path)
-        t_end = trace_o.t[-1]  # the last stored node; an off-grid t_final may lie past it
-        ide = max(trace_o.ide_residual(t) for t in np.linspace(min(0.5, t_end), t_end, 8))
+    if trace_o is not None:
+        _record_route(report, cfg, "oracle", trace_o)
+        _write_route(out_path, "oracle", trace_o, params.nodes)
         report.add_check("oracle_ide_identity", ide < IDE_TOL, "max residual %.3g" % ide)
         # output consistency at snapshot times
         cons = 0.0
@@ -215,7 +302,6 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
             gap = "max gap < 1e-12" if cons < 1e-12 else "max gap %.3g" % cons
             report.add_check("oracle_output_consistency", cons < 1e-8, gap)
         if cert is not None:
-            norms = lyapunov.window_norms(trace_o, cert.sigma)
             hist = lyapunov.check_history_decay(trace_o, cert.sigma, norms=norms)
             report.add_check(
                 "history_decay",
@@ -242,12 +328,11 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
     if trace_g is not None and trace_o is not None:
         metrics = compare_routes(trace_g, trace_o)
         report.metrics = metrics
-        if cfg.traj_kind == "transition":
-            report.add_check(
-                "route_agreement",
-                metrics.y_gap_linf <= ROUTE_GAP_BUDGET,
-                "y gap %.4g (budget %g)" % (metrics.y_gap_linf, ROUTE_GAP_BUDGET),
-            )
+        report.add_check(
+            "route_agreement",
+            metrics.y_gap_linf <= ROUTE_GAP_BUDGET,
+            "y gap %.4g (budget %g)" % (metrics.y_gap_linf, ROUTE_GAP_BUDGET),
+        )
 
     _tracking_checks(cfg, eq, traj, report, trace_g, trace_o)
 

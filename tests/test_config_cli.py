@@ -1,5 +1,8 @@
 import filecmp
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -243,6 +246,16 @@ def test_cli_help_exits_0(capsys):
     for argv in (["--help"], ["roots", "--help"]):
         code, out, _ = _call(capsys, argv)
         assert code == 0 and out.startswith("usage: agechemo")
+
+
+def test_cli_import_loads_no_process_pool():
+    # run() forks with os and pickle, which the interpreter loads at start-up
+    # anyway; a process pool would add its import to every CLI call
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, agechemo.cli; print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_cli_repeated_calls_agree(tmp_path, capsys):

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import pytest
 from agechemo import delay, galerkin, scenario
 from agechemo.cli import main
 from agechemo.delay import simulate_closed_loop
-from agechemo.errors import GridMismatch
+from agechemo.errors import AgeChemoError, GridMismatch, Instability, NonPositiveOutput
 from agechemo.galerkin import assemble, simulate
 from agechemo.scenario import compare_routes, run
 from agechemo.trajectories import Trajectory
@@ -140,9 +143,7 @@ def test_trajectory_calls_do_not_grow_with_steps(trial, trial_basis, route):
 
 
 def test_output_consistency_check_can_fail(tmp_path, monkeypatch):
-    path = tmp_path / "tiny.cfg"
-    path.write_text(small_config_text())
-    cfg = dataclasses.replace(load_config(path), routes="oracle")
+    cfg = _tiny(tmp_path, "oracle")
 
     def consistency(report):
         return {name: (ok, detail) for name, ok, detail in report.checks}["oracle_output_consistency"]
@@ -178,7 +179,9 @@ def test_galerkin_positivity_check_can_fail(tmp_path, monkeypatch, capsys):
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
     report = (tmp_path / "o" / "report.txt").read_text()
     failed = [line.split()[0] for line in report.splitlines() if "  FAIL  " in line]
-    assert failed == ["galerkin_positivity"]
+    # the rotated flow also moves the modal output 7% off the delay route's
+    assert failed == ["galerkin_positivity", "route_agreement"]
+    assert "route_agreement              FAIL  y gap 0.0733 (budget 0.05)" in report
     assert "galerkin_positivity          FAIL  min profile -0.0166" in report
 
 
@@ -246,3 +249,140 @@ def test_csv_writer_matches_per_value_writer(tmp_path, trial, fig2a_runs):
         _write_per_value(tmp_path / "old_profiles.csv", names, rows)
         scenario._write_snapshots(tmp_path / "new_profiles.csv", nodes, trace.snapshots)
         assert (tmp_path / "new_profiles.csv").read_bytes() == (tmp_path / "old_profiles.csv").read_bytes()
+
+
+# The Galerkin route of a run with both routes goes to a forked child when the
+# process may use two CPUs. The tests below set the CPU count that run() sees,
+# so each takes the path it names on any host.
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")), reason="no fork or no CPU affinity"
+)
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _tiny(tmp_path, routes="both"):
+    path = tmp_path / "tiny.cfg"
+    path.write_text(small_config_text())
+    return dataclasses.replace(load_config(path), routes=routes)
+
+
+def _failing(exc_type, message):
+    def fail(*args, **kwargs):
+        raise exc_type(message)
+
+    return fail
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_forked_route_runs_in_a_child_and_is_reaped(tmp_path, monkeypatch):
+    _cpus(monkeypatch, 2)
+    calls = []
+    simulate_modal = galerkin.simulate
+
+    def counted(*args, **kwargs):
+        calls.append(os.getpid())
+        return simulate_modal(*args, **kwargs)
+
+    monkeypatch.setattr(galerkin, "simulate", counted)
+    report = run(_tiny(tmp_path), tmp_path / "o")
+    # the child's append never reaches this process
+    assert calls == [] and set(report.traces) == {"galerkin", "oracle"}
+    assert report.passed
+    _assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("oracle_fails", [False, True])
+def test_galerkin_failure_in_the_child_is_the_serial_failure(tmp_path, monkeypatch, oracle_fails):
+    _cpus(monkeypatch, 2)
+    message = "modal output p^T mu = -1 <= 0 at t = 0.5"
+    monkeypatch.setattr(galerkin, "simulate", _failing(NonPositiveOutput, message))
+    if oracle_fails:
+        monkeypatch.setattr(delay, "simulate_closed_loop", _failing(Instability, "delay route failed"))
+    raised = {}
+    for routes in ("galerkin", "both"):
+        out = tmp_path / routes
+        with pytest.raises(AgeChemoError) as info:
+            run(_tiny(tmp_path, routes), out)
+        raised[routes] = (type(info.value), str(info.value))
+        # as serially: no CSV of either route and no report
+        assert list(out.iterdir()) == []
+    assert raised["both"] == raised["galerkin"] == (NonPositiveOutput, message)
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_delay_route_failure_leaves_the_serial_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(delay, "simulate_closed_loop", _failing(Instability, "delay route failed"))
+    files = {}
+    for n_cpus in (1, 2):
+        _cpus(monkeypatch, n_cpus)
+        out = tmp_path / str(n_cpus)
+        with pytest.raises(Instability, match="delay route failed"):
+            run(_tiny(tmp_path), out)
+        files[n_cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(files[2]) == ["galerkin.csv", "galerkin_profiles.csv"]
+    assert files[2] == files[1]
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_child_that_dies_without_a_result_is_named(monkeypatch):
+    _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"^forked child \d+ exited with status 1 before it sent a result$"):
+        scenario._Child(lambda: os._exit(1)).result()
+    with pytest.raises(RuntimeError, match=r"^forked child \d+ was killed by signal 9 before it sent a result$"):
+        scenario._Child(lambda: os.kill(os.getpid(), signal.SIGKILL)).result()
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_inline_path_writes_the_forked_bytes(tmp_path, monkeypatch):
+    configs = [load_config(bundled(name)) for name in ("fig2a.cfg", "fig2b.cfg")]
+    _cpus(monkeypatch, 2)
+    for cfg in configs:
+        run(cfg, tmp_path / "forked" / Path(cfg.source).name)
+    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", _failing(AssertionError, "forked on one CPU"))
+    for cfg in configs:
+        run(cfg, tmp_path / "inline" / Path(cfg.source).name)
+    for cfg in configs:
+        forked, inline = (tmp_path / side / Path(cfg.source).name for side in ("forked", "inline"))
+        assert sorted(p.name for p in forked.iterdir()) == sorted(p.name for p in inline.iterdir())
+        for p in forked.iterdir():
+            assert p.read_bytes() == (inline / p.name).read_bytes(), p
+
+
+def _route_agreement(report):
+    return {name: (ok, detail) for name, ok, detail in report.checks}["route_agreement"]
+
+
+@pytest.mark.parametrize(
+    "fixture, detail",
+    [("fig2b_report", "y gap 0.008707 (budget 0.05)"), ("fig3_report", "y gap 0.0001179 (budget 0.05)")],
+)
+def test_route_agreement_runs_on_every_kind(request, fixture, detail):
+    assert _route_agreement(request.getfixturevalue(fixture)) == (True, detail)
+
+
+def test_route_agreement_check_can_fail(tmp_path, monkeypatch):
+    # the tiny config tracks a constant reference; a Galerkin output 10% high
+    # puts the routes about 10% apart
+    cfg = _tiny(tmp_path)
+    assert _route_agreement(run(cfg)) == (True, "y gap 0.006092 (budget 0.05)")
+    simulate_modal = galerkin.simulate
+
+    def scaled(*args, **kwargs):
+        trace = simulate_modal(*args, **kwargs)
+        return dataclasses.replace(trace, y_sim=trace.y_sim * 1.1)
+
+    monkeypatch.setattr(galerkin, "simulate", scaled)
+    assert _route_agreement(run(cfg)) == (False, "y gap 0.1052 (budget 0.05)")
