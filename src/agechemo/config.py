@@ -18,6 +18,7 @@ Grammar (all keys required unless noted, unknown keys rejected):
     kind = transition | periodic | ramp | constant
     transition: y0, y_delta, t_delta   periodic: y2, y3, omega
     ramp: y4, y1                       constant: value
+    (kinds and keys come from trajectories.KINDS; a value they reject is an input error)
 
     [controller]
     gamma, l1, l2, z01, z02
@@ -47,29 +48,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import NonPositive, ParseError, ValidationError
 from .grid import GridFunction
 from .model import Equilibrium, ModelParams, compatibility_gap
-from .trajectories import (
-    Trajectory,
-    make_constant,
-    make_periodic,
-    make_ramp,
-    make_transition,
-)
+from .trajectories import KINDS, Trajectory
 
 _SCHEMA = {
     "model": {"a_max", "d_min", "d_max", "mu", "k", "p", "x0"},
-    "trajectory": {"kind", "y0", "y_delta", "t_delta", "y2", "y3", "omega", "y4", "y1", "value"},
+    "trajectory": {"kind"}.union(*(keys for _, keys in KINDS.values())),
     "controller": {"gamma", "l1", "l2", "z01", "z02"},
     "numerics": {"n_modes", "age_nodes", "dt", "t_final"},
     "outputs": {"routes", "snapshot_times"},
-}
-_TRAJ_KEYS = {
-    "transition": {"y0", "y_delta", "t_delta"},
-    "periodic": {"y2", "y3", "omega"},
-    "ramp": {"y4", "y1"},
-    "constant": {"value"},
 }
 
 
@@ -152,13 +141,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         return parser[section][key]
 
     def getf(section: str, key: str) -> float:
-        try:
-            value = float(get(section, key))
-        except ValueError as exc:
-            raise ValidationError("[%s] %s: not a number" % (section, key)) from exc
-        if not math.isfinite(value):
-            raise ValidationError("[%s] %s: not a finite number" % (section, key))
-        return value
+        return _floats([get(section, key)], "[%s] %s" % (section, key))[0]
 
     def geti(section: str, key: str) -> int:
         value = getf(section, key)
@@ -185,11 +168,11 @@ def load_config(path: str | Path) -> ScenarioConfig:
     )
 
     kind = get("trajectory", "kind").strip()
-    if kind not in _TRAJ_KEYS:
+    if kind not in KINDS:
         raise ValidationError("[trajectory] kind: unknown kind %r" % kind)
-    needed = _TRAJ_KEYS[kind]
+    needed = KINDS[kind][1]
     present = {k for k in parser["trajectory"] if k != "kind"}
-    if present != needed:
+    if present != set(needed):
         raise ValidationError(
             "[trajectory]: kind %r needs keys %s, got %s" % (kind, sorted(needed), sorted(present))
         )
@@ -259,9 +242,7 @@ def _table_or_form(spec: tuple, n: int, where: str) -> np.ndarray:
         if len(vals) != n:
             raise ValidationError("%s: table needs exactly %d values, got %d" % (where, n, len(vals)))
         return vals
-    if name == "constant":
-        return np.full(n, spec[1])
-    raise ValidationError("%s: unsupported form %r" % (where, name))
+    return np.full(n, spec[1])  # "constant": _spec admits no other form here
 
 
 def build_model(cfg: ScenarioConfig) -> ModelParams:
@@ -305,9 +286,9 @@ def build_x0(cfg: ScenarioConfig, params: ModelParams, eq: Equilibrium) -> GridF
     compatibility-corrected cosine bump w; a small admissible perturbation
     of the equilibrium profile.
 
-    ``linear-exp slope decay``: the literal profile slope*a + e^{-decay a},
-    admissibility not enforced here (the delay route will reject it if it
-    violates the profile class).
+    ``linear-exp slope decay``: the literal profile slope*a + e^{-decay a}.
+    The two forms above are checked positive and compatible here; this one
+    and ``table`` are not (the delay route rejects a profile out of class).
     """
     a = params.nodes
     w = params.weights
@@ -331,6 +312,8 @@ def build_x0(cfg: ScenarioConfig, params: ModelParams, eq: Equilibrium) -> GridF
         vals = _table_or_form(cfg.x0_spec, cfg.age_nodes, "[model] x0")
     gf = GridFunction(vals, cfg.a_max)
     if kind in ("compat-linear-exp", "scaled-equilibrium"):
+        if not np.all(vals > 0):
+            raise ValidationError("[model] x0: profile not positive everywhere (min %g)" % vals.min())
         gap = abs(compatibility_gap(gf, params))
         if gap > 1e-9 * float(np.max(np.abs(vals))):
             raise ValidationError("[model] x0: compatibility construction failed (gap %g)" % gap)
@@ -338,11 +321,8 @@ def build_x0(cfg: ScenarioConfig, params: ModelParams, eq: Equilibrium) -> GridF
 
 
 def build_trajectory(cfg: ScenarioConfig) -> Trajectory:
-    p = cfg.traj_params
-    if cfg.traj_kind == "transition":
-        return make_transition(p["y0"], p["y_delta"], p["t_delta"])
-    if cfg.traj_kind == "periodic":
-        return make_periodic(p["y2"], p["y3"], p["omega"])
-    if cfg.traj_kind == "ramp":
-        return make_ramp(p["y4"], p["y1"])
-    return make_constant(p["value"])
+    make, keys = KINDS[cfg.traj_kind]
+    try:
+        return make(*(cfg.traj_params[k] for k in keys))
+    except NonPositive as exc:  # a malformed reference is an input error
+        raise ValidationError("[trajectory] %s" % exc) from exc

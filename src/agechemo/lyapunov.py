@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -255,20 +255,14 @@ class Certificate:
             raise ValueError("kernel contraction value >= 1")
         if self.alpha1 * min(math.sqrt(self.k1), math.sqrt(self.big_m / 2.0)) < 2.0:
             raise ValueError("alpha1 below the overshoot-construction floor")
-        positives = (
-            self.sigma, self.lambda_b3, self.p1, self.p2, self.k1, self.k2,
-            self.k1_tilde, self.k2_tilde, self.beta1, self.beta2, self.beta,
-            self.big_m, self.alpha1, self.alpha2, self.mu1, self.mu2, self.l_rate,
-        )
+        positives = tuple(v for k, v in self.as_dict().items() if k not in ("b3_value", "d_star"))
         if not all(v > 0 for v in positives):
             raise ValueError("certificate constant not strictly positive: %s" % (positives,))
 
     def as_dict(self) -> dict:
-        keys = (
-            "sigma lambda_b3 b3_value p1 p2 k1 k2 k1_tilde k2_tilde beta1 beta2 "
-            "beta big_m alpha1 alpha2 mu1 mu2 l_rate d_star"
-        ).split()
-        return {k: getattr(self, k) for k in keys}
+        """The constants, sigma through d_star in field order; the evaluation context stays out."""
+        keys = [f.name for f in fields(self)]
+        return {k: getattr(self, k) for k in keys[: keys.index("d_star") + 1]}
 
 
 class RateConstants(NamedTuple):
@@ -589,34 +583,20 @@ class FactReport:
 FACT_BLOCK = 1 << 16
 
 
-def _fact_samples(n_samples: int, seed: int):
-    """Yield the saturation check's samples as blocks of (z, a, b).
-
-    z is n_samples normals and uniforms; a and b are the next two runs of
-    n_samples uniforms from the same generator.  Each uniform takes one
-    64-bit output, so b's generator is a copy advanced by n_samples, and
-    both run one block at a time.
-    """
-    rng = np.random.default_rng(seed)
-    half = n_samples // 2
-    z = np.concatenate([rng.normal(0.0, 3.0, half), rng.uniform(-50.0, 50.0, n_samples - half)])
-    bits_b = np.random.PCG64()
-    bits_b.state = rng.bit_generator.state
-    rng_b = np.random.Generator(bits_b.advance(n_samples))
-    for lo in range(0, n_samples, FACT_BLOCK):
-        m = min(FACT_BLOCK, n_samples - lo)
-        yield z[lo : lo + m], 10.0 ** rng.uniform(-3, 3, m), 10.0 ** rng_b.uniform(-3, 3, m)
-
-
 @functools.cache
 def saturation_fact_check(n_samples: int = 1_000_000, seed: int = 20240801) -> FactReport:
     """Randomized check of z sat_{[-a,b]}(z) >= min(1,a,b) z^2 / (1+|z|).
 
-    A pure function of its arguments, so each (n_samples, seed) draw runs
-    once per process.
+    Each block of FACT_BLOCK samples draws z (half normal, half uniform),
+    then a, then b from one generator.  A pure function of its arguments,
+    so each (n_samples, seed) draw runs once per process.
     """
+    rng = np.random.default_rng(seed)
     n_bad, worst = 0, 0.0
-    for z, a, b in _fact_samples(n_samples, seed):
+    for lo in range(0, n_samples, FACT_BLOCK):
+        m = min(FACT_BLOCK, n_samples - lo)
+        z = np.concatenate([rng.normal(0.0, 3.0, m // 2), rng.uniform(-50.0, 50.0, m - m // 2)])
+        a, b = 10.0 ** rng.uniform(-3, 3, (2, m))
         sat = np.minimum(b, np.maximum(-a, z))
         lhs = z * sat
         rhs = np.minimum(1.0, np.minimum(a, b)) * z * z / (1.0 + np.abs(z))
@@ -625,4 +605,3 @@ def saturation_fact_check(n_samples: int = 1_000_000, seed: int = 20240801) -> F
         n_bad += int(np.sum(deficit > tol))
         worst = max(worst, float(deficit.max(initial=0.0)))
     return FactReport(n_samples, n_bad, worst)
-

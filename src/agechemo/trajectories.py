@@ -13,7 +13,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonPositive
-from .grid import GridFunction
 from .model import Equilibrium
 
 PROBE_POINTS = 10_000
@@ -109,6 +108,15 @@ def make_constant(value: float) -> Trajectory:
     return Trajectory("constant", {"value": value}, ev, rt)
 
 
+#: each reference kind's constructor and its parameter names in call order
+KINDS = {
+    "transition": (make_transition, ("y0", "y_delta", "t_delta")),
+    "periodic": (make_periodic, ("y2", "y3", "omega")),
+    "ramp": (make_ramp, ("y4", "y1")),
+    "constant": (make_constant, ("value",)),
+}
+
+
 def _probe_horizon(traj: Trajectory, horizon: float) -> float:
     if traj.kind == "periodic":
         return min(horizon, 2 * math.pi / traj.params["omega"])
@@ -153,11 +161,3 @@ def validate(
         if inside.any():
             t_crit = float(ts[np.argmax(inside)])
     return ValidityReport(inf_rate, sup_rate, valid, t_crit)
-
-
-def reference_profile(traj: Trajectory, eq: Equilibrium, t: float) -> GridFunction:
-    """x_ref(a, t) = x*(a) y_ref(t); satisfies <p, x_ref[t]> = y_ref(t)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    y = float(traj.eval(t))
-    return eq.x_star.with_values(eq.x_star.values * y)

@@ -1,4 +1,5 @@
 import filecmp
+import inspect
 import os
 import re
 import subprocess
@@ -9,9 +10,10 @@ import pytest
 
 from agechemo import galerkin
 from agechemo.cli import main
-from agechemo.config import build_model, build_trajectory, load_config
+from agechemo.config import _SCHEMA, build_model, build_trajectory, load_config
 from agechemo.errors import ParseError, ValidationError
 from agechemo.scenario import run
+from agechemo.trajectories import KINDS
 from conftest import bundled, bundled_with, small_config_text
 
 
@@ -176,6 +178,38 @@ def test_cli_non_finite_number_exits_3(tmp_path, capsys, old, new, key):
         assert capsys.readouterr().err.startswith("input error: %s" % key)
 
 
+@pytest.mark.parametrize(
+    "kind_block",
+    [
+        "kind = constant\nvalue = 0.0",
+        "kind = ramp\ny4 = -0.3\ny1 = 0.75",
+        "kind = periodic\ny2 = 0.5\ny3 = 0.6\nomega = 1.0",
+        "kind = periodic\ny2 = 0.79\ny3 = 0.625\nomega = 0.0",
+        "kind = transition\ny0 = 1.0\ny_delta = 3.0\nt_delta = 0.0",
+    ],
+    ids=["constant-value", "ramp-y4", "periodic-y2-y3", "periodic-omega", "transition-t_delta"],
+)
+def test_cli_malformed_reference_exits_3(tmp_path, capsys, kind_block):
+    # the grammar accepts these; the reference's constructor rejects them
+    path = tmp_path / "bad.cfg"
+    path.write_text(small_config_text(kind_block=kind_block))
+    for cmd in ("run", "verify"):
+        assert main([cmd, str(path)]) == 3
+        assert capsys.readouterr().err.startswith("input error: [trajectory]")
+    assert main(["roots", str(path)]) == 0  # roots does not read the reference
+
+
+@pytest.mark.parametrize(
+    "x0", ["compat-linear-exp 1.30 -1.0", "scaled-equilibrium -1.0 0.1", "scaled-equilibrium 1.0 -50.0"]
+)
+def test_cli_non_positive_admissible_x0_exits_3(tmp_path, capsys, x0):
+    # these forms promise an admissible profile, so a non-positive one is an input error
+    path = tmp_path / "bad.cfg"
+    path.write_text(small_config_text().replace("x0 = compat-linear-exp 1.30 1.0", "x0 = " + x0))
+    assert main(["run", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("input error: [model] x0: profile not positive")
+
+
 def test_infeasible_observer_gains_leave_no_certificate(tmp_path, capsys):
     # no (p1, p2) meets both shape inequalities for l = (0.0146, 0.0116)
     from agechemo.scenario import run
@@ -327,6 +361,7 @@ def test_snapshot_times_filtered_by_step_index(tmp_path):
 
 def test_build_trajectory_kinds(tmp_path):
     for block, kind in (
+        ("kind = transition\ny0 = 1.0\ny_delta = 3.0\nt_delta = 10.0", "transition"),
         ("kind = ramp\ny4 = 0.3\ny1 = 0.75", "ramp"),
         ("kind = periodic\ny2 = 0.79\ny3 = 0.625\nomega = 1.047", "periodic"),
         ("kind = constant\nvalue = 2.0", "constant"),
@@ -335,3 +370,9 @@ def test_build_trajectory_kinds(tmp_path):
         path.write_text(small_config_text(kind_block=block))
         traj = build_trajectory(load_config(path))
         assert traj.kind == kind
+
+
+def test_trajectory_kinds_table_drives_schema_and_constructors():
+    assert _SCHEMA["trajectory"] == {"kind"}.union(*(keys for _, keys in KINDS.values()))
+    for kind, (make, keys) in KINDS.items():
+        assert tuple(inspect.signature(make).parameters) == keys, kind

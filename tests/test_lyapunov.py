@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,23 +327,16 @@ def test_saturation_fact_randomized():
     assert report.n_violations == 0
 
 
-def test_saturation_fact_blocks_match_one_shot_draw(monkeypatch):
-    n, seed = 10_000, 7
-    rng = np.random.default_rng(seed)
-    z = np.concatenate([rng.normal(0.0, 3.0, n // 2), rng.uniform(-50.0, 50.0, n - n // 2)])
-    a = 10.0 ** rng.uniform(-3, 3, n)
-    b = 10.0 ** rng.uniform(-3, 3, n)
-    rhs = np.minimum(1.0, np.minimum(a, b)) * z * z / (1.0 + np.abs(z))
-    deficit = rhs - z * np.minimum(b, np.maximum(-a, z))
-    bad = deficit > 1e-12 * np.maximum(1.0, np.abs(rhs))
-    want = lyapunov.FactReport(n, int(bad.sum()), float(deficit.max(initial=0.0)))
-
-    monkeypatch.setattr(lyapunov, "FACT_BLOCK", 999)
-    blocks = list(lyapunov._fact_samples(n, seed))
-    assert len(blocks) == 11
-    for drawn, one_shot in zip((np.concatenate(col) for col in zip(*blocks)), (z, a, b)):
-        assert np.array_equal(drawn, one_shot)
-    assert saturation_fact_check.__wrapped__(n, seed) == want
+def test_saturation_fact_check_draws_in_blocks():
+    # one block's samples at a time: the peak stays far below the 1M-sample arrays
+    tracemalloc.start()
+    try:
+        report = saturation_fact_check.__wrapped__()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_violations == 0
+    assert peak < 8e6
 
 
 def test_overshoot_zero_and_monotone(trial_cert):

@@ -7,7 +7,6 @@ from agechemo.trajectories import (
     make_periodic,
     make_ramp,
     make_transition,
-    reference_profile,
     validate,
 )
 from oracles import grid_scan_extrema
@@ -120,25 +119,3 @@ def test_validate_scale_invariance(trial):
     assert r1.inf_rate == pytest.approx(r2.inf_rate, rel=1e-12)
     assert r1.sup_rate == pytest.approx(r2.sup_rate, rel=1e-12)
     assert r1.t_crit == pytest.approx(r2.t_crit, rel=1e-12)
-
-
-def test_reference_profile_consistency(trial):
-    eq, params, traj = trial["eq"], trial["params"], trial["traj"]
-    w = params.weights
-    for t in (0.0, 1.0, 5.0):
-        prof = reference_profile(traj, eq, t)
-        y = float(traj.eval(t))
-        assert float(w @ (params.p.values * prof.values)) / y == pytest.approx(1.0, abs=1e-8)
-
-
-def test_reference_profile_at_setpoint(trial):
-    eq, traj = trial["eq"], trial["traj"]
-    t_delta = traj.params["t_delta"]
-    prof = reference_profile(traj, eq, t_delta)
-    assert np.allclose(prof.values, 3.0 * eq.x_star.values, rtol=1e-14)
-
-
-def test_reference_profile_constant_one(trial):
-    eq = trial["eq"]
-    prof = reference_profile(make_constant(1.0), eq, 2.0)
-    assert np.array_equal(prof.values, eq.x_star.values)
