@@ -31,7 +31,8 @@ Grammar (all keys required unless noted, unknown keys rejected):
     snapshot_times = <t0 t1 ...>           (default: 1.0 and t_final)
 
 Every number must be finite.  Tables are values on the uniform age grid
-with exactly age_nodes entries.
+with exactly age_nodes entries.  An x0 of any form, table and linear-exp
+included, must be positive and boundary compatible (build_x0).
 dt is snapped to an exact divisor of a_max so that the delay window tiles
 the time grid, and t_final must span at least one step.  Each route keys a
 snapshot by the time of the step nearest each snapshot time; times that
@@ -50,7 +51,7 @@ import numpy as np
 
 from .errors import NonPositive, ParseError, ValidationError
 from .grid import GridFunction
-from .model import Equilibrium, ModelParams, compatibility_gap
+from .model import COMPAT_RTOL, Equilibrium, ModelParams, compatibility_gap
 from .trajectories import KINDS, Trajectory
 
 _SCHEMA = {
@@ -287,8 +288,9 @@ def build_x0(cfg: ScenarioConfig, params: ModelParams, eq: Equilibrium) -> GridF
     of the equilibrium profile.
 
     ``linear-exp slope decay``: the literal profile slope*a + e^{-decay a}.
-    The two forms above are checked positive and compatible here; this one
-    and ``table`` are not (the delay route rejects a profile out of class).
+    Every form must be positive and boundary compatible, within 1e-9 of
+    max|x0| for the two constructed above and within COMPAT_RTOL for this
+    one and ``table``; a profile out of class is an input error.
     """
     a = params.nodes
     w = params.weights
@@ -311,12 +313,13 @@ def build_x0(cfg: ScenarioConfig, params: ModelParams, eq: Equilibrium) -> GridF
     else:
         vals = _table_or_form(cfg.x0_spec, cfg.age_nodes, "[model] x0")
     gf = GridFunction(vals, cfg.a_max)
-    if kind in ("compat-linear-exp", "scaled-equilibrium"):
-        if not np.all(vals > 0):
-            raise ValidationError("[model] x0: profile not positive everywhere (min %g)" % vals.min())
-        gap = abs(compatibility_gap(gf, params))
-        if gap > 1e-9 * float(np.max(np.abs(vals))):
-            raise ValidationError("[model] x0: compatibility construction failed (gap %g)" % gap)
+    if not np.all(vals > 0):
+        raise ValidationError("[model] x0: profile not positive everywhere (min %g)" % vals.min())
+    gap = abs(compatibility_gap(gf, params))
+    if kind in ("compat-linear-exp", "scaled-equilibrium") and gap > 1e-9 * float(np.max(np.abs(vals))):
+        raise ValidationError("[model] x0: compatibility construction failed (gap %g)" % gap)
+    if gap > COMPAT_RTOL * float(np.max(np.abs(vals))):
+        raise ValidationError("[model] x0: profile not boundary-compatible (gap %g)" % gap)
     return gf
 
 

@@ -34,46 +34,42 @@ import numpy as np
 
 from .controller import ControllerGains, ScalarLoop, snapshot_steps
 from .errors import HistoryGap, InvalidIC, LogDomain
-from .grid import GridFunction, cumquad4, fd4, hermite_basis, hermite_eval, hermite_resample, simpson_weights
+from .grid import GridFunction, fd4, hermite_basis, hermite_eval, hermite_resample, simpson_weights, tail_integral
 from .model import Equilibrium, ModelParams, check_initial_condition
 from .trajectories import Trajectory
 
 _EDGE_TOL = 1e-9
 
 
-class HistoryBuffer:
-    """Uniformly sampled scalar history with cubic Hermite evaluation.
+class HistoryBuffer(NamedTuple):
+    """The finished psi history: (value, derivative) pairs at t0 + i*dt.
 
-    Stores (value, derivative) pairs at t0 + i*dt; the first ``size`` of
-    ``val``/``der`` are set.  Queries clamp to the last stored segment, so
-    evaluation a fraction of a step beyond the newest node extrapolates
-    that segment's cubic (needed by the stage evaluations of the explicit
-    stepper).
+    Built once (:func:`init_delay_state`, then :func:`_advance_psi`) and
+    never changed.  ``eval`` serves the reads made from the finished
+    history (snapshots, the windows of the Lyapunov readers, the renewal
+    identity), all within [t0, t_last]; the stepper and delta read through
+    the maps of :func:`_read_map` instead.
     """
 
-    def __init__(self, t0: float, dt: float, val: np.ndarray, der: np.ndarray):
-        self.t0 = t0
-        self.dt = dt
-        self.val = val
-        self.der = der
-        self.size = len(val)
+    t0: float
+    dt: float
+    val: np.ndarray
+    der: np.ndarray
 
     @property
     def t_last(self) -> float:
-        return self.t0 + (self.size - 1) * self.dt
+        return self.t0 + (len(self.val) - 1) * self.dt
 
     def eval(self, t):
         """Cubic Hermite evaluation at times of any shape."""
         t = np.asarray(t, dtype=float)
-        if t.size and (t.min() < self.t0 - _EDGE_TOL or t.max() > self.t_last + self.dt + _EDGE_TOL):
-            raise HistoryGap(
-                "query range [%g, %g] outside history [%g, %g]"
-                % (t.min(), t.max(), self.t0, self.t_last)
-            )
-        return hermite_eval(t, self.t0, self.dt, self.val[: self.size], self.der[: self.size])
+        if t.size and (t.min() < self.t0 - _EDGE_TOL or t.max() > self.t_last + _EDGE_TOL):
+            lims = (t.min(), t.max(), self.t0, self.t_last)
+            raise HistoryGap("query range [%g, %g] outside history [%g, %g]" % lims)
+        return hermite_eval(t, self.t0, self.dt, self.val, self.der)
 
     def node_values(self) -> np.ndarray:
-        return self.val[: self.size].copy()
+        return self.val.copy()
 
 
 def _read_map(coef: np.ndarray, n_hist: int, dt: float, c2: int, top: int):
@@ -84,9 +80,9 @@ def _read_map(coef: np.ndarray, n_hist: int, dt: float, c2: int, top: int):
     for every node b, where b + top is the newest stored node.  With
     h/dt = n_hist/q (q + 1 age nodes), read j lies (c2 q - 2 j n_hist)/(2q)
     buffer steps from node b; that offset is exact in integers.  Each read
-    takes the cubic-Hermite weights of :meth:`HistoryBuffer.eval` on the same
-    segment, clipped to the last stored one, so reads past the newest node
-    extrapolate exactly as ``eval`` does.
+    takes the cubic-Hermite weights of its segment, clipped to the last
+    stored one: a stage read past the newest node, which only dt > h makes,
+    extrapolates that segment's cubic.
     """
     q = len(coef) - 1
     num = c2 * q - 2 * n_hist * np.arange(q + 1)
@@ -159,11 +155,8 @@ def pi_weight(eq: Equilibrium, params: ModelParams) -> GridFunction:
     Computed as the tail integral of the normalized kernel divided by the
     survival factor; pi(A) = 0 and pi(0) equals the renewal integral, one.
     """
-    kt = eq.k_tilde.values
-    prefix = cumquad4(kt, params.h)
-    tail = prefix[-1] - prefix
-    survival = params.survival(eq.d_star)
-    return GridFunction(tail / survival, params.a_max)
+    tail = tail_integral(eq.k_tilde.values, params.h)
+    return GridFunction(tail / params.survival(eq.d_star), params.a_max)
 
 
 def pi_functional(f: GridFunction, eq: Equilibrium, params: ModelParams) -> float:
@@ -174,10 +167,10 @@ def pi_functional(f: GridFunction, eq: Equilibrium, params: ModelParams) -> floa
     return float(w @ (pi.values * f.values)) / denom
 
 
-def _stage_sums(dyn: _PsiDynamics, buf: HistoryBuffer, m: int) -> list[float]:
-    """[S_0, S_1/2, S_1] for stages of the step that starts at buffer node m."""
+def _stage_sums(dyn: _PsiDynamics, val: np.ndarray, der: np.ndarray, m: int) -> list[float]:
+    """[S_0, S_1/2, S_1] for stages of the step that starts at history node m."""
     w = slice(m - dyn.n_hist, m + 1)
-    return (buf.val[w] @ dyn.stage_val + buf.der[w] @ dyn.stage_der).tolist()
+    return (val[w] @ dyn.stage_val + der[w] @ dyn.stage_der).tolist()
 
 
 def init_delay_state(
@@ -212,9 +205,7 @@ def init_delay_state(
     psi0_b = hermite_resample(params.nodes, psi0, ages)
 
     # discrete tail-weighted mean on the buffer grid
-    kt_prefix = cumquad4(eq.k_tilde.values, params.h)
-    tail = kt_prefix[-1] - kt_prefix
-    tail_b = hermite_resample(params.nodes, tail, ages)
+    tail_b = hermite_resample(params.nodes, tail_integral(eq.k_tilde.values, params.h), ages)
     if n_hist % 2 == 0:
         wb = simpson_weights(n_hist + 1, dt)
     else:
@@ -225,23 +216,21 @@ def init_delay_state(
     psi0_b = (1.0 + psi0_b) / (1.0 + c0) - 1.0
     eta0 = math.log(big_pi / y_ref0) + math.log1p(c0)
 
-    hist_vals = psi0_b[::-1].copy()
-    buffer = HistoryBuffer(-params.a_max, dt, hist_vals, fd4(hist_vals, dt))
+    val = psi0_b[::-1].copy()
+    der = fd4(val, dt)
     dyn = _PsiDynamics.build(eq, params, dt)
-    buffer.der[n_hist] = dyn.a0 * buffer.val[n_hist] + _stage_sums(dyn, buffer, n_hist)[0]
-    return DelayState(eta0, buffer, dyn)
+    der[n_hist] = dyn.a0 * val[n_hist] + _stage_sums(dyn, val, der, n_hist)[0]
+    return DelayState(eta0, HistoryBuffer(-params.a_max, dt, val, der), dyn)
 
 
-def _advance_psi(dyn: _PsiDynamics, buf: HistoryBuffer, n_steps: int):
-    """RK4-step psi ``n_steps`` times from the newest buffer node."""
-    if buf.size < dyn.n_hist + 1:
-        raise HistoryGap("history does not span one full age window")
-    buf.val = val = np.concatenate([buf.val[: buf.size], np.zeros(n_steps)])
-    buf.der = der = np.concatenate([buf.der[: buf.size], np.zeros(n_steps)])
+def _advance_psi(dyn: _PsiDynamics, buf: HistoryBuffer, n_steps: int) -> HistoryBuffer:
+    """The history ``buf`` extended by ``n_steps`` RK4 steps of psi from its newest node."""
+    val = np.concatenate([buf.val, np.zeros(n_steps)])
+    der = np.concatenate([buf.der, np.zeros(n_steps)])
     a0, dt = dyn.a0, dyn.dt
     half, sixth = 0.5 * dt, dt / 6.0
-    for m in range(buf.size - 1, buf.size - 1 + n_steps):
-        _, s_half, s_one = _stage_sums(dyn, buf, m)
+    for m in range(len(buf.val) - 1, len(val) - 1):
+        _, s_half, s_one = _stage_sums(dyn, val, der, m)
         v, k1 = float(val[m]), float(der[m])
         k2 = a0 * (v + half * k1) + s_half
         k3 = a0 * (v + half * k2) + s_half
@@ -249,33 +238,28 @@ def _advance_psi(dyn: _PsiDynamics, buf: HistoryBuffer, n_steps: int):
         v_new = v + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
         val[m + 1] = v_new
         der[m + 1] = a0 * v_new + s_one
-    buf.size += n_steps
+    return HistoryBuffer(buf.t0, dt, val, der)
 
 
-def _delta_grid(dyn: _PsiDynamics, buf: HistoryBuffer, k0: int, n: int) -> np.ndarray:
-    """delta at t_k0 + (0, 1/2, 1, ..., n) dt, from one correlation per map.
+def _delta_grid(dyn: _PsiDynamics, buf: HistoryBuffer) -> np.ndarray:
+    """delta at t = (0, 1/2, 1, ..., n) dt, n steps past the history's first window.
 
-    The window of node k starts at buffer node k (time t_k - A).  Raises
-    LogDomain at the earliest time where 1 + <g, psi window> <= 0.
+    One correlation per map; the window of node k starts at history node k
+    (time t_k - A).  Raises LogDomain at the earliest time where 1 + <g, psi window> <= 0.
     """
-    hi = k0 + n + dyn.n_hist + 1
-    if k0 < 0 or hi > buf.size:
-        raise HistoryGap("delta needs history nodes [%d, %d), have %d" % (k0, hi, buf.size))
-    val, der = buf.val[k0:hi], buf.der[k0:hi]
+    n = len(buf.val) - dyn.n_hist - 1
     arg = np.empty(2 * n + 1)
     (nv, nd), (hv, hd) = dyn.delta_node, dyn.delta_half
-    arg[0::2] = np.correlate(val, nv, "valid")
-    arg[0::2] += np.correlate(der, nd, "valid")
+    arg[0::2] = np.correlate(buf.val, nv, "valid")
+    arg[0::2] += np.correlate(buf.der, nd, "valid")
     if n:
-        arg[1::2] = np.correlate(val, hv, "valid")
-        arg[1::2] += np.correlate(der, hd, "valid")
+        arg[1::2] = np.correlate(buf.val, hv, "valid")
+        arg[1::2] += np.correlate(buf.der, hd, "valid")
     arg += 1.0
     bad = np.flatnonzero(arg <= 0)
     if bad.size:
         p = int(bad[0])
-        raise LogDomain(
-            "1 + <g, psi window> = %g <= 0 at t = %g" % (arg[p], (k0 + 0.5 * p) * dyn.dt)
-        )
+        raise LogDomain("1 + <g, psi window> = %g <= 0 at t = %g" % (arg[p], 0.5 * p * dyn.dt))
     return np.log(arg, out=arg)
 
 
@@ -307,13 +291,13 @@ class OracleTrace:
         return self.buffer.eval(t - self.nodes)
 
     def windows(self, idx: np.ndarray):
-        """Yield (j, block) with block[r] = window(t[idx[j + r]]), WINDOW_BLOCK rows at a time."""
+        """Yield (rows, block), WINDOW_BLOCK rows at a time: block[r] = window(t[idx[rows][r]])."""
         for j in range(0, len(idx), WINDOW_BLOCK):
-            yield j, self.buffer.eval(self.t[idx[j : j + WINDOW_BLOCK], None] - self.nodes)
+            rows = slice(j, j + WINDOW_BLOCK)
+            yield rows, self.buffer.eval(self.t[idx[rows], None] - self.nodes)
 
     def ide_residual(self, t: float) -> float:
-        window = self.window(t)
-        return abs(float(self.buffer.eval(t)) - float(self.weights @ (self.k_tilde * window)))
+        return abs(float(self.buffer.eval(t)) - float(self.weights @ (self.k_tilde * self.window(t))))
 
     CSV_COLUMNS = ("t", "eta", "delta", "z1", "z2", "D", "y", "log_error")
 
@@ -342,9 +326,8 @@ def simulate_closed_loop(
     with the applied input.
     """
     state = init_delay_state(x0, traj, eq, params, dt)
-    n_steps = int(round(t_final / dt))
-    _advance_psi(state.dyn, state.buffer, n_steps)
-    dlt = _delta_grid(state.dyn, state.buffer, 0, n_steps)
+    history = _advance_psi(state.dyn, state.buffer, int(round(t_final / dt)))
+    dlt = _delta_grid(state.dyn, history)
     loop = ScalarLoop.of(gains, eq.d_star, params.d_min, params.d_max)
     t, (eta, z1, z2), d, _, y = loop.sweep(traj, dt, (state.eta, *gains.z0), dlt, d_override)
     delta = dlt[0::2].copy()
@@ -353,7 +336,7 @@ def simulate_closed_loop(
     snapshots = {}
     for i, t_i in snapshot_steps(snapshot_times, t, dt).items():
         scale = float(traj.eval(t_i)) * math.exp(eta[i])
-        window = state.buffer.eval(t_i - params.nodes)
+        window = history.eval(t_i - params.nodes)
         snapshots[t_i] = GridFunction(eq.x_star.values * scale * (1.0 + window), params.a_max)
 
     return OracleTrace(
@@ -366,7 +349,7 @@ def simulate_closed_loop(
         y=y,
         log_error=eta + delta,
         snapshots=snapshots,
-        buffer=state.buffer,
+        buffer=history,
         nodes=params.nodes,
         weights=params.weights,
         k_tilde=eq.k_tilde.values,

@@ -57,6 +57,12 @@ def cumquad4(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def tail_integral(values: np.ndarray, h: float) -> np.ndarray:
+    """int_a^A of the sampled function at each node a, from :func:`cumquad4`; zero at the last."""
+    prefix = cumquad4(values, h)
+    return prefix[-1] - prefix
+
+
 def fd4(values: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order finite-difference derivative on a uniform grid."""
     v = np.asarray(values, dtype=float)

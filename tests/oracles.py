@@ -4,8 +4,8 @@ Deliberately self-contained: these helpers re-implement quadrature and
 scanning directly on closed-form integrands so that package results are
 checked against a code path that shares nothing with src/agechemo.
 ``reference_closed_loop``, ``reference_galerkin_loop``,
-``reference_contraction_value`` and ``reference_clf_profile`` are the
-exceptions; their docstrings say why.
+``reference_contraction_value``, ``reference_clf_profile`` and
+``reference_sample_clf`` are the exceptions; their docstrings say why.
 """
 import math
 
@@ -75,17 +75,18 @@ def reference_closed_loop(x0, traj, eq, gains, params, t_final, dt, snapshot_tim
     """The delay route with every history read re-interpolated per RK stage.
 
     The exception to this module's rule: it reuses the package's initial
-    split (``init_delay_state``) and ``HistoryBuffer.eval``, so that it
+    split (``init_delay_state``) and ``grid.hermite_eval``, so that it
     checks the precomputed stage maps of ``simulate_closed_loop`` against
     the reads they stand for.  psi' at each stage and at t = 0, and delta at
     t, t + dt/2 and t + dt, each evaluate the full window by Hermite
-    interpolation, and (psi, eta, z) advance one synchronized step at a
-    time.  Returns the trace arrays, the psi nodes and the snapshot
-    profiles in a dict.
+    interpolation of the nodes stored so far (a stage read past the newest
+    node extrapolates its segment), and (psi, eta, z) advance one
+    synchronized step at a time.  Returns the trace arrays, the psi nodes
+    and the snapshot profiles in a dict.
     """
-    from agechemo.delay import HistoryBuffer, init_delay_state
+    from agechemo.delay import init_delay_state
     from agechemo.errors import LogDomain
-    from agechemo.grid import fd4
+    from agechemo.grid import fd4, hermite_eval
 
     nodes, w, a_max = params.nodes, params.weights, params.a_max
     kt, ktp, g = eq.k_tilde.values, eq.k_tilde_prime.values, eq.g.values
@@ -93,19 +94,21 @@ def reference_closed_loop(x0, traj, eq, gains, params, t_final, dt, snapshot_tim
     n_steps = int(round(t_final / dt))
     start = init_delay_state(x0, traj, eq, params, dt)
     val, der = np.zeros(n_hist + 1 + n_steps), np.zeros(n_hist + 1 + n_steps)
-    val[: n_hist + 1] = start.buffer.val[: n_hist + 1]
+    val[: n_hist + 1] = start.buffer.val
     der[: n_hist + 1] = fd4(val[: n_hist + 1], dt)
-    buf = HistoryBuffer(-a_max, dt, val, der)
-    buf.size = n_hist + 1
+    size = n_hist + 1  # nodes stored so far
+
+    def psi_at(tau):
+        return hermite_eval(tau, -a_max, dt, val[:size], der[:size])
 
     def psi_rhs(tau, psi_now):
-        window = buf.eval(tau - nodes)
+        window = psi_at(tau - nodes)
         window[0] = psi_now
-        boundary = kt[0] * psi_now - kt[-1] * buf.eval(tau - a_max)
+        boundary = kt[0] * psi_now - kt[-1] * psi_at(tau - a_max)
         return float(boundary + w @ (ktp * window))
 
     def delta_at(tau):
-        arg = 1.0 + float(w @ (g * buf.eval(tau - nodes)))
+        arg = 1.0 + float(w @ (g * psi_at(tau - nodes)))
         if arg <= 0:
             raise LogDomain("1 + <g, psi window> = %g <= 0 at t = %g" % (arg, tau))
         return math.log(arg)
@@ -125,7 +128,7 @@ def reference_closed_loop(x0, traj, eq, gains, params, t_final, dt, snapshot_tim
             [eq.d_star - rate - d_app, z2 - rate - d_app - gains.l1 * mism, -gains.l2 * mism]
         )
 
-    buf.der[n_hist] = psi_rhs(0.0, buf.val[n_hist])
+    der[n_hist] = psi_rhs(0.0, val[n_hist])
     out = {k: np.zeros(n_steps + 1) for k in ("eta", "delta", "z1", "z2", "d", "y")}
     snap_idx = {round(s / dt): round(s / dt) * dt for s in snapshot_times}  # keyed by the node time
     snapshots = {}
@@ -140,19 +143,19 @@ def reference_closed_loop(x0, traj, eq, gains, params, t_final, dt, snapshot_tim
         out["d"][i] = applied(t, u, dlt)
         if i in snap_idx:
             scale = float(traj.eval(t)) * math.exp(u[0])
-            snapshots[snap_idx[i]] = eq.x_star.values * scale * (1.0 + buf.eval(t - nodes))
+            snapshots[snap_idx[i]] = eq.x_star.values * scale * (1.0 + psi_at(t - nodes))
 
     record(0)
     for i in range(n_steps):
-        tl = buf.t_last
-        v, k1 = buf.val[buf.size - 1], buf.der[buf.size - 1]
+        tl = -a_max + (size - 1) * dt
+        v, k1 = val[size - 1], der[size - 1]
         k2 = psi_rhs(tl + 0.5 * dt, v + 0.5 * dt * k1)
         k3 = psi_rhs(tl + 0.5 * dt, v + 0.5 * dt * k2)
         k4 = psi_rhs(tl + dt, v + dt * k3)
         v_new = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         d_new = psi_rhs(tl + dt, v_new)
-        buf.val[buf.size], buf.der[buf.size] = v_new, d_new
-        buf.size += 1
+        val[size], der[size] = v_new, d_new
+        size += 1
 
         d_t, d_half, d_full = delta_at(t), delta_at(t + 0.5 * dt), delta_at(t + dt)
         out["d"][i] = applied(t, u, d_t)  # the input applied over [t, t + dt)
@@ -165,7 +168,7 @@ def reference_closed_loop(x0, traj, eq, gains, params, t_final, dt, snapshot_tim
         record(i + 1)
 
     out["log_error"] = out["eta"] + out["delta"]
-    out["psi"] = buf.node_values()
+    out["psi"] = val.copy()
     out["snapshots"] = snapshots
     return out
 
@@ -277,6 +280,30 @@ def reference_clf_profile(profile, z, traj, eq, cert, params, t):
     q = e1 * e1 - cert.p1 * e1 * e2 + cert.p2 * e2 * e2 + 0.5 * cert.big_m * (w_norm / floor) ** 2
     v = math.log(scale) ** 2 + cert.alpha1 * math.sqrt(q) + cert.alpha2 * q
     return v, q
+
+
+def reference_sample_clf(trace, cert, stride=10, norms=None):
+    """The history-form functional along an oracle trace, one sample at a time.
+
+    ``lyapunov.sample_clf`` as the per-sample loop it replaced, in the same
+    arithmetic order.  An exception to this module's rule: it reads the
+    package's ``window_norms`` when ``norms`` is not given, so that it
+    checks only the functional's evaluation.
+    """
+    from agechemo.lyapunov import window_norms
+
+    idx = np.arange(0, len(trace.t), stride)
+    if norms is None:
+        norms = window_norms(trace, cert.sigma, stride)
+    w_norms, floors = (x.tolist() for x in norms)
+    vs = np.zeros(len(idx))
+    for j, i in enumerate(idx):
+        e1 = trace.z1[i] - trace.eta[i]
+        e2 = trace.z2[i] - cert.d_star
+        quad = e1 * e1 - cert.p1 * e1 * e2 + cert.p2 * e2 * e2
+        q = quad + 0.5 * cert.big_m * (w_norms[j] / floors[j]) ** 2
+        vs[j] = trace.eta[i] ** 2 + cert.alpha1 * math.sqrt(q) + cert.alpha2 * q
+    return trace.t[idx], vs
 
 
 def reference_contraction_value(k_tilde, lam, sigma=0.0):

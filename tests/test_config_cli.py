@@ -6,12 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from agechemo import galerkin
 from agechemo.cli import main
-from agechemo.config import _SCHEMA, build_model, build_trajectory, load_config
+from agechemo.config import _SCHEMA, build_model, build_trajectory, build_x0, load_config
 from agechemo.errors import ParseError, ValidationError
+from agechemo.model import solve_equilibrium
 from agechemo.scenario import run
 from agechemo.trajectories import KINDS
 from conftest import bundled, bundled_with, small_config_text
@@ -208,6 +210,37 @@ def test_cli_non_positive_admissible_x0_exits_3(tmp_path, capsys, x0):
     path.write_text(small_config_text().replace("x0 = compat-linear-exp 1.30 1.0", "x0 = " + x0))
     assert main(["run", str(path)]) == 3
     assert capsys.readouterr().err.startswith("input error: [model] x0: profile not positive")
+
+
+@pytest.mark.parametrize(
+    "x0, routes, message",
+    [
+        ("linear-exp 0.0 1.0", "both", "profile not boundary-compatible"),
+        ("linear-exp 0.0 1.0", "galerkin", "profile not boundary-compatible"),
+        ("linear-exp 0.0 1.0", "oracle", "profile not boundary-compatible"),
+        ("table " + " ".join(["1.0"] * 401), "galerkin", "profile not boundary-compatible"),
+        ("linear-exp -1.0 1.0", "galerkin", "profile not positive"),
+    ],
+    ids=["linear-exp-both", "linear-exp-galerkin", "linear-exp-oracle", "table", "linear-exp-negative"],
+)
+def test_cli_inadmissible_x0_exits_3_on_every_route(tmp_path, capsys, x0, routes, message):
+    # a profile out of class is an input error whichever route would read it
+    path = tmp_path / "bad.cfg"
+    path.write_text(small_config_text().replace("x0 = compat-linear-exp 1.30 1.0", "x0 = " + x0))
+    assert main(["run", str(path), "--routes", routes]) == 3
+    assert capsys.readouterr().err.startswith("input error: [model] x0: " + message)
+
+
+def test_compatible_table_x0_is_taken_as_given(tmp_path):
+    path = tmp_path / "ok.cfg"
+    path.write_text(small_config_text())
+    cfg = load_config(path)
+    params = build_model(cfg)
+    eq = solve_equilibrium(params)
+    table = "table " + " ".join(repr(float(v)) for v in eq.x_star.values)
+    path.write_text(small_config_text().replace("compat-linear-exp 1.30 1.0", table))
+    cfg = load_config(path)
+    assert np.array_equal(build_x0(cfg, params, eq).values, eq.x_star.values)
 
 
 def test_infeasible_observer_gains_leave_no_certificate(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from agechemo.delay import (
     WINDOW_BLOCK,
+    HistoryBuffer,
     _advance_psi,
     _delta_grid,
     init_delay_state,
@@ -92,18 +93,25 @@ def test_init_rejects_inadmissible_profile(trial):
 def test_step_psi_zero_solution(trial):
     eq, params = trial["eq"], trial["params"]
     state = init_delay_state(eq.x_star, make_constant(1.0), eq, params, params.h)
-    _advance_psi(state.dyn, state.buffer, 100)
-    assert np.max(np.abs(state.buffer.node_values())) < 1e-14
+    history = _advance_psi(state.dyn, state.buffer, 100)
+    assert len(history.val) == len(state.buffer.val) + 100
+    assert np.max(np.abs(history.node_values())) < 1e-14
+
+
+def _flat_history(buf, c):
+    """A history of the same nodes as ``buf`` holding the constant c."""
+    return HistoryBuffer(buf.t0, buf.dt, np.full_like(buf.val, c), np.zeros_like(buf.der))
 
 
 def test_step_psi_constant_fixed_point(trial):
     eq, params = trial["eq"], trial["params"]
     state = init_delay_state(eq.x_star, make_constant(1.0), eq, params, params.h)
     c = 0.37
-    state.buffer.val[: state.buffer.size] = c
-    state.buffer.der[: state.buffer.size] = 0.0
-    _advance_psi(state.dyn, state.buffer, 200)
-    assert abs(state.buffer.val[state.buffer.size - 1] - c) < 1e-6
+    flat = _flat_history(state.buffer, c)
+    history = _advance_psi(state.dyn, flat, 200)
+    assert abs(history.val[-1] - c) < 1e-6
+    # the history it extends is left as it was
+    assert len(flat.val) == len(state.buffer.val) and np.all(flat.val == c) and np.all(flat.der == 0.0)
 
 
 def test_ide_identity_along_run(fig2a_runs):
@@ -115,7 +123,8 @@ def test_ide_identity_along_run(fig2a_runs):
 def test_delta_zero_history(trial):
     eq, params = trial["eq"], trial["params"]
     state = init_delay_state(eq.x_star, make_constant(1.0), eq, params, params.h)
-    assert abs(_delta_grid(state.dyn, state.buffer, 0, 0)[0]) < 1e-14
+    dlt = _delta_grid(state.dyn, state.buffer)
+    assert dlt.shape == (1,) and abs(dlt[0]) < 1e-14
 
 
 def test_delta_bound_random_windows(trial, trial_cert):
@@ -138,10 +147,9 @@ def test_delta_log_domain_on_corrupted_history(trial):
 
     eq, params = trial["eq"], trial["params"]
     state = init_delay_state(eq.x_star, make_constant(1.0), eq, params, params.h)
-    state.buffer.val[: state.buffer.size] = -2.0  # below the reconstruction floor
-    state.buffer.der[: state.buffer.size] = 0.0
+    corrupted = _flat_history(state.buffer, -2.0)  # below the reconstruction floor
     with pytest.raises(LogDomain, match="at t = 0$"):
-        _delta_grid(state.dyn, state.buffer, 0, 0)
+        _delta_grid(state.dyn, corrupted)
 
 
 def test_delta_matches_direct_quadrature(trial, fig2a_runs):
@@ -222,6 +230,24 @@ def test_psi_input_independence_bitwise(trial):
     assert not np.array_equal(closed.d, forced.d)
 
 
+def test_psi_history_independent_of_gains_and_reference_bitwise(trial):
+    eq, params, gains, x0, traj = (
+        trial["eq"],
+        trial["params"],
+        trial["gains"],
+        trial["x0"],
+        trial["traj"],
+    )
+    other_gains = ControllerGains(3.0, 5.0, 9.0, (0.1, 0.9))
+    assert other_gains != gains
+    base = simulate_closed_loop(x0, traj, eq, gains, params, 1.0, params.h)
+    other = simulate_closed_loop(x0, make_constant(2.0), eq, other_gains, params, 1.0, params.h)
+    assert np.array_equal(base.buffer.val, other.buffer.val)
+    assert np.array_equal(base.buffer.der, other.buffer.der)
+    assert not np.array_equal(base.eta, other.eta)
+    assert not np.array_equal(base.d, other.d)
+
+
 def test_history_gap_raised(trial):
     eq, params = trial["eq"], trial["params"]
     state = init_delay_state(eq.x_star, make_constant(1.0), eq, params, params.h)
@@ -229,6 +255,26 @@ def test_history_gap_raised(trial):
         state.buffer.eval(-3.0)
     with pytest.raises(HistoryGap):
         state.buffer.eval(1.0)
+
+
+def test_history_eval_stops_at_newest_node(trial):
+    eq, params, gains, x0, traj = (
+        trial["eq"],
+        trial["params"],
+        trial["gains"],
+        trial["x0"],
+        trial["traj"],
+    )
+    dt = params.h
+    start = init_delay_state(x0, traj, eq, params, dt)
+    trace = simulate_closed_loop(x0, traj, eq, gains, params, 0.5, dt)
+    for history in (start.buffer, trace.buffer):
+        history.eval(history.t_last)  # the newest node itself is stored
+        with pytest.raises(HistoryGap):
+            history.eval(history.t_last + dt)
+        with pytest.raises(HistoryGap):
+            history.eval(history.t_last + 0.5 * dt)
+    assert trace.buffer.t_last == pytest.approx(trace.t[-1], abs=1e-12)
 
 
 def test_step_halving_convergence(trial):
@@ -311,10 +357,10 @@ def test_simulate_matches_hermite_reference_with_boundary_term(tmp_path):
 def test_trace_windows_equal_window_bitwise(fig2a_runs):
     trace = fig2a_runs["oracle"]
     idx = np.arange(0, len(trace.t), 7)
-    rows = 0
-    for j, block in trace.windows(idx):
+    covered = []
+    for rows, block in trace.windows(idx):
         assert 0 < len(block) <= WINDOW_BLOCK
-        for r, row in enumerate(block):
-            assert np.array_equal(row, trace.window(trace.t[idx[j + r]]))
-        rows += len(block)
-    assert rows == len(idx)
+        for i, row in zip(idx[rows], block, strict=True):
+            assert np.array_equal(row, trace.window(trace.t[i]))
+        covered.extend(range(len(idx))[rows])
+    assert covered == list(range(len(idx)))

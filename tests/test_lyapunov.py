@@ -35,6 +35,7 @@ from oracles import (
     reference_b3_search,
     reference_clf_profile,
     reference_contraction_value,
+    reference_sample_clf,
     reference_sigma_search,
 )
 
@@ -327,6 +328,33 @@ def test_saturation_fact_randomized():
     assert report.n_violations == 0
 
 
+class _ShortFirstNormal:
+    """A generator whose first normal draw comes back one sample short."""
+
+    def __init__(self, rng):
+        self.rng, self.short = rng, True
+
+    def normal(self, *args):
+        out = self.rng.normal(*args)
+        if self.short:
+            self.short = False
+            return out[:-1]
+        return out
+
+    def uniform(self, *args):
+        return self.rng.uniform(*args)
+
+
+def test_saturation_fact_check_counts_samples_tested(monkeypatch):
+    n = 2 * lyapunov.FACT_BLOCK + 100
+    assert saturation_fact_check.__wrapped__(n).n_samples == n
+    make_rng = np.random.default_rng
+    monkeypatch.setattr(lyapunov.np.random, "default_rng", lambda seed: _ShortFirstNormal(make_rng(seed)))
+    report = saturation_fact_check.__wrapped__(n)
+    assert report.n_samples == n - 1
+    assert report.n_violations == 0
+
+
 def test_saturation_fact_check_draws_in_blocks():
     # one block's samples at a time: the peak stays far below the 1M-sample arrays
     tracemalloc.start()
@@ -375,6 +403,21 @@ def test_history_checks_take_shared_window_norms(trial_cert, fig2a_runs):
     assert check_history_decay(trace, sigma, norms=norms) == check_history_decay(trace, sigma)
     shared, own = sample_clf(trace, trial_cert, norms=norms), sample_clf(trace, trial_cert)
     assert all(np.array_equal(a, b) for a, b in zip(shared, own))
+
+
+@pytest.mark.parametrize("stride", [10, 20])
+@pytest.mark.parametrize("run", ["fig2a", "fig2a_half", "const", "const_half"])
+def test_sample_clf_equals_per_sample_loop_bitwise(trial_cert, fig2a_runs, const_setup, run, stride):
+    trace, cert = {
+        "fig2a": (fig2a_runs["oracle"], trial_cert),
+        "fig2a_half": (fig2a_runs["oracle_half"], trial_cert),
+        "const": (const_setup["trace"], const_setup["cert"]),
+        "const_half": (const_setup["trace_half"], const_setup["cert"]),
+    }[run]
+    ts, vs = sample_clf(trace, cert, stride)
+    ts_ref, vs_ref = reference_sample_clf(trace, cert, stride)
+    assert np.array_equal(ts, ts_ref)
+    assert np.array_equal(vs, vs_ref)
 
 
 def test_observer_iss_and_eta_decay(trial_cert, fig2a_runs):
