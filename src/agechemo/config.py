@@ -49,9 +49,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NonPositive, ParseError, ValidationError
+from .errors import InvalidIC, NonPositive, ParseError, ValidationError
 from .grid import GridFunction
-from .model import COMPAT_RTOL, Equilibrium, ModelParams, compatibility_gap
+from .model import Equilibrium, ModelParams, check_initial_condition, compatibility_gap
 from .trajectories import KINDS, Trajectory
 
 _SCHEMA = {
@@ -288,9 +288,9 @@ def build_x0(cfg: ScenarioConfig, params: ModelParams, eq: Equilibrium) -> GridF
     of the equilibrium profile.
 
     ``linear-exp slope decay``: the literal profile slope*a + e^{-decay a}.
-    Every form must be positive and boundary compatible, within 1e-9 of
-    max|x0| for the two constructed above and within COMPAT_RTOL for this
-    one and ``table``; a profile out of class is an input error.
+    Every form must pass :func:`check_initial_condition`, and the two
+    constructed above must also meet compatibility within 1e-9 of max|x0|;
+    a profile out of class is an input error.
     """
     a = params.nodes
     w = params.weights
@@ -313,13 +313,13 @@ def build_x0(cfg: ScenarioConfig, params: ModelParams, eq: Equilibrium) -> GridF
     else:
         vals = _table_or_form(cfg.x0_spec, cfg.age_nodes, "[model] x0")
     gf = GridFunction(vals, cfg.a_max)
-    if not np.all(vals > 0):
-        raise ValidationError("[model] x0: profile not positive everywhere (min %g)" % vals.min())
+    try:
+        check_initial_condition(gf, params)
+    except InvalidIC as exc:
+        raise ValidationError("[model] x0: %s" % exc) from exc
     gap = abs(compatibility_gap(gf, params))
-    if kind in ("compat-linear-exp", "scaled-equilibrium") and gap > 1e-9 * float(np.max(np.abs(vals))):
+    if kind in ("compat-linear-exp", "scaled-equilibrium") and gap > 1e-9 * float(np.max(vals)):
         raise ValidationError("[model] x0: compatibility construction failed (gap %g)" % gap)
-    if gap > COMPAT_RTOL * float(np.max(np.abs(vals))):
-        raise ValidationError("[model] x0: profile not boundary-compatible (gap %g)" % gap)
     return gf
 
 

@@ -149,24 +149,6 @@ class DelayState(NamedTuple):
     dyn: _PsiDynamics
 
 
-def pi_weight(eq: Equilibrium, params: ModelParams) -> GridFunction:
-    """Reproductive-value weight: pi(a) = int_a^A k(s) e^{d*(a-s) + int_s^a mu} ds.
-
-    Computed as the tail integral of the normalized kernel divided by the
-    survival factor; pi(A) = 0 and pi(0) equals the renewal integral, one.
-    """
-    tail = tail_integral(eq.k_tilde.values, params.h)
-    return GridFunction(tail / params.survival(eq.d_star), params.a_max)
-
-
-def pi_functional(f: GridFunction, eq: Equilibrium, params: ModelParams) -> float:
-    """Pi(f) = <pi, f> / <pi, x*>; linear in f, Pi(x*) = 1."""
-    pi = pi_weight(eq, params)
-    w = params.weights
-    denom = float(w @ (pi.values * eq.x_star.values))
-    return float(w @ (pi.values * f.values)) / denom
-
-
 def _stage_sums(dyn: _PsiDynamics, val: np.ndarray, der: np.ndarray, m: int) -> list[float]:
     """[S_0, S_1/2, S_1] for stages of the step that starts at history node m."""
     w = slice(m - dyn.n_hist, m + 1)
@@ -182,15 +164,16 @@ def init_delay_state(
 ) -> DelayState:
     """Split an admissible initial profile into (eta0, psi0) and fill the history.
 
-    psi0 is resampled onto the buffer grid with cubic Hermite interpolation
-    and re-centered so that its discrete tail-weighted mean vanishes; the
-    centering constant is absorbed into eta0, leaving the represented
-    profile unchanged.  The recentering pins the conserved functional of
-    the renewal dynamics to zero at machine precision, which is what drives
-    psi to zero instead of a spurious constant.
+    With r = x0/x* resampled onto the buffer grid by cubic Hermite
+    interpolation, one tail-weighted mean M = <tau, r>/<tau> (tau the tail
+    integral of kt, proportional to pi x*) is the discrete Pi(x0) on that
+    grid: psi0 = r/M - 1 and eta0 = log(M / y_ref(0)).  psi0's discrete
+    tail-weighted mean then vanishes at machine precision, pinning the
+    conserved functional of the renewal dynamics to zero, which is what
+    drives psi to zero instead of a spurious constant.  Raises InvalidIC
+    for an x0 that :func:`check_initial_condition` refuses.
     """
-    if not check_initial_condition(x0, params):
-        raise InvalidIC("x0 is not positive and boundary-compatible")
+    check_initial_condition(x0, params)
     y_ref0 = float(traj.eval(0.0))
     if y_ref0 <= 0:
         raise InvalidIC("reference must be positive at t = 0")
@@ -198,13 +181,8 @@ def init_delay_state(
     if abs(n_hist * dt - params.a_max) > 1e-9 * params.a_max:
         raise ValueError("dt must divide a_max; got dt=%g, a_max=%g" % (dt, params.a_max))
 
-    big_pi = pi_functional(x0, eq, params)
-    psi0 = x0.values / (eq.x_star.values * big_pi) - 1.0
-
     ages = np.linspace(0.0, params.a_max, n_hist + 1)
-    psi0_b = hermite_resample(params.nodes, psi0, ages)
-
-    # discrete tail-weighted mean on the buffer grid
+    ratio_b = hermite_resample(params.nodes, x0.values / eq.x_star.values, ages)
     tail_b = hermite_resample(params.nodes, tail_integral(eq.k_tilde.values, params.h), ages)
     if n_hist % 2 == 0:
         wb = simpson_weights(n_hist + 1, dt)
@@ -212,11 +190,10 @@ def init_delay_state(
         wb = np.full(n_hist + 1, dt)
         wb[0] *= 0.5
         wb[-1] *= 0.5
-    c0 = float(wb @ (tail_b * psi0_b)) / float(wb @ tail_b)
-    psi0_b = (1.0 + psi0_b) / (1.0 + c0) - 1.0
-    eta0 = math.log(big_pi / y_ref0) + math.log1p(c0)
+    big_pi = float(wb @ (tail_b * ratio_b)) / float(wb @ tail_b)
+    eta0 = math.log(big_pi / y_ref0)
 
-    val = psi0_b[::-1].copy()
+    val = ratio_b[::-1] / big_pi - 1.0  # psi0 at t = -A, ..., 0
     der = fd4(val, dt)
     dyn = _PsiDynamics.build(eq, params, dt)
     der[n_hist] = dyn.a0 * val[n_hist] + _stage_sums(dyn, val, der, n_hist)[0]

@@ -15,7 +15,6 @@ enters as an exact scalar multiple of the identity.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .grid import GridFunction, fd4, hermite_resample, simpson_weights
-from .model import COMPAT_RTOL, Equilibrium, ModelParams, compatibility_gap
+from .model import Equilibrium, ModelParams, check_initial_condition
 from .trajectories import Trajectory
 
 #: Chebyshev-Lobatto collocation degree of the delay-equation generator
@@ -319,11 +318,12 @@ def build_basis(
     Mode shapes use the envelope exponent -s (the eigen-shape of the root
     s), which also makes them exactly compatible with the non-local
     boundary condition in the continuum.  x0's derivative is the only one
-    obtained by grid differentiation; its boundary-compatibility defect is
-    reported as a warning, not enforced.
+    obtained by grid differentiation.  Raises InvalidIC for an x0 that
+    :func:`check_initial_condition` refuses, as the delay route does.
     """
     if n_modes % 2 != 0 or n_modes < 4:
         raise ValueError("n_modes must be even and >= 4")
+    check_initial_condition(x0, params)
     a = params.nodes
     xs = eq.x_star.values
     xs_prime = -(params.mu.values + eq.d_star) * xs
@@ -352,13 +352,6 @@ def build_basis(
     if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
         raise DependentBasis("trial Gram condition number %.3g exceeds %g" % (cond, GRAM_COND_LIMIT))
 
-    bc_defect = abs(compatibility_gap(x0, params))
-    if bc_defect > COMPAT_RTOL * float(np.max(np.abs(x0.values))):
-        warnings.warn(
-            "initial profile violates the boundary condition by %.3g; "
-            "the trial bank keeps it unmodified" % bc_defect,
-            stacklevel=2,
-        )
     return GalerkinBasis(Phi, dPhi)
 
 

@@ -363,8 +363,9 @@ def sample_clf(
     eta = trace.eta[idx]
     e1 = trace.z1[idx] - eta
     e2 = trace.z2[idx] - cert.d_star
-    q = e1 * e1 - cert.p1 * e1 * e2 + cert.p2 * e2 * e2 + 0.5 * cert.big_m * (w_norms / floors) ** 2
-    return trace.t[idx], eta**2 + cert.alpha1 * np.sqrt(q) + cert.alpha2 * q
+    ratio = w_norms / floors
+    q = e1 * e1 - cert.p1 * e1 * e2 + cert.p2 * e2 * e2 + 0.5 * cert.big_m * (ratio * ratio)
+    return trace.t[idx], eta * eta + cert.alpha1 * np.sqrt(q) + cert.alpha2 * q
 
 
 def window_norms(trace: OracleTrace, sigma: float, stride: int = 10) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateShape, NoRoot
+from .errors import DegenerateShape, InvalidIC, NoRoot
 from .grid import GridFunction, cumtrapz, simpson_weights
 
 #: |x0(0) - <k, x0>| tolerance, relative to max|x0|.  Exact equality is the
@@ -157,15 +157,19 @@ def calibrate_birth_modulus(shape: GridFunction, d_star_target: float, params: M
     return 1.0 / integral
 
 
-def check_initial_condition(x0: GridFunction, params: ModelParams) -> bool:
+def check_initial_condition(x0: GridFunction, params: ModelParams) -> None:
     """Admissibility of an initial profile: positive and boundary compatible.
 
     Compatibility means x0(0) = <k, x0> within COMPAT_RTOL * max|x0|.
+    Raises InvalidIC naming the failed condition; this is the one rule
+    both simulation routes and the config loader apply.
     """
     v = x0.values
     if not np.all(v > 0):
-        return False
-    return abs(compatibility_gap(x0, params)) <= COMPAT_RTOL * float(np.max(np.abs(v)))
+        raise InvalidIC("profile not positive everywhere (min %g)" % v.min())
+    gap = abs(compatibility_gap(x0, params))
+    if gap > COMPAT_RTOL * float(np.max(np.abs(v))):
+        raise InvalidIC("profile not boundary-compatible (gap %g)" % gap)
 
 
 def compatibility_gap(x0: GridFunction, params: ModelParams) -> float:

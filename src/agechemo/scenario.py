@@ -20,7 +20,7 @@ import numpy as np
 from . import delay, galerkin, lyapunov
 from .config import ScenarioConfig, build_model, build_trajectory, build_x0
 from .controller import ControllerGains
-from .errors import AgeChemoError, GridMismatch
+from .errors import AgeChemoError, GridMismatch, ValidationError
 from .model import solve_equilibrium
 from .trajectories import validate
 
@@ -257,7 +257,10 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
+        try:
+            out_path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError("--out %s: cannot create directory (%s)" % (out_path, exc.strerror)) from exc
 
     route_g = functools.partial(_galerkin_route, cfg, eq, params, x0, traj, gains, out_path)
     child = _Child(route_g) if cfg.routes == "both" else None

@@ -129,7 +129,6 @@ def validate(
     d_min: float,
     d_max: float,
     horizon: float,
-    probe_points: int = PROBE_POINTS,
 ) -> ValidityReport:
     """Check the rate band d* - d_max < rate(t) < d* - d_min over the horizon.
 
@@ -138,7 +137,7 @@ def validate(
     reported, and a later exit from the band is not resolved.
     """
     hz = _probe_horizon(traj, horizon)
-    ts = np.linspace(0.0, hz, probe_points)
+    ts = np.linspace(0.0, hz, PROBE_POINTS)
     rates = np.asarray(traj.rate(ts), dtype=float)
     inf_rate, sup_rate = float(rates.min()), float(rates.max())
     lo_band = eq.d_star - d_max

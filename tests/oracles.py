@@ -3,8 +3,8 @@
 Deliberately self-contained: these helpers re-implement quadrature and
 scanning directly on closed-form integrands so that package results are
 checked against a code path that shares nothing with src/agechemo.
-``reference_closed_loop``, ``reference_galerkin_loop``,
-``reference_contraction_value``, ``reference_clf_profile`` and
+``pi_weight``, ``pi_functional``, ``reference_closed_loop``,
+``reference_galerkin_loop``, ``reference_contraction_value`` and
 ``reference_sample_clf`` are the exceptions; their docstrings say why.
 """
 import math
@@ -57,6 +57,28 @@ def pi_highres(a_eval, d_star, n=4001):
         return k_trial(s) * np.exp(d_star * (a_eval - s) + MU * (a_eval - s))
 
     return simpson_highres(integrand, a_eval, A_MAX, n)
+
+
+def pi_weight(eq, params):
+    """Reproductive-value weight: pi(a) = int_a^A k(s) e^{d*(a-s) + int_s^a mu} ds.
+
+    The tail integral of the normalized kernel divided by the survival
+    factor; pi(A) = 0 and pi(0) equals the renewal integral, one.  An
+    exception to this module's rule: it takes the tail integral with the
+    package's ``tail_integral``, so that the delay route's initial split,
+    which weights by that same tail, is checked against Pi to roundoff.
+    """
+    from agechemo.grid import GridFunction, tail_integral
+
+    tail = tail_integral(eq.k_tilde.values, params.h)
+    return GridFunction(tail / params.survival(eq.d_star), params.a_max)
+
+
+def pi_functional(f, eq, params):
+    """Pi(f) = <pi, f> / <pi, x*> on the age grid; linear in f, Pi(x*) = 1."""
+    pi = pi_weight(eq, params).values
+    w = params.weights
+    return float(w @ (pi * f.values)) / float(w @ (pi * eq.x_star.values))
 
 
 def grid_scan_extrema(f, lo, hi, n=200_001):
@@ -263,13 +285,10 @@ def reference_clf_profile(profile, z, traj, eq, cert, params, t):
 
     The profile form: the scale is Pi(x) / y_ref(t), the history norm and
     floor are taken on the ratio x / (x* y_ref) against that scale, and the
-    head term is the squared log scale.  An exception to this module's
-    rule: it reuses the package's ``pi_functional``, so that it checks the
-    history form along an oracle trace (eta and the psi window) against the
-    profile that trace reconstructs.
+    head term is the squared log scale.  It checks the history form along
+    an oracle trace (eta and the psi window) against the profile that trace
+    reconstructs.
     """
-    from agechemo.delay import pi_functional
-
     y_ref = float(traj.eval(t))
     scale = pi_functional(profile, eq, params) / y_ref
     ratio = profile.values / (eq.x_star.values * y_ref)
@@ -301,8 +320,9 @@ def reference_sample_clf(trace, cert, stride=10, norms=None):
         e1 = trace.z1[i] - trace.eta[i]
         e2 = trace.z2[i] - cert.d_star
         quad = e1 * e1 - cert.p1 * e1 * e2 + cert.p2 * e2 * e2
-        q = quad + 0.5 * cert.big_m * (w_norms[j] / floors[j]) ** 2
-        vs[j] = trace.eta[i] ** 2 + cert.alpha1 * math.sqrt(q) + cert.alpha2 * q
+        ratio = w_norms[j] / floors[j]
+        q = quad + 0.5 * cert.big_m * (ratio * ratio)
+        vs[j] = trace.eta[i] * trace.eta[i] + cert.alpha1 * math.sqrt(q) + cert.alpha2 * q
     return trace.t[idx], vs
 
 

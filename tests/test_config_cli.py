@@ -359,6 +359,19 @@ def test_cli_run_single_route(tmp_path, capsys):
     assert not (tmp_path / "o" / "galerkin.csv").exists()
 
 
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+def test_cli_run_unusable_out_is_input_error(tmp_path, capsys, sub):
+    # --out naming a regular file, or a path beneath one, cannot be created
+    path = tmp_path / "tiny.cfg"
+    path.write_text(small_config_text())
+    (tmp_path / "F").write_text("")
+    out = tmp_path / "F" / sub if sub else tmp_path / "F"
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: --out %s: cannot create directory" % out)
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("t_final", [0.3, 0.02])
 def test_cli_run_short_horizon(tmp_path, capsys, t_final):
     # the IDE sample times start past 0.02 and 0.3; at 0.02 one CLF sample spans no interval

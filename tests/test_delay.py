@@ -9,18 +9,16 @@ from agechemo.delay import (
     _advance_psi,
     _delta_grid,
     init_delay_state,
-    pi_functional,
-    pi_weight,
     simulate_closed_loop,
 )
 from agechemo.config import build_model, build_trajectory, build_x0, load_config
 from agechemo.controller import ControllerGains
 from agechemo.errors import HistoryGap, InvalidIC
-from agechemo.grid import GridFunction
+from agechemo.grid import GridFunction, hermite_resample, simpson_weights, tail_integral
 from agechemo.model import solve_equilibrium
 from agechemo.trajectories import make_constant
-from conftest import small_config_text
-from oracles import pi_highres, reference_closed_loop, simpson_highres
+from conftest import bundled_with, small_config_text
+from oracles import pi_functional, pi_highres, pi_weight, reference_closed_loop, simpson_highres
 
 
 def test_pi_weight_endpoints(trial):
@@ -78,8 +76,30 @@ def test_init_weighted_mean_zero(trial):
 def test_init_eta_matches_functional(trial):
     eq, params, x0, traj = trial["eq"], trial["params"], trial["x0"], trial["traj"]
     state = init_delay_state(x0, traj, eq, params, params.h)
-    # y_ref(0) = 1, so eta0 = ln Pi(x0) up to the recentering shift
+    # y_ref(0) = 1, so eta0 = ln Pi(x0)
     assert state.eta == pytest.approx(math.log(pi_functional(x0, eq, params)), abs=1e-8)
+
+
+@pytest.mark.parametrize("age_nodes, dt_over_h", [(401, 1.0), (401, 0.5), (401, 2.0), (301, 0.75)])
+def test_init_split_is_one_normalization(tmp_path, age_nodes, dt_over_h):
+    # psi0's tail-weighted mean on the buffer grid vanishes to roundoff, and
+    # eta0 is log Pi(x0) / y_ref(0): exactly at dt = h, where the buffer grid
+    # is the age grid, and up to resampling error elsewhere
+    cfg = load_config(bundled_with(tmp_path, "fig2a.cfg", "age_nodes", str(age_nodes)))
+    params = build_model(cfg)
+    eq = solve_equilibrium(params)
+    x0, traj = build_x0(cfg, params, eq), build_trajectory(cfg)
+    dt = dt_over_h * params.h
+    state = init_delay_state(x0, traj, eq, params, dt)
+    n_hist = len(state.buffer.val) - 1
+    assert n_hist % 2 == 0  # every case here takes the buffer grid's Simpson weights
+    ages = np.linspace(0.0, params.a_max, n_hist + 1)
+    tail_b = hermite_resample(params.nodes, tail_integral(eq.k_tilde.values, params.h), ages)
+    wb = simpson_weights(n_hist + 1, dt)
+    mean = float(wb @ (tail_b * state.buffer.val[::-1])) / float(wb @ tail_b)
+    assert abs(mean) < 1e-15
+    eta_pi = math.log(pi_functional(x0, eq, params) / float(traj.eval(0.0)))
+    assert abs(state.eta - eta_pi) < (1e-15 if dt_over_h == 1.0 else 1e-9)
 
 
 def test_init_rejects_inadmissible_profile(trial):

@@ -10,6 +10,7 @@ from agechemo.errors import (
     AgeChemoError,
     DependentBasis,
     Instability,
+    InvalidIC,
     NonPositiveOutput,
     RootSearchExhausted,
 )
@@ -206,11 +207,11 @@ def test_basis_boundary_compatibility(trial, trial_basis):
         assert defect < 1e-6 * float(np.max(np.abs(row)))
 
 
-def test_basis_warns_on_incompatible_profile(trial, trial_roots):
+def test_basis_refuses_incompatible_profile(trial, trial_roots):
     params = trial["params"]
     a = params.nodes
     skewed = GridFunction(np.exp(-0.5 * a) + 0.2, params.a_max)
-    with pytest.warns(UserWarning, match="boundary condition"):
+    with pytest.raises(InvalidIC, match="not boundary-compatible"):
         build_basis(skewed, trial["eq"], trial_roots, 6, params)
 
 

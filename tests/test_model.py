@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from agechemo.errors import DegenerateShape, NoRoot
+from agechemo.config import build_x0, load_config
+from agechemo.delay import init_delay_state
+from agechemo.errors import DegenerateShape, InvalidIC, NoRoot, ValidationError
+from agechemo.galerkin import build_basis
 from agechemo.grid import GridFunction
 from agechemo.model import (
     ModelParams,
@@ -11,6 +14,7 @@ from agechemo.model import (
     lotka_sharpe_residual,
     solve_equilibrium,
 )
+from conftest import bundled_with
 from oracles import K0, MU, lotka_sharpe_highres, simpson_highres
 
 
@@ -135,12 +139,12 @@ def test_calibration_degenerate_shape(trial):
 def test_initial_condition_repaired_profile(trial):
     # the compatibility-repaired trial profile is admissible and normalized
     x0, params = trial["x0"], trial["params"]
-    assert check_initial_condition(x0, params)
+    check_initial_condition(x0, params)
     assert x0.integral() == pytest.approx(1.0, abs=0.01)
 
 
 def test_initial_condition_equilibrium_profile(trial):
-    assert check_initial_condition(trial["eq"].x_star, trial["params"])
+    check_initial_condition(trial["eq"].x_star, trial["params"])
 
 
 def test_initial_condition_literal_profile_is_inadmissible(trial):
@@ -153,7 +157,8 @@ def test_initial_condition_literal_profile_is_inadmissible(trial):
     oracle_mass = simpson_highres(lambda s: -0.054 * s + np.exp(-1.30 * s), 0.0, 2.0)
     assert literal.integral() == pytest.approx(oracle_mass, abs=1e-9)
     assert abs(oracle_mass - 1.0) > 0.3
-    assert not check_initial_condition(literal, params)
+    with pytest.raises(InvalidIC, match="not positive everywhere"):
+        check_initial_condition(literal, params)
 
 
 def test_initial_condition_flat_profile_mismatch(trial):
@@ -162,4 +167,28 @@ def test_initial_condition_flat_profile_mismatch(trial):
     gap = compatibility_gap(flat, params)
     oracle_gap = 1.0 - simpson_highres(lambda a: K0 * a * (2.0 - a), 0.0, 2.0)
     assert gap == pytest.approx(oracle_gap, abs=1e-9)
-    assert not check_initial_condition(flat, params)
+    with pytest.raises(InvalidIC, match="not boundary-compatible"):
+        check_initial_condition(flat, params)
+
+
+@pytest.mark.parametrize(
+    "slope, decay, failed",
+    [(-0.054, 1.30, "profile not positive everywhere"), (0.0, 1.0, "profile not boundary-compatible")],
+)
+def test_initial_condition_one_rule_for_every_reader(tmp_path, trial, trial_roots, slope, decay, failed):
+    # both routes refuse the profile with the rule's own text; the config
+    # loader names the key in front of it
+    params, eq, traj = trial["params"], trial["eq"], trial["traj"]
+    x0 = GridFunction(slope * params.nodes + np.exp(-decay * params.nodes), params.a_max)
+    with pytest.raises(InvalidIC, match=failed) as rule:
+        check_initial_condition(x0, params)
+    text = str(rule.value)
+    with pytest.raises(InvalidIC) as delay_route:
+        init_delay_state(x0, traj, eq, params, params.h)
+    with pytest.raises(InvalidIC) as galerkin_route:
+        build_basis(x0, eq, trial_roots, 6, params)
+    assert str(delay_route.value) == str(galerkin_route.value) == text
+    cfg = load_config(bundled_with(tmp_path, "fig2a.cfg", "x0", "linear-exp %r %r" % (slope, decay)))
+    with pytest.raises(ValidationError) as loader:
+        build_x0(cfg, params, eq)
+    assert str(loader.value) == "[model] x0: " + text

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from agechemo import trajectories
 from agechemo.errors import NonPositive
 from agechemo.trajectories import (
     make_constant,
@@ -103,11 +104,12 @@ def test_periodic_reference_violates_band(trial):
     assert rep.inf_rate < eq.d_star - cfg.d_max
 
 
-def test_transition_sup_rate_grid_refinement(trial):
+def test_transition_sup_rate_grid_refinement(trial, monkeypatch):
     eq, cfg = trial["eq"], trial["cfg"]
     tr = make_transition(1.0, 3.0, 10.0)
     coarse = validate(tr, eq, cfg.d_min, cfg.d_max, horizon=12.0)
-    fine = validate(tr, eq, cfg.d_min, cfg.d_max, horizon=12.0, probe_points=100_000)
+    monkeypatch.setattr(trajectories, "PROBE_POINTS", 100_000)
+    fine = validate(tr, eq, cfg.d_min, cfg.d_max, horizon=12.0)
     assert coarse.sup_rate == pytest.approx(fine.sup_rate, abs=1e-5)
     assert coarse.valid and fine.valid
 
