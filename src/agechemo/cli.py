@@ -50,7 +50,7 @@ def _cmd_verify(args) -> int:
     )
     ok = True
     try:
-        cert = lyapunov.build_certificate(traj, eq, gains, params, horizon=cfg.t_final)
+        cert = lyapunov.build_certificate(validity, eq, gains, params)
         lines.append("certificate:")
         for key, val in cert.as_dict().items():
             lines.append("  %s = %.12g" % (key, val))

@@ -24,7 +24,7 @@ from .delay import OracleTrace
 from .errors import B3Fail, InvalidTrajectory, NoFeasiblePair
 from .grid import GridFunction
 from .model import Equilibrium, ModelParams
-from .trajectories import Trajectory, validate
+from .trajectories import ValidityReport
 
 
 # ---------------------------------------------------------------------------
@@ -60,18 +60,30 @@ class _Contraction:
         return float(self.w @ (weight * integrand))
 
 
-#: lambda rows per block of :func:`b3_search`'s log scan; a block's
+class KernelConstants(NamedTuple):
+    sigma: float
+    lambda_b3: float
+    b3_value: float
+
+
+#: lambda rows per block of :func:`kernel_constants`'s log scan; a block's
 #: temporaries stay near 200 kB at 801 age nodes
 B3_BLOCK = 32
 
 
-def b3_search(k_tilde: GridFunction) -> tuple[float, float]:
-    """Find the contraction constant minimizing the kernel deviation integral.
+def kernel_constants(k_tilde: GridFunction) -> KernelConstants:
+    """The kernel's contraction constant and history decay rate, on one set-up.
 
-    Scans a logarithmic grid (plus the zero boundary, where the integral is
-    exactly one by normalization) B3_BLOCK values at a time and refines
-    with golden sections, stopping early at their fixed point.  Raises
-    B3Fail when the minimum is not below one.
+    lambda_b3 minimizes the kernel deviation integral: a logarithmic grid
+    (plus the zero boundary, where the integral is exactly one by
+    normalization) is scanned B3_BLOCK values at a time and refined with
+    golden sections, stopping early at their fixed point.  Raises B3Fail
+    when the minimum is not below one.  sigma is the largest exponential
+    weight keeping the integral at lambda_b3 below one: bisection, at most
+    60 halvings, stopping early once the bracket no longer moves (adjacent
+    floats), returning the last verified-feasible endpoint, so the returned
+    rate strictly satisfies the inequality.  The integrand at lambda_b3 is
+    built once; each step only reweights it.
     """
     contraction = _Contraction(k_tilde)
     value_at = contraction.value
@@ -99,37 +111,23 @@ def b3_search(k_tilde: GridFunction) -> tuple[float, float]:
         if bracket == (lo, hi):
             break  # each step is a function of (lo, hi): the rest would repeat it
         lo, hi = bracket
-    lam = 0.5 * (lo + hi)
-    value = value_at(lam)
+    lam = float(0.5 * (lo + hi))
+    weighted = functools.partial(contraction.weighted, contraction.integrand(lam))
+    value = weighted(0.0)  # value_at(lam); below one, sigma = 0 is feasible
     if value >= 1.0:
         raise B3Fail("kernel contraction minimum %.6f >= 1" % value)
-    return float(lam), float(value)
-
-
-def sigma_search(k_tilde: GridFunction, lam: float) -> float:
-    """Largest exponential weight keeping the contraction integral below one.
-
-    Bisection, at most 60 halvings, stopping early once the bracket no
-    longer moves (adjacent floats); returns the last verified-feasible
-    endpoint, so the returned rate strictly satisfies the inequality.  The
-    integrand at lam is built once; each step only reweights it.
-    """
-    contraction = _Contraction(k_tilde)
-    value_at = functools.partial(contraction.weighted, contraction.integrand(lam))
-    if value_at(0.0) >= 1.0:
-        raise B3Fail("contraction fails at sigma = 0; no decay rate exists")
     lo, hi = 0.0, 1.0
-    while value_at(hi) < 1.0:
+    while weighted(hi) < 1.0:
         hi *= 2.0
         if hi > 64.0:
             break
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        bracket = (mid, hi) if value_at(mid) < 1.0 else (lo, mid)
+        bracket = (mid, hi) if weighted(mid) < 1.0 else (lo, mid)
         if bracket == (lo, hi):
             break  # each step is a function of (lo, hi): the rest would repeat it
         lo, hi = bracket
-    return lo
+    return KernelConstants(lo, lam, value)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +239,6 @@ class Certificate:
     gamma: float
     l1: float
     l2: float
-    d_min: float
-    d_max: float
 
     def validate(self):
         """Machine-check every certificate invariant; raises on violation."""
@@ -278,31 +274,29 @@ ALPHA1_MARGIN = 1.1
 
 
 def rate_constants(
-    traj: Trajectory,
+    validity: ValidityReport,
     eq: Equilibrium,
     gains: ControllerGains,
     oq: ObserverQuadratic,
     sigma: float,
     params: ModelParams,
-    horizon: float,
 ) -> RateConstants:
-    """Trajectory-dependent decay constants and the functional weights.
+    """The reference part: rate-band decay constants and the functional weights.
 
     The history weight M carries a factor-two margin over its constraint;
     alpha1 takes a ten-percent margin over its bound plus the floor needed
     by the overshoot construction.  Raises InvalidTrajectory when the rate
     band is violated (mu1 <= 0).
     """
-    report = validate(traj, eq, params.d_min, params.d_max, horizon)
     d_span = params.d_max - params.d_min
     mu1 = min(2.0, gains.gamma) * min(
         1.0,
-        (eq.d_star - params.d_min) - report.sup_rate,
-        (params.d_max - eq.d_star) + report.inf_rate,
+        (eq.d_star - params.d_min) - validity.sup_rate,
+        (params.d_max - eq.d_star) + validity.inf_rate,
     )
     if mu1 <= 0:
         raise InvalidTrajectory(
-            "trajectory rate band violated (inf %.4f, sup %.4f)" % (report.inf_rate, report.sup_rate)
+            "trajectory rate band violated (inf %.4f, sup %.4f)" % (validity.inf_rate, validity.sup_rate)
         )
     mu2 = 8.0 * d_span / gains.gamma
     e2sa = math.exp(2.0 * sigma * params.a_max)
@@ -318,20 +312,17 @@ def rate_constants(
 
 
 def build_certificate(
-    traj: Trajectory,
+    validity: ValidityReport,
     eq: Equilibrium,
     gains: ControllerGains,
     params: ModelParams,
-    horizon: float,
 ) -> Certificate:
-    lam, value = b3_search(eq.k_tilde)
-    sigma = sigma_search(eq.k_tilde, lam)
+    """The kernel, gains and reference parts, in that order, checked as one certificate."""
+    kernel = kernel_constants(eq.k_tilde)
     oq = observer_quadratic(gains.l1, gains.l2)
-    rc = rate_constants(traj, eq, gains, oq, sigma, params, horizon)
+    rc = rate_constants(validity, eq, gains, oq, kernel.sigma, params)
     cert = Certificate(
-        sigma=sigma,
-        lambda_b3=lam,
-        b3_value=value,
+        **kernel._asdict(),
         **oq._asdict(),
         **rc._asdict(),
         alpha2=1.0,
@@ -340,8 +331,6 @@ def build_certificate(
         gamma=gains.gamma,
         l1=gains.l1,
         l2=gains.l2,
-        d_min=params.d_min,
-        d_max=params.d_max,
     )
     cert.validate()
     return cert

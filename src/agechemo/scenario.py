@@ -244,12 +244,12 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
                 validity.sup_rate,
                 ""
                 if validity.t_crit is None
-                else "; enters the valid band at t = %.4g" % validity.t_crit,
+                else "; first enters the valid band at t = %.4g" % validity.t_crit,
             )
         )
 
     try:
-        cert = lyapunov.build_certificate(traj, eq, gains, params, horizon=cfg.t_final)
+        cert = lyapunov.build_certificate(validity, eq, gains, params)
         report.certificate = cert
     except AgeChemoError as exc:
         cert = None

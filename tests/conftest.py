@@ -21,6 +21,7 @@ from agechemo.galerkin import assemble, build_basis, simulate
 from agechemo.grid import GridFunction
 from agechemo.model import ModelParams
 from agechemo.scenario import run
+from agechemo.trajectories import validate
 
 
 def bundled(name: str) -> Path:
@@ -93,9 +94,9 @@ def trial(fig2a_cfg):
 
 @pytest.fixture(scope="session")
 def trial_cert(trial):
-    return build_certificate(
-        trial["traj"], trial["eq"], trial["gains"], trial["params"], horizon=trial["cfg"].t_final
-    )
+    cfg, eq = trial["cfg"], trial["eq"]
+    validity = validate(trial["traj"], eq, cfg.d_min, cfg.d_max, horizon=cfg.t_final)
+    return build_certificate(validity, eq, trial["gains"], trial["params"])
 
 
 @pytest.fixture(scope="session")
@@ -162,7 +163,8 @@ def const_setup():
     traj = build_trajectory(cfg)
     x0 = build_x0(cfg, params, eq)
     gains = ControllerGains(cfg.gamma, cfg.l1, cfg.l2, cfg.z0)
-    cert = build_certificate(traj, eq, gains, params, horizon=cfg.t_final)
+    validity = validate(traj, eq, cfg.d_min, cfg.d_max, horizon=cfg.t_final)
+    cert = build_certificate(validity, eq, gains, params)
     trace = simulate_closed_loop(x0, traj, eq, gains, params, cfg.t_final, cfg.dt, ())
     trace_half = simulate_closed_loop(x0, traj, eq, gains, params, cfg.t_final, cfg.dt / 2, ())
     return {

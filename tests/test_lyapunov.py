@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,25 +10,25 @@ from hypothesis import strategies as st
 from agechemo import lyapunov
 from agechemo.delay import simulate_closed_loop
 from agechemo.controller import ControllerGains, ScalarLoop
-from agechemo.errors import B3Fail, InvalidTrajectory, NoFeasiblePair
+from agechemo.errors import AgeChemoError, B3Fail, InvalidTrajectory, NoFeasiblePair
 from agechemo.lyapunov import (
     Certificate,
     _Contraction,
-    b3_search,
+    build_certificate,
     check_envelope,
     check_history_decay,
     kappa_v,
+    kernel_constants,
     observer_quadratic,
     overshoot_log_bound,
     quadratic_pair_feasible,
     rate_constants,
     sample_clf,
     saturation_fact_check,
-    sigma_search,
     verify_decay,
     window_norms,
 )
-from agechemo.trajectories import make_constant, make_ramp
+from agechemo.trajectories import make_constant, make_periodic, make_ramp, validate
 from conftest import SCREEN_KERNELS, motherhood_model
 from oracles import (
     eta_decay_violations,
@@ -46,7 +47,7 @@ def test_b3_boundary_value(trial):
 
 
 def test_b3_search_trial_kernel(trial):
-    lam, value = b3_search(trial["eq"].k_tilde)
+    value = kernel_constants(trial["eq"].k_tilde).b3_value
     assert value < 1.0
     # independent dense scan over the same integrand
     grid = np.linspace(0.0, 3.0, 3001)
@@ -61,17 +62,17 @@ def test_b3_grid_refinement_stability(trial):
     from agechemo.config import build_model
     from agechemo.model import solve_equilibrium
 
-    lam1, v1 = b3_search(trial["eq"].k_tilde)
+    v1 = kernel_constants(trial["eq"].k_tilde).b3_value
     cfg = dataclasses.replace(trial["cfg"], age_nodes=801)
     eq2 = solve_equilibrium(build_model(cfg))
-    lam2, v2 = b3_search(eq2.k_tilde)
+    v2 = kernel_constants(eq2.k_tilde).b3_value
     assert abs(v1 - v2) < 1e-4
 
 
 def test_sigma_bracketing(trial, trial_cert):
     kt = trial["eq"].k_tilde
     lam = trial_cert.lambda_b3
-    sigma = sigma_search(kt, lam)
+    sigma = kernel_constants(kt).sigma
     assert sigma > 0
     assert _Contraction(kt).value(lam, sigma) < 1.0
     assert _Contraction(kt).value(lam, sigma + 1e-4) > 1.0
@@ -107,9 +108,9 @@ def test_contraction_value_matches_per_call_reference(trial_kernel):
 def test_searches_match_reference_driven_searches(trial_kernel):
     # the shared per-kernel set-up keeps each value's arithmetic, so the
     # searches take the same branches and return the same bits
-    lam, value = b3_search(trial_kernel)
+    sigma, lam, value = kernel_constants(trial_kernel)
     assert (lam, value) == reference_b3_search(trial_kernel)
-    assert sigma_search(trial_kernel, lam) == reference_sigma_search(trial_kernel, lam)
+    assert sigma == reference_sigma_search(trial_kernel, lam)
 
 
 @pytest.mark.parametrize("kernel", range(len(SCREEN_KERNELS)), ids=lambda i: "screen%d" % i)
@@ -118,27 +119,23 @@ def test_searches_match_reference_on_screened_kernels(kernel):
     # sections stop only at their fixed point
     n, mu, k0, _ = SCREEN_KERNELS[kernel]
     k_tilde = motherhood_model(n, mu, k0)[0].k_tilde
-    lam, value = b3_search(k_tilde)
+    sigma, lam, value = kernel_constants(k_tilde)
     assert (lam, value) == reference_b3_search(k_tilde)
-    assert sigma_search(k_tilde, lam) == reference_sigma_search(k_tilde, lam)
+    assert sigma == reference_sigma_search(k_tilde, lam)
+    # the bisection's weighting at sigma = 0 is the minimum the b3 search
+    # compared with one, so sigma = 0 needs no second check
+    contraction = _Contraction(k_tilde)
+    assert contraction.weighted(contraction.integrand(lam), 0.0) == value
 
 
 def test_b3_search_rejects_non_contracting_kernel(trial):
     # the integral scales with the kernel mass (tail / mean age does not),
     # so a heavier kernel's minimum is that many times the trial minimum
     kt = trial["eq"].k_tilde
-    _, value = b3_search(kt)
+    value = kernel_constants(kt).b3_value
     heavy = kt.with_values(kt.values * (2.0 / value))
     with pytest.raises(B3Fail, match="kernel contraction minimum"):
-        b3_search(heavy)
-
-
-def test_sigma_search_rejects_non_contracting_lambda(trial):
-    # lam = 3: the integral is at least |1 - lam| = 2 for any kernel of mass one
-    kt = trial["eq"].k_tilde
-    assert _Contraction(kt).value(3.0) >= 1.0
-    with pytest.raises(B3Fail, match="contraction fails at sigma = 0"):
-        sigma_search(kt, 3.0)
+        kernel_constants(heavy)
 
 
 def test_observer_quadratic_blocks_match_whole_grid(monkeypatch):
@@ -233,9 +230,8 @@ def test_rate_constants_trial_values(trial, trial_cert):
 def test_rate_constants_constant_trajectory(trial, trial_cert):
     eq, params, gains = trial["eq"], trial["params"], trial["gains"]
     oq = observer_quadratic(gains.l1, gains.l2)
-    rc = rate_constants(
-        make_constant(1.0), eq, gains, oq, trial_cert.sigma, params, horizon=10.0
-    )
+    validity = validate(make_constant(1.0), eq, params.d_min, params.d_max, horizon=10.0)
+    rc = rate_constants(validity, eq, gains, oq, trial_cert.sigma, params)
     expected = min(2.0, gains.gamma) * min(
         1.0, eq.d_star - params.d_min, params.d_max - eq.d_star
     )
@@ -245,8 +241,9 @@ def test_rate_constants_constant_trajectory(trial, trial_cert):
 def test_rate_constants_invalid_trajectory(trial, trial_cert):
     eq, params, gains = trial["eq"], trial["params"], trial["gains"]
     oq = observer_quadratic(gains.l1, gains.l2)
+    validity = validate(make_ramp(0.3, 0.75), eq, params.d_min, params.d_max, horizon=10.0)
     with pytest.raises(InvalidTrajectory):
-        rate_constants(make_ramp(0.3, 0.75), eq, gains, oq, trial_cert.sigma, params, 10.0)
+        rate_constants(validity, eq, gains, oq, trial_cert.sigma, params)
 
 
 def test_certificate_invariants(trial_cert):
@@ -259,6 +256,62 @@ def test_certificate_invariants(trial_cert):
         math.sqrt(trial_cert.k1), math.sqrt(trial_cert.big_m / 2)
     ) >= 2
 
+
+
+def _part(fn, *args):
+    """fn(*args), or the AgeChemoError it raises."""
+    try:
+        return fn(*args)
+    except AgeChemoError as exc:
+        return exc
+
+
+def _hex(fields):
+    return {k: float(v).hex() for k, v in fields.items()}
+
+
+_REFERENCES = st.one_of(
+    st.builds(make_constant, st.floats(0.5, 2.0)),
+    st.builds(make_ramp, st.floats(0.2, 2.0), st.floats(0.0, 1.0)),
+    st.builds(
+        lambda y2, frac, omega: make_periodic(y2, frac * y2, omega),
+        st.floats(1.0, 2.0), st.floats(0.0, 0.9), st.floats(0.5, 3.0),
+    ),
+)
+#: observer gains; (0.0146, 0.0116) has no feasible (p1, p2)
+_OBSERVER_GAINS = st.one_of(st.just((0.0146, 0.0116)), st.tuples(st.floats(0.5, 6.0), st.floats(0.5, 12.0)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.sampled_from([101, 201, 401]), st.floats(0.0, 0.4), st.floats(1.4, 3.2),
+    st.sampled_from([1.0, 1.0, 1.0, 2.5]), st.floats(0.5, 3.0), _OBSERVER_GAINS, _REFERENCES,
+)
+def test_certificate_is_its_three_parts(n, mu, k0, mass, gamma, l12, traj):
+    eq, params = motherhood_model(n, mu, k0)
+    # the contraction minimum is 0.47-0.58 on these kernels; one draw in
+    # four takes 2.5 times the kernel mass, which lifts it past one
+    eq = dataclasses.replace(eq, k_tilde=eq.k_tilde.with_values(mass * eq.k_tilde.values))
+    gains = ControllerGains(gamma, *l12)
+    validity = validate(traj, eq, params.d_min, params.d_max, horizon=8.0)
+    kernel = _part(kernel_constants, eq.k_tilde)
+    oq = _part(observer_quadratic, *l12)
+    failed = [part for part in (kernel, oq) if isinstance(part, Exception)]
+    if not failed:
+        rc = _part(rate_constants, validity, eq, gains, oq, kernel.sigma, params)
+        # the band verdict the caller holds decides InvalidTrajectory
+        assert isinstance(rc, InvalidTrajectory) == (not validity.valid)
+        failed = [rc] if isinstance(rc, Exception) else []
+    if failed:
+        # the first failing part's error, in the order kernel, gains, reference
+        with pytest.raises(type(failed[0])) as info:
+            build_certificate(validity, eq, gains, params)
+        assert str(info.value) == str(failed[0])
+        return
+    cert = build_certificate(validity, eq, gains, params)
+    cert.validate()
+    for part in (kernel, oq, rc):
+        assert _hex({k: getattr(cert, k) for k in part._fields}) == _hex(part._asdict())
 
 def test_clf_zero_at_exact_tracking(trial, trial_cert):
     eq, params, g = trial["eq"], trial["params"], trial["gains"]

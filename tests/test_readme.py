@@ -1,4 +1,6 @@
-"""The README's library sketch runs as written."""
+"""The README's library sketch runs as written, and the names it cites exist."""
+import importlib
+import pkgutil
 import re
 import types
 from pathlib import Path
@@ -33,3 +35,31 @@ def test_root_exports_one_entry_point_per_layer():
     assert names == ROOT_EXPORTS
     paragraph = (ROOT / "README.md").read_text().split("The package root exports", 1)[1].split("\n\n", 1)[0]
     assert all("`%s`" % name in paragraph for name in ROOT_EXPORTS)
+
+
+#: endings that make a dotted name a file name, not a module attribute
+FILE_SUFFIXES = {"csv", "cfg", "txt", "py", "json", "md"}
+
+
+def test_module_references_resolve():
+    # every `module.name` the README cites, for a module of the package,
+    # names an attribute that exists
+    import agechemo
+
+    modules = {m.name for m in pkgutil.iter_modules(agechemo.__path__)} | {"agechemo"}
+    text = (ROOT / "README.md").read_text()
+    refs = {
+        ref for ref in re.findall(r"`(\w+(?:\.\w+)+)[`(]", text)
+        if ref.split(".")[0] in modules and ref.rsplit(".", 1)[1] not in FILE_SUFFIXES
+    }
+    assert refs
+    missing = []
+    for ref in sorted(refs):
+        head, *rest = ref.split(".")
+        obj = importlib.import_module(head if head == "agechemo" else "agechemo." + head)
+        for name in rest:
+            if not hasattr(obj, name):
+                missing.append(ref)
+                break
+            obj = getattr(obj, name)
+    assert missing == []

@@ -1,12 +1,13 @@
 import dataclasses
 import os
 import signal
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from agechemo import delay, galerkin, scenario
+from agechemo import delay, galerkin, scenario, trajectories
 from agechemo.cli import main
 from agechemo.delay import simulate_closed_loop
 from agechemo.errors import AgeChemoError, GridMismatch, Instability, NonPositiveOutput
@@ -90,9 +91,38 @@ def test_periodic_report_runs_with_warnings(fig2b_report):
     assert fig2b_report.passed
     assert not fig2b_report.validity.valid
     assert any("certificate unavailable" in w for w in fig2b_report.warnings)
+    # the periodic reference leaves the band again every period, and
+    # validate resolves only its first probe time inside the band
+    band = [w for w in fig2b_report.warnings if w.startswith("trajectory violates the rate band")]
+    assert len(band) == 1 and band[0].endswith("; first enters the valid band at t = 0.4902")
     names = {name for name, _, _ in fig2b_report.checks}
     assert "galerkin_positivity" in names and "oracle_ide_identity" in names
 
+
+def _count_validate_calls(monkeypatch):
+    """Wrap ``validate`` in every package module holding it; the kinds it is called on."""
+    calls = []
+    validate = trajectories.validate
+
+    def counted(traj, *args, **kwargs):
+        calls.append(traj.kind)
+        return validate(traj, *args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("agechemo") and getattr(module, "validate", None) is validate:
+            monkeypatch.setattr(module, "validate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("entry", ["run", "verify"])
+def test_rate_band_is_probed_once(monkeypatch, capsys, entry):
+    # the certificate takes the caller's verdict instead of probing again
+    calls = _count_validate_calls(monkeypatch)
+    if entry == "run":
+        run(load_config(bundled("fig2a.cfg")))
+    else:
+        assert main(["verify", str(bundled("fig2a.cfg"))]) == 0
+    assert calls == ["transition"]
 
 def test_all_bundled_scenarios_positive(fig2a_runs, fig3_report, fig2b_report):
     assert np.all(fig2a_runs["galerkin"].min_profile >= 0)
