@@ -64,7 +64,11 @@ class ScalarLoop:
         """
         log_error = eta + dlt
         if forced is None:
-            forced = min(self.d_max, max(self.d_min, z2 + self.gamma * log_error - rate))
+            # min(d_max, max(d_min, f)) bit for bit, NaN and signed zeros
+            # included, without the two builtin calls per RK4 stage
+            forced = z2 + self.gamma * log_error - rate
+            forced = forced if forced > self.d_min else self.d_min
+            forced = forced if forced < self.d_max else self.d_max
         mism = z1 - log_error
         return self.d_star - rate - forced, z2 - rate - forced - self.l1 * mism, -self.l2 * mism, forced
 

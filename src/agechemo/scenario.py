@@ -141,11 +141,15 @@ def _record_route(report: RunReport, cfg: ScenarioConfig, route: str, trace):
     )
 
 
-def _write_route(out_path, route: str, trace, nodes):
-    """Write a route's per-step and profile CSVs, if there is an output directory."""
-    if out_path is not None:
-        _write_csv(out_path / (route + ".csv"), trace.CSV_COLUMNS, trace.columns())
-        _write_snapshots(out_path / (route + "_profiles.csv"), nodes, trace.snapshots)
+def _route_paths(out_path: Path, route: str) -> tuple:
+    """The paths of a route's per-step and profile CSVs."""
+    return out_path / (route + ".csv"), out_path / (route + "_profiles.csv")
+
+
+def _write_route(paths: tuple, trace, nodes):
+    """Write a route's per-step and profile CSVs to the two ``paths``."""
+    _write_csv(paths[0], trace.CSV_COLUMNS, trace.columns())
+    _write_snapshots(paths[1], nodes, trace.snapshots)
 
 
 def _galerkin_route(cfg, eq, params, x0, traj, gains, out_path) -> galerkin.GalerkinTrace:
@@ -154,7 +158,8 @@ def _galerkin_route(cfg, eq, params, x0, traj, gains, out_path) -> galerkin.Gale
     basis = galerkin.build_basis(x0, eq, roots, cfg.n_modes, params)
     system = galerkin.assemble(basis, params)
     trace = galerkin.simulate(system, basis, traj, gains, params, cfg.t_final, cfg.dt, cfg.snapshot_times)
-    _write_route(out_path, "galerkin", trace, params.nodes)
+    if out_path is not None:
+        _write_route(_route_paths(out_path, "galerkin"), trace, params.nodes)
     return trace
 
 
@@ -168,17 +173,24 @@ class _Child:
     ``result()`` always reaps it, so call ``result()`` exactly once, also
     when the caller's own work failed. On one CPU the two computations would
     only take turns, so ``fn`` runs inline, at once, and its exception
-    propagates from the constructor as in a serial program.
+    propagates from the constructor as in a serial program. ``fn`` runs
+    inline too where the pipe or the fork fails (EMFILE, EAGAIN, ENOMEM).
     """
 
     def __init__(self, fn):
-        self._pid = None
+        self._pid = pid = None
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        if not hasattr(os, "fork") or cpus < 2:
+        if hasattr(os, "fork") and cpus >= 2:
+            fds = ()
+            try:
+                fds = read_fd, write_fd = os.pipe()
+                pid = os.fork()
+            except OSError:  # no descriptor or process to spare: run inline
+                for fd in fds:
+                    os.close(fd)
+        if pid is None:
             self._value = fn()
             return
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
         if pid == 0:
             status = 1
             try:
@@ -219,8 +231,12 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
     """Execute a scenario; deterministic for a fixed config.
 
     With both routes and two usable CPUs, the Galerkin route runs in a forked
-    child (``_Child``) while this process runs the delay route; the report,
-    the CSVs and the error raised on a failure are those of a serial run.
+    child (``_Child``) while this process runs the delay route. The delay
+    route's CSVs are written under temporary names in ``out_dir`` as soon as
+    that route ends, on every path, take their own names only once the
+    Galerkin route has succeeded, and are deleted on any failure. So the
+    report, the CSVs and the error raised on a failure are those of a serial
+    run, and a failed run leaves an earlier run's ``oracle*.csv`` as it was.
     """
     params = build_model(cfg)
     eq = solve_equilibrium(params)
@@ -266,21 +282,36 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
     child = _Child(route_g) if cfg.routes == "both" else None
     trace_g = route_g() if cfg.routes == "galerkin" else None
     trace_o = None
+    oracle_paths = staged = ()
+    if out_path is not None and cfg.routes != "galerkin":
+        oracle_paths = _route_paths(out_path, "oracle")
+        staged = tuple(p.with_name(".%s.%d.tmp" % (p.name, os.getpid())) for p in oracle_paths)
     try:
-        if cfg.routes in ("both", "oracle"):
-            trace_o = delay.simulate_closed_loop(
-                x0, traj, eq, gains, params, cfg.t_final, cfg.dt, cfg.snapshot_times
-            )
-            t_end = trace_o.t[-1]  # the last stored node; an off-grid t_final may lie past it
-            ide = max(trace_o.ide_residual(t) for t in np.linspace(min(0.5, t_end), t_end, 8))
-            norms = lyapunov.window_norms(trace_o, cert.sigma) if cert is not None else None
-    finally:
-        # joined on every path; a Galerkin failure wins, as it does serially
-        if child is not None:
-            trace_g = child.result()
+        try:
+            if cfg.routes in ("both", "oracle"):
+                trace_o = delay.simulate_closed_loop(
+                    x0, traj, eq, gains, params, cfg.t_final, cfg.dt, cfg.snapshot_times
+                )
+                t_end = trace_o.t[-1]  # the last stored node; an off-grid t_final may lie past it
+                ide = max(trace_o.ide_residual(t) for t in np.linspace(min(0.5, t_end), t_end, 8))
+                norms = lyapunov.window_norms(trace_o, cert.sigma) if cert is not None else None
+                if staged:  # while the child, if any, still runs
+                    _write_route(staged, trace_o, params.nodes)
+        finally:
+            # joined on every path; a Galerkin failure wins, as it does serially
+            if child is not None:
+                trace_g = child.result()
+        # renamed only once the Galerkin route has succeeded, so that a
+        # failure above leaves the files of a serial run
+        for tmp, path in zip(staged, oracle_paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        raise
 
-    # recorded and written in the serial order, so that a failure above
-    # leaves no delay-route CSV behind
+    # recorded in the serial order, so that the report's checks are listed as
+    # a serial run lists them
     if trace_g is not None:
         _record_route(report, cfg, "galerkin", trace_g)
         report.add_check(
@@ -291,7 +322,6 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
 
     if trace_o is not None:
         _record_route(report, cfg, "oracle", trace_o)
-        _write_route(out_path, "oracle", trace_o, params.nodes)
         report.add_check("oracle_ide_identity", ide < IDE_TOL, "max residual %.3g" % ide)
         # output consistency at snapshot times
         cons = 0.0

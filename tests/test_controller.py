@@ -32,6 +32,20 @@ def test_saturate_cases():
         ScalarLoop(2.0, 4.0, 8.0, 0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("d_min, d_max", [(0.5, 1.5), (0.0, 1.0), (-1.0, -0.0), (-math.inf, math.inf)])
+def test_saturation_is_the_builtin_clamp_on_edge_values(d_min, d_max):
+    # the clamp must be min(d_max, max(d_min, x)) bit for bit, so compare
+    # reprs: NaN and the sign of zero count. With z2 = -0.0 and a log error of
+    # -0.0 the law's unclamped value -0.0 - rate is x itself, -0.0 included.
+    loop = ScalarLoop(2.0, 4.0, 8.0, 0.0, d_min, d_max)
+    edges = [math.nan, -math.inf, math.inf, 0.0, -0.0]
+    for bound in (d_min, d_max):
+        if math.isfinite(bound):
+            edges += [bound, -bound, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)]
+    for x in edges:
+        assert repr(loop.rhs(-0.0, 0.0, -0.0, -x, -0.0)[3]) == repr(min(d_max, max(d_min, x))), x
+
+
 def test_gain_validation():
     with pytest.raises(ValueError):
         ControllerGains(0.0, 4.0, 8.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import os
 import signal
 import sys
@@ -139,6 +140,20 @@ def test_run_emits_traces_for_requested_routes():
     cfg = dataclasses.replace(cfg, routes="oracle", t_final=1.0)
     report = run(cfg)
     assert set(report.traces) == {"oracle"}
+
+
+@pytest.mark.parametrize(
+    "routes, names",
+    [
+        ("both", ["galerkin.csv", "galerkin_profiles.csv", "oracle.csv", "oracle_profiles.csv", "report.txt"]),
+        ("galerkin", ["galerkin.csv", "galerkin_profiles.csv", "report.txt"]),
+        ("oracle", ["oracle.csv", "oracle_profiles.csv", "report.txt"]),
+    ],
+)
+def test_run_writes_the_files_of_the_requested_routes(tmp_path, routes, names):
+    # and no temporary of the delay route's CSVs
+    run(_tiny(tmp_path, routes), tmp_path / "o")
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == names
 
 
 def _counting(traj):
@@ -299,9 +314,9 @@ def _tiny(tmp_path, routes="both"):
     return dataclasses.replace(load_config(path), routes=routes)
 
 
-def _failing(exc_type, message):
+def _failing(exc_type, *exc_args):
     def fail(*args, **kwargs):
-        raise exc_type(message)
+        raise exc_type(*exc_args)
 
     return fail
 
@@ -340,11 +355,14 @@ def test_galerkin_failure_in_the_child_is_the_serial_failure(tmp_path, monkeypat
     raised = {}
     for routes in ("galerkin", "both"):
         out = tmp_path / routes
+        out.mkdir()
+        (out / "oracle.csv").write_bytes(b"an earlier run's trace\n")
         with pytest.raises(AgeChemoError) as info:
             run(_tiny(tmp_path, routes), out)
         raised[routes] = (type(info.value), str(info.value))
-        # as serially: no CSV of either route and no report
-        assert list(out.iterdir()) == []
+        # as serially: no CSV of either route, no report and no temporary;
+        # the earlier oracle.csv keeps its bytes
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {"oracle.csv": b"an earlier run's trace\n"}
     assert raised["both"] == raised["galerkin"] == (NonPositiveOutput, message)
     _assert_no_child_left()
 
@@ -365,6 +383,58 @@ def test_delay_route_failure_leaves_the_serial_files(tmp_path, monkeypatch):
 
 
 @needs_fork
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_csv_write_error_leaves_no_delay_route_file(tmp_path, monkeypatch, n_cpus):
+    _cpus(monkeypatch, n_cpus)
+    write_snapshots = scenario._write_snapshots
+
+    def fail_on_oracle(path, *args):
+        if "oracle" in path.name:
+            path.write_text("partial")
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write_snapshots(path, *args)
+
+    monkeypatch.setattr(scenario, "_write_snapshots", fail_on_oracle)
+    out = tmp_path / "o"
+    with pytest.raises(OSError, match="No space left on device"):
+        run(_tiny(tmp_path), out)
+    # the half-written pair of temporaries is gone; the Galerkin route's files stay
+    assert sorted(p.name for p in out.iterdir()) == ["galerkin.csv", "galerkin_profiles.csv"]
+    _assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("failing", ["pipe", "fork"])
+def test_fork_failure_runs_the_route_inline(tmp_path, monkeypatch, failing):
+    _cpus(monkeypatch, 1)
+    run(_tiny(tmp_path), tmp_path / "inline")
+    _cpus(monkeypatch, 2)
+    pipe, close = os.pipe, os.close
+    opened, closed = [], []
+
+    def recorded_pipe():
+        if failing == "pipe":
+            raise OSError(errno.EMFILE, "Too many open files")
+        opened.extend(pipe())
+        return tuple(opened)
+
+    def recorded_close(fd):
+        closed.append(fd)
+        close(fd)
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "close", recorded_close)
+    monkeypatch.setattr(os, "fork", _failing(OSError, errno.EAGAIN, "Resource temporarily unavailable"))
+    assert run(_tiny(tmp_path), tmp_path / "fallback").passed
+    # both ends of the pipe are closed at once, before any other descriptor
+    assert closed[: len(opened)] == opened and len(opened) == (2 if failing == "fork" else 0)
+    inline, fallback = tmp_path / "inline", tmp_path / "fallback"
+    assert sorted(p.name for p in fallback.iterdir()) == sorted(p.name for p in inline.iterdir())
+    for p in inline.iterdir():
+        assert (fallback / p.name).read_bytes() == p.read_bytes(), p
+
+
+@needs_fork
 def test_child_that_dies_without_a_result_is_named(monkeypatch):
     _cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError, match=r"^forked child \d+ exited with status 1 before it sent a result$"):
@@ -376,7 +446,8 @@ def test_child_that_dies_without_a_result_is_named(monkeypatch):
 
 @needs_fork
 def test_inline_path_writes_the_forked_bytes(tmp_path, monkeypatch):
-    configs = [load_config(bundled(name)) for name in ("fig2a.cfg", "fig2b.cfg")]
+    # fig3 saturates at d_min, const is the constant kind
+    configs = [load_config(bundled(name)) for name in ("fig2a.cfg", "fig2b.cfg", "fig3.cfg", "const.cfg")]
     _cpus(monkeypatch, 2)
     for cfg in configs:
         run(cfg, tmp_path / "forked" / Path(cfg.source).name)
@@ -386,7 +457,13 @@ def test_inline_path_writes_the_forked_bytes(tmp_path, monkeypatch):
         run(cfg, tmp_path / "inline" / Path(cfg.source).name)
     for cfg in configs:
         forked, inline = (tmp_path / side / Path(cfg.source).name for side in ("forked", "inline"))
-        assert sorted(p.name for p in forked.iterdir()) == sorted(p.name for p in inline.iterdir())
+        assert sorted(p.name for p in forked.iterdir()) == sorted(p.name for p in inline.iterdir()) == [
+            "galerkin.csv",
+            "galerkin_profiles.csv",
+            "oracle.csv",
+            "oracle_profiles.csv",
+            "report.txt",
+        ]
         for p in forked.iterdir():
             assert p.read_bytes() == (inline / p.name).read_bytes(), p
 
