@@ -15,8 +15,12 @@ Every history read of the stepper and of delta is at t_b + c dt - a_j, for
 a buffer node b, a stage offset c in {0, 1/2, 1} and an age node a_j = j h.
 That read lies c - j h/dt buffer steps from node b, whatever b is, so each
 read pattern is a fixed linear map of the (value, derivative) pairs of a
-slice of the buffer, built once per (model, dt): a stage of the stepper is
-two dots, and delta along a whole history is one correlation per map.
+slice of the buffer, built once per (model, dt), and delta along a whole
+history is one correlation per map.  psi's equation is linear, autonomous
+and has constant coefficients, so an RK4 step is a fixed linear map of the
+newest n_hist + 1 nodes too; PSI_BLOCK steps compose into one block
+propagator, built once per run, and the stepper applies it one matrix-vector
+product per block.
 
 Everything the input does to the plant acts through the scalar coordinate
 only, so psi histories are bit-for-bit independent of the applied dilution
@@ -149,12 +153,6 @@ class DelayState(NamedTuple):
     dyn: _PsiDynamics
 
 
-def _stage_sums(dyn: _PsiDynamics, val: np.ndarray, der: np.ndarray, m: int) -> list[float]:
-    """[S_0, S_1/2, S_1] for stages of the step that starts at history node m."""
-    w = slice(m - dyn.n_hist, m + 1)
-    return (val[w] @ dyn.stage_val + der[w] @ dyn.stage_der).tolist()
-
-
 def init_delay_state(
     x0: GridFunction,
     traj: Trajectory,
@@ -196,26 +194,84 @@ def init_delay_state(
     val = ratio_b[::-1] / big_pi - 1.0  # psi0 at t = -A, ..., 0
     der = fd4(val, dt)
     dyn = _PsiDynamics.build(eq, params, dt)
-    der[n_hist] = dyn.a0 * val[n_hist] + _stage_sums(dyn, val, der, n_hist)[0]
+    der[n_hist] = dyn.a0 * val[n_hist] + (val @ dyn.stage_val + der @ dyn.stage_der)[0]
     return DelayState(eta0, HistoryBuffer(-params.a_max, dt, val, der), dyn)
 
 
+#: steps per block of :func:`_advance_psi`, each block one product of the
+#: block propagator with the newest n_hist + 1 stored (value, derivative) pairs
+PSI_BLOCK = 32
+
+
+def _rk4_increment(a0: float, dt: float, v: float, k1: float, s_half: float, s_one: float) -> float:
+    """psi(t + dt) - psi(t) over one RK4 step of psi' = a0 psi + S_c from v = psi(t), k1 = psi'(t)."""
+    half = 0.5 * dt
+    k2 = a0 * (v + half * k1) + s_half
+    k3 = a0 * (v + half * k2) + s_half
+    k4 = a0 * (v + dt * k3) + s_one
+    return dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _block_propagator(dyn: _PsiDynamics, n_block: int) -> np.ndarray:
+    """P of shape (2 n_block, 2 (n_hist + 1)) for n_block RK4 steps from the newest stored node.
+
+    With s = [val; der] of the newest n_hist + 1 stored nodes, the first
+    n_block rows of P @ s are the new values less the newest stored one, and
+    the last n_block rows are their derivatives.  The values are kept as
+    increments so that the 1 with which each new node carries the newest
+    stored value is exact, where P's rounding would otherwise build up over
+    the blocks of a run.
+
+    One step from node m is linear in the window of nodes m - n_hist .. m:
+    its increment reads the window through (rv, rd) = ch S_1/2 + c1 S_1 plus
+    cv v + ck k1 at node m, the coefficients of :func:`_rk4_increment` on unit
+    inputs, and the derivative of the new value v' is a0 v' plus the S_1 read
+    (ev, ed).  Row k, the step from node m + k, takes its reads of stored
+    nodes from a slice of these vectors shifted by k, and its reads of the k
+    new nodes before it from rows < k (forward substitution).
+    """
+    n, a0 = dyn.n_hist + 1, dyn.a0
+    cv, ck, ch, c1 = (_rk4_increment(a0, dyn.dt, *unit) for unit in np.eye(4).tolist())
+    ev, ed = dyn.stage_val[:, 2], dyn.stage_der[:, 2]
+    rv = ch * dyn.stage_val[:, 1] + c1 * ev
+    rd = ch * dyn.stage_der[:, 1] + c1 * ed
+    rv[-1] += cv
+    rd[-1] += ck
+    p = np.zeros((2 * n_block, 2 * n))
+    inc, pd = p[:n_block], p[n_block:]
+    for k in range(n_block):
+        lo, j0 = max(n - k, 0), max(k - n, 0)  # first window read of a new node; that node's row
+        for row, wv, wd in ((inc[k], rv, rd), (pd[k], ev, ed)):
+            row[k:n] = wv[:lo]
+            row[n + k :] = wd[:lo]
+            row += wv[lo:] @ inc[j0:k] + wd[lo:] @ pd[j0:k]
+            row[n - 1] += wv[lo:].sum()  # each new node read carries the newest stored value
+        if k:
+            inc[k] += inc[k - 1]
+        pd[k] += a0 * inc[k]
+        pd[k, n - 1] += a0
+    return p
+
+
 def _advance_psi(dyn: _PsiDynamics, buf: HistoryBuffer, n_steps: int) -> HistoryBuffer:
-    """The history ``buf`` extended by ``n_steps`` RK4 steps of psi from its newest node."""
+    """The history ``buf`` extended by ``n_steps`` RK4 steps of psi from its newest node.
+
+    PSI_BLOCK steps at a time, through :func:`_block_propagator`.  Every
+    block, the last one too, is the full product, so the nodes of a shorter
+    run are those of a longer one bit for bit.
+    """
+    n = dyn.n_hist + 1
     val = np.concatenate([buf.val, np.zeros(n_steps)])
     der = np.concatenate([buf.der, np.zeros(n_steps)])
-    a0, dt = dyn.a0, dyn.dt
-    half, sixth = 0.5 * dt, dt / 6.0
-    for m in range(len(buf.val) - 1, len(val) - 1):
-        _, s_half, s_one = _stage_sums(dyn, val, der, m)
-        v, k1 = float(val[m]), float(der[m])
-        k2 = a0 * (v + half * k1) + s_half
-        k3 = a0 * (v + half * k2) + s_half
-        k4 = a0 * (v + dt * k3) + s_one
-        v_new = v + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-        val[m + 1] = v_new
-        der[m + 1] = a0 * v_new + s_one
-    return HistoryBuffer(buf.t0, dt, val, der)
+    p = _block_propagator(dyn, PSI_BLOCK)
+    window = np.empty(2 * n)
+    for m in range(len(buf.val), len(val), PSI_BLOCK):
+        b = min(PSI_BLOCK, len(val) - m)
+        window[:n], window[n:] = val[m - n : m], der[m - n : m]
+        nxt = p @ window
+        val[m : m + b] = val[m - 1] + nxt[:b]
+        der[m : m + b] = nxt[PSI_BLOCK : PSI_BLOCK + b]
+    return HistoryBuffer(buf.t0, dyn.dt, val, der)
 
 
 def _delta_grid(dyn: _PsiDynamics, buf: HistoryBuffer) -> np.ndarray:

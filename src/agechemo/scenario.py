@@ -141,9 +141,24 @@ def _record_route(report: RunReport, cfg: ScenarioConfig, route: str, trace):
     )
 
 
-def _route_paths(out_path: Path, route: str) -> tuple:
-    """The paths of a route's per-step and profile CSVs."""
-    return out_path / (route + ".csv"), out_path / (route + "_profiles.csv")
+def _staged_files(out_path: Path | None, routes: str) -> dict:
+    """Each file that a run writes to ``out_path``, by name, mapped to the temporary it is written under.
+
+    The temporaries (``.<name>.<pid>.tmp`` in ``out_path``) carry this
+    process's id, fixed before any fork, so that this process renames and
+    deletes what a forked child wrote. report.txt comes last, so that it
+    takes its name after the CSVs it reports on.
+    """
+    if out_path is None:
+        return {}
+    routes_run = [route for route in ("galerkin", "oracle") if routes in (route, "both")]
+    names = [route + tail for route in routes_run for tail in (".csv", "_profiles.csv")]
+    return {name: out_path / (".%s.%d.tmp" % (name, os.getpid())) for name in names + ["report.txt"]}
+
+
+def _route_files(staged: dict, route: str) -> tuple:
+    """The temporaries of a route's per-step and profile CSVs, or () where the run writes none."""
+    return tuple(staged[name] for name in (route + ".csv", route + "_profiles.csv") if name in staged)
 
 
 def _write_route(paths: tuple, trace, nodes):
@@ -152,14 +167,14 @@ def _write_route(paths: tuple, trace, nodes):
     _write_snapshots(paths[1], nodes, trace.snapshots)
 
 
-def _galerkin_route(cfg, eq, params, x0, traj, gains, out_path) -> galerkin.GalerkinTrace:
-    """The whole Galerkin route: roots, basis, assembly, simulation and its CSVs."""
+def _galerkin_route(cfg, eq, params, x0, traj, gains, paths) -> galerkin.GalerkinTrace:
+    """The whole Galerkin route: roots, basis, assembly, simulation and its CSVs, if ``paths``."""
     roots = galerkin.characteristic_roots(eq, params, cfg.n_modes)
     basis = galerkin.build_basis(x0, eq, roots, cfg.n_modes, params)
     system = galerkin.assemble(basis, params)
     trace = galerkin.simulate(system, basis, traj, gains, params, cfg.t_final, cfg.dt, cfg.snapshot_times)
-    if out_path is not None:
-        _write_route(_route_paths(out_path, "galerkin"), trace, params.nodes)
+    if paths:
+        _write_route(paths, trace, params.nodes)
     return trace
 
 
@@ -230,13 +245,12 @@ class _Child:
 def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
     """Execute a scenario; deterministic for a fixed config.
 
-    With both routes and two usable CPUs, the Galerkin route runs in a forked
-    child (``_Child``) while this process runs the delay route. The delay
-    route's CSVs are written under temporary names in ``out_dir`` as soon as
-    that route ends, on every path, take their own names only once the
-    Galerkin route has succeeded, and are deleted on any failure. So the
-    report, the CSVs and the error raised on a failure are those of a serial
-    run, and a failed run leaves an earlier run's ``oracle*.csv`` as it was.
+    Every file of ``out_dir`` (each route's two CSVs and ``report.txt``) is
+    written under a temporary name (:func:`_staged_files`) and takes its own
+    name only once every file of the run has been written; on any failure,
+    on every path, the temporaries are deleted. So the report, the files and
+    the error raised on a failure are those of a serial run, and a failed
+    run leaves an earlier run's files as they were.
     """
     params = build_model(cfg)
     eq = solve_equilibrium(params)
@@ -278,15 +292,13 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
         except OSError as exc:
             raise ValidationError("--out %s: cannot create directory (%s)" % (out_path, exc.strerror)) from exc
 
-    route_g = functools.partial(_galerkin_route, cfg, eq, params, x0, traj, gains, out_path)
-    child = _Child(route_g) if cfg.routes == "both" else None
-    trace_g = route_g() if cfg.routes == "galerkin" else None
-    trace_o = None
-    oracle_paths = staged = ()
-    if out_path is not None and cfg.routes != "galerkin":
-        oracle_paths = _route_paths(out_path, "oracle")
-        staged = tuple(p.with_name(".%s.%d.tmp" % (p.name, os.getpid())) for p in oracle_paths)
+    staged = _staged_files(out_path, cfg.routes)
     try:
+        paths_g = _route_files(staged, "galerkin")
+        route_g = functools.partial(_galerkin_route, cfg, eq, params, x0, traj, gains, paths_g)
+        child = _Child(route_g) if cfg.routes == "both" else None
+        trace_g = route_g() if cfg.routes == "galerkin" else None
+        trace_o = None
         try:
             if cfg.routes in ("both", "oracle"):
                 trace_o = delay.simulate_closed_loop(
@@ -295,82 +307,80 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
                 t_end = trace_o.t[-1]  # the last stored node; an off-grid t_final may lie past it
                 ide = max(trace_o.ide_residual(t) for t in np.linspace(min(0.5, t_end), t_end, 8))
                 norms = lyapunov.window_norms(trace_o, cert.sigma) if cert is not None else None
-                if staged:  # while the child, if any, still runs
-                    _write_route(staged, trace_o, params.nodes)
+                oracle_files = _route_files(staged, "oracle")
+                if oracle_files:  # while the child, if any, still runs
+                    _write_route(oracle_files, trace_o, params.nodes)
         finally:
             # joined on every path; a Galerkin failure wins, as it does serially
             if child is not None:
                 trace_g = child.result()
-        # renamed only once the Galerkin route has succeeded, so that a
-        # failure above leaves the files of a serial run
-        for tmp, path in zip(staged, oracle_paths):
-            os.replace(tmp, path)
+
+        # recorded in the serial order, so that the report's checks are listed as
+        # a serial run lists them
+        if trace_g is not None:
+            _record_route(report, cfg, "galerkin", trace_g)
+            report.add_check(
+                "galerkin_positivity",
+                bool(np.all(trace_g.min_profile >= 0)),
+                "min profile %.3g" % trace_g.min_profile.min(),
+            )
+
+        if trace_o is not None:
+            _record_route(report, cfg, "oracle", trace_o)
+            report.add_check("oracle_ide_identity", ide < IDE_TOL, "max residual %.3g" % ide)
+            # output consistency at snapshot times
+            cons = 0.0
+            for t_snap, prof in trace_o.snapshots.items():
+                i = int(round(t_snap / cfg.dt))
+                y_profile = float(params.weights @ (params.p.values * prof.values))
+                cons = max(cons, abs(y_profile - trace_o.y[i]) / max(abs(trace_o.y[i]), 1e-300))
+            if trace_o.snapshots:
+                # a gap at rounding level prints as a bound, so that the report's
+                # bytes do not follow the last bit of eta
+                gap = "max gap < 1e-12" if cons < 1e-12 else "max gap %.3g" % cons
+                report.add_check("oracle_output_consistency", cons < 1e-8, gap)
+            if cert is not None:
+                hist = lyapunov.check_history_decay(trace_o, cert.sigma, norms=norms)
+                report.add_check(
+                    "history_decay",
+                    hist.passed,
+                    "W0 %.3g, monotone %s, envelope %s, floor %s"
+                    % (hist.w0, hist.w_monotone, hist.w_envelope, hist.c_monotone),
+                )
+                if validity.valid:
+                    ts, vs = lyapunov.sample_clf(trace_o, cert, norms=norms)
+                    if len(ts) < 3:
+                        report.warnings.append(
+                            "clf_decay not checked: %d CLF samples span fewer than two intervals"
+                            % len(ts)
+                        )
+                    else:
+                        decay = lyapunov.verify_decay(ts, vs, cert.l_rate)
+                        report.add_check(
+                            "clf_decay",
+                            decay.passed,
+                            "%d violations / %d samples (slack %.3g)"
+                            % (decay.n_violations, decay.n_samples, decay.slack),
+                        )
+
+        if trace_g is not None and trace_o is not None:
+            metrics = compare_routes(trace_g, trace_o)
+            report.metrics = metrics
+            report.add_check(
+                "route_agreement",
+                metrics.y_gap_linf <= ROUTE_GAP_BUDGET,
+                "y gap %.4g (budget %g)" % (metrics.y_gap_linf, ROUTE_GAP_BUDGET),
+            )
+
+        _tracking_checks(cfg, eq, traj, report, trace_g, trace_o)
+        if staged:
+            staged["report.txt"].write_text(report.render())
+        for name, tmp in staged.items():
+            os.replace(tmp, out_path / name)
     except BaseException:
-        for tmp in staged:
+        for tmp in staged.values():
             tmp.unlink(missing_ok=True)
         raise
-
-    # recorded in the serial order, so that the report's checks are listed as
-    # a serial run lists them
-    if trace_g is not None:
-        _record_route(report, cfg, "galerkin", trace_g)
-        report.add_check(
-            "galerkin_positivity",
-            bool(np.all(trace_g.min_profile >= 0)),
-            "min profile %.3g" % trace_g.min_profile.min(),
-        )
-
-    if trace_o is not None:
-        _record_route(report, cfg, "oracle", trace_o)
-        report.add_check("oracle_ide_identity", ide < IDE_TOL, "max residual %.3g" % ide)
-        # output consistency at snapshot times
-        cons = 0.0
-        for t_snap, prof in trace_o.snapshots.items():
-            i = int(round(t_snap / cfg.dt))
-            y_profile = float(params.weights @ (params.p.values * prof.values))
-            cons = max(cons, abs(y_profile - trace_o.y[i]) / max(abs(trace_o.y[i]), 1e-300))
-        if trace_o.snapshots:
-            # a gap at rounding level prints as a bound, so that the report's
-            # bytes do not follow the last bit of eta
-            gap = "max gap < 1e-12" if cons < 1e-12 else "max gap %.3g" % cons
-            report.add_check("oracle_output_consistency", cons < 1e-8, gap)
-        if cert is not None:
-            hist = lyapunov.check_history_decay(trace_o, cert.sigma, norms=norms)
-            report.add_check(
-                "history_decay",
-                hist.passed,
-                "W0 %.3g, monotone %s, envelope %s, floor %s"
-                % (hist.w0, hist.w_monotone, hist.w_envelope, hist.c_monotone),
-            )
-            if validity.valid:
-                ts, vs = lyapunov.sample_clf(trace_o, cert, norms=norms)
-                if len(ts) < 3:
-                    report.warnings.append(
-                        "clf_decay not checked: %d CLF samples span fewer than two intervals"
-                        % len(ts)
-                    )
-                else:
-                    decay = lyapunov.verify_decay(ts, vs, cert.l_rate)
-                    report.add_check(
-                        "clf_decay",
-                        decay.passed,
-                        "%d violations / %d samples (slack %.3g)"
-                        % (decay.n_violations, decay.n_samples, decay.slack),
-                    )
-
-    if trace_g is not None and trace_o is not None:
-        metrics = compare_routes(trace_g, trace_o)
-        report.metrics = metrics
-        report.add_check(
-            "route_agreement",
-            metrics.y_gap_linf <= ROUTE_GAP_BUDGET,
-            "y gap %.4g (budget %g)" % (metrics.y_gap_linf, ROUTE_GAP_BUDGET),
-        )
-
-    _tracking_checks(cfg, eq, traj, report, trace_g, trace_o)
-
-    if out_path is not None:
-        (out_path / "report.txt").write_text(report.render())
     return report
 
 

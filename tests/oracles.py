@@ -4,8 +4,9 @@ Deliberately self-contained: these helpers re-implement quadrature and
 scanning directly on closed-form integrands so that package results are
 checked against a code path that shares nothing with src/agechemo.
 ``pi_weight``, ``pi_functional``, ``reference_closed_loop``,
-``reference_galerkin_loop``, ``reference_contraction_value`` and
-``reference_sample_clf`` are the exceptions; their docstrings say why.
+``reference_advance_psi``, ``reference_galerkin_loop``,
+``reference_contraction_value`` and ``reference_sample_clf`` are the
+exceptions; their docstrings say why.
 """
 import math
 
@@ -193,6 +194,33 @@ def reference_closed_loop(x0, traj, eq, gains, params, t_final, dt, snapshot_tim
     out["psi"] = val.copy()
     out["snapshots"] = snapshots
     return out
+
+
+def reference_advance_psi(dyn, buf, n_steps):
+    """psi stepped one RK4 step at a time through the package's stage maps.
+
+    An exception to this module's rule: it reads ``dyn.stage_val`` and
+    ``dyn.stage_der``, which ``reference_closed_loop`` already checks
+    against re-interpolated reads, so that it checks only how
+    ``delay._advance_psi`` composes them.  Each step takes its three stage
+    sums S_0, S_1/2 and S_1 as two dots over the newest n_hist + 1 nodes.
+    Returns the extended (val, der).
+    """
+    val = np.concatenate([buf.val, np.zeros(n_steps)])
+    der = np.concatenate([buf.der, np.zeros(n_steps)])
+    a0, dt = dyn.a0, dyn.dt
+    half, sixth = 0.5 * dt, dt / 6.0
+    for m in range(len(buf.val) - 1, len(val) - 1):
+        w = slice(m - dyn.n_hist, m + 1)
+        _, s_half, s_one = (val[w] @ dyn.stage_val + der[w] @ dyn.stage_der).tolist()
+        v, k1 = float(val[m]), float(der[m])
+        k2 = a0 * (v + half * k1) + s_half
+        k3 = a0 * (v + half * k2) + s_half
+        k4 = a0 * (v + dt * k3) + s_one
+        v_new = v + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        val[m + 1] = v_new
+        der[m + 1] = a0 * v_new + s_one
+    return val, der
 
 
 def reference_galerkin_loop(system, basis, traj, gains, params, t_final, dt, snapshot_times=(), d_override=None):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from agechemo.delay import (
+    PSI_BLOCK,
     WINDOW_BLOCK,
     HistoryBuffer,
     _advance_psi,
+    _PsiDynamics,
     _delta_grid,
     init_delay_state,
     simulate_closed_loop,
@@ -17,8 +19,15 @@ from agechemo.errors import HistoryGap, InvalidIC
 from agechemo.grid import GridFunction, hermite_resample, simpson_weights, tail_integral
 from agechemo.model import solve_equilibrium
 from agechemo.trajectories import make_constant
-from conftest import bundled_with, small_config_text
-from oracles import pi_functional, pi_highres, pi_weight, reference_closed_loop, simpson_highres
+from conftest import bundled_with, motherhood_model, small_config_text
+from oracles import (
+    pi_functional,
+    pi_highres,
+    pi_weight,
+    reference_advance_psi,
+    reference_closed_loop,
+    simpson_highres,
+)
 
 
 def test_pi_weight_endpoints(trial):
@@ -116,6 +125,67 @@ def test_step_psi_zero_solution(trial):
     history = _advance_psi(state.dyn, state.buffer, 100)
     assert len(history.val) == len(state.buffer.val) + 100
     assert np.max(np.abs(history.node_values())) < 1e-14
+
+
+#: horizons on both sides of the first block edges of ``_advance_psi``
+PSI_STEPS = (0, 1, 31, 32, 33, 101)
+
+
+def _assert_matches_stepwise_loop(dyn, buf):
+    for n_steps in PSI_STEPS:
+        history = _advance_psi(dyn, buf, n_steps)
+        val, der = reference_advance_psi(dyn, buf, n_steps)
+        assert len(history.val) == len(history.der) == len(val) == len(buf.val) + n_steps
+        assert np.max(np.abs(history.val - val)) <= 1e-13, n_steps
+        assert np.max(np.abs(history.der - der)) <= 1e-13, n_steps
+
+
+@pytest.mark.parametrize(
+    "dt_of", [lambda h: h / 2, lambda h: h, lambda h: 2 * h, lambda h: 2.0 / 267], ids=["h/2", "h", "2h", "2/267"]
+)
+def test_block_propagator_matches_stepwise_loop(trial, dt_of):
+    eq, params, x0, traj = trial["eq"], trial["params"], trial["x0"], trial["traj"]
+    state = init_delay_state(x0, traj, eq, params, dt_of(params.h))
+    _assert_matches_stepwise_loop(state.dyn, state.buffer)
+
+
+def test_block_propagator_matches_stepwise_loop_with_boundary_term(tmp_path):
+    # the constant kernel of test_simulate_matches_hermite_reference_with_boundary_term
+    path = tmp_path / "flat.cfg"
+    path.write_text(
+        small_config_text(kind_block="kind = transition\ny0 = 1.0\ny_delta = 1.5\nt_delta = 4.0")
+        .replace("k = quadratic-motherhood 2.00", "k = constant 1.0")
+    )
+    cfg = load_config(path)
+    params = build_model(cfg)
+    eq = solve_equilibrium(params)
+    assert eq.k_tilde.values[-1] > 0.1
+    for dt in (params.h, 2 * params.h):
+        state = init_delay_state(build_x0(cfg, params, eq), build_trajectory(cfg), eq, params, dt)
+        _assert_matches_stepwise_loop(state.dyn, state.buffer)
+
+
+def test_block_propagator_matches_stepwise_loop_on_a_short_window():
+    # 11 stored nodes: from the 12th row of a block on, every read is of a new node
+    eq, params = motherhood_model(21, 0.1, 2.0)
+    dt = 2 * params.h
+    dyn = _PsiDynamics.build(eq, params, dt)
+    assert dyn.n_hist + 1 < PSI_BLOCK
+    t = np.linspace(-params.a_max, 0.0, dyn.n_hist + 1)
+    buf = HistoryBuffer(-params.a_max, dt, 0.2 * np.sin(3.0 * t), 0.6 * np.cos(3.0 * t))
+    _assert_matches_stepwise_loop(dyn, buf)
+
+
+def test_psi_is_a_prefix_of_a_longer_run_bitwise(trial):
+    # psi on [0, T] does not depend on the horizon it was stepped to
+    eq, params, x0, traj = trial["eq"], trial["params"], trial["x0"], trial["traj"]
+    state = init_delay_state(x0, traj, eq, params, params.h)
+    longest = _advance_psi(state.dyn, state.buffer, 3 * PSI_BLOCK + 5)
+    for n_steps in (0, 1, PSI_BLOCK - 1, PSI_BLOCK, PSI_BLOCK + 1, 2 * PSI_BLOCK + 7, 3 * PSI_BLOCK):
+        history = _advance_psi(state.dyn, state.buffer, n_steps)
+        size = len(history.val)
+        assert np.array_equal(history.val, longest.val[:size]), n_steps
+        assert np.array_equal(history.der, longest.der[:size]), n_steps
 
 
 def _flat_history(buf, c):

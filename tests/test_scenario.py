@@ -377,8 +377,8 @@ def test_delay_route_failure_leaves_the_serial_files(tmp_path, monkeypatch):
         with pytest.raises(Instability, match="delay route failed"):
             run(_tiny(tmp_path), out)
         files[n_cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert sorted(files[2]) == ["galerkin.csv", "galerkin_profiles.csv"]
-    assert files[2] == files[1]
+    # the Galerkin route's files are written, and deleted with the run's failure
+    assert files[2] == files[1] == {}
     _assert_no_child_left()
 
 
@@ -398,8 +398,34 @@ def test_csv_write_error_leaves_no_delay_route_file(tmp_path, monkeypatch, n_cpu
     out = tmp_path / "o"
     with pytest.raises(OSError, match="No space left on device"):
         run(_tiny(tmp_path), out)
-    # the half-written pair of temporaries is gone; the Galerkin route's files stay
-    assert sorted(p.name for p in out.iterdir()) == ["galerkin.csv", "galerkin_profiles.csv"]
+    # the half-written pair of temporaries is gone, and so are the Galerkin route's
+    assert list(out.iterdir()) == []
+    _assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_write_error_keeps_the_earlier_run_files(tmp_path, monkeypatch, n_cpus):
+    _cpus(monkeypatch, n_cpus)
+    names = ["galerkin.csv", "galerkin_profiles.csv", "oracle.csv", "oracle_profiles.csv", "report.txt"]
+    out = tmp_path / "o"
+    out.mkdir()
+    earlier = {name: b"an earlier run's %s\n" % name.encode() for name in names}
+    for name, data in earlier.items():
+        (out / name).write_bytes(data)
+    write_snapshots = scenario._write_snapshots
+
+    def fail_on_galerkin(path, *args):
+        if "galerkin" in path.name:
+            path.write_bytes(b"a,t=2\n")
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write_snapshots(path, *args)
+
+    monkeypatch.setattr(scenario, "_write_snapshots", fail_on_galerkin)
+    with pytest.raises(OSError, match="No space left on device"):
+        run(_tiny(tmp_path), out)
+    # in the child or inline: every file keeps its bytes and no temporary is left
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
     _assert_no_child_left()
 
 
