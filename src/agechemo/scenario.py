@@ -12,6 +12,8 @@ import io
 import math
 import os
 import pickle
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -141,40 +143,20 @@ def _record_route(report: RunReport, cfg: ScenarioConfig, route: str, trace):
     )
 
 
-def _staged_files(out_path: Path | None, routes: str) -> dict:
-    """Each file that a run writes to ``out_path``, by name, mapped to the temporary it is written under.
-
-    The temporaries (``.<name>.<pid>.tmp`` in ``out_path``) carry this
-    process's id, fixed before any fork, so that this process renames and
-    deletes what a forked child wrote. report.txt comes last, so that it
-    takes its name after the CSVs it reports on.
-    """
-    if out_path is None:
-        return {}
-    routes_run = [route for route in ("galerkin", "oracle") if routes in (route, "both")]
-    names = [route + tail for route in routes_run for tail in (".csv", "_profiles.csv")]
-    return {name: out_path / (".%s.%d.tmp" % (name, os.getpid())) for name in names + ["report.txt"]}
+def _write_route(stage: Path, route: str, trace, nodes):
+    """Write a route's per-step and profile CSVs into the directory ``stage``."""
+    _write_csv(stage / (route + ".csv"), trace.CSV_COLUMNS, trace.columns())
+    _write_snapshots(stage / (route + "_profiles.csv"), nodes, trace.snapshots)
 
 
-def _route_files(staged: dict, route: str) -> tuple:
-    """The temporaries of a route's per-step and profile CSVs, or () where the run writes none."""
-    return tuple(staged[name] for name in (route + ".csv", route + "_profiles.csv") if name in staged)
-
-
-def _write_route(paths: tuple, trace, nodes):
-    """Write a route's per-step and profile CSVs to the two ``paths``."""
-    _write_csv(paths[0], trace.CSV_COLUMNS, trace.columns())
-    _write_snapshots(paths[1], nodes, trace.snapshots)
-
-
-def _galerkin_route(cfg, eq, params, x0, traj, gains, paths) -> galerkin.GalerkinTrace:
-    """The whole Galerkin route: roots, basis, assembly, simulation and its CSVs, if ``paths``."""
+def _galerkin_route(cfg, eq, params, x0, traj, gains, stage) -> galerkin.GalerkinTrace:
+    """The whole Galerkin route: roots, basis, assembly, simulation and its CSVs, if ``stage``."""
     roots = galerkin.characteristic_roots(eq, params, cfg.n_modes)
     basis = galerkin.build_basis(x0, eq, roots, cfg.n_modes, params)
     system = galerkin.assemble(basis, params)
     trace = galerkin.simulate(system, basis, traj, gains, params, cfg.t_final, cfg.dt, cfg.snapshot_times)
-    if paths:
-        _write_route(paths, trace, params.nodes)
+    if stage is not None:
+        _write_route(stage, "galerkin", trace, params.nodes)
     return trace
 
 
@@ -246,11 +228,13 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
     """Execute a scenario; deterministic for a fixed config.
 
     Every file of ``out_dir`` (each route's two CSVs and ``report.txt``) is
-    written under a temporary name (:func:`_staged_files`) and takes its own
-    name only once every file of the run has been written; on any failure,
-    on every path, the temporaries are deleted. So the report, the files and
-    the error raised on a failure are those of a serial run, and a failed
-    run leaves an earlier run's files as they were.
+    written under its own name into a private directory (``.run-*`` in
+    ``out_dir``, made before either route runs), moved into ``out_dir``
+    once every file of the run has been written, and the private directory
+    is removed on every path. So the report, the files and the error raised
+    on a failure are those of a serial run, and a failed run leaves an
+    earlier run's files as they were. An ``out_dir`` in which nothing can
+    be made is a :class:`ValidationError`.
     """
     params = build_model(cfg)
     eq = solve_equilibrium(params)
@@ -285,17 +269,17 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
         cert = None
         report.warnings.append("certificate unavailable: %s" % exc)
 
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
+    out_path = stage = None
+    if out_dir is not None:
+        out_path = Path(out_dir)
         try:
             out_path.mkdir(parents=True, exist_ok=True)
+            stage = Path(tempfile.mkdtemp(prefix=".run-", dir=out_path))
         except OSError as exc:
             raise ValidationError("--out %s: cannot create directory (%s)" % (out_path, exc.strerror)) from exc
 
-    staged = _staged_files(out_path, cfg.routes)
     try:
-        paths_g = _route_files(staged, "galerkin")
-        route_g = functools.partial(_galerkin_route, cfg, eq, params, x0, traj, gains, paths_g)
+        route_g = functools.partial(_galerkin_route, cfg, eq, params, x0, traj, gains, stage)
         child = _Child(route_g) if cfg.routes == "both" else None
         trace_g = route_g() if cfg.routes == "galerkin" else None
         trace_o = None
@@ -307,9 +291,8 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
                 t_end = trace_o.t[-1]  # the last stored node; an off-grid t_final may lie past it
                 ide = max(trace_o.ide_residual(t) for t in np.linspace(min(0.5, t_end), t_end, 8))
                 norms = lyapunov.window_norms(trace_o, cert.sigma) if cert is not None else None
-                oracle_files = _route_files(staged, "oracle")
-                if oracle_files:  # while the child, if any, still runs
-                    _write_route(oracle_files, trace_o, params.nodes)
+                if stage is not None:  # while the child, if any, still runs
+                    _write_route(stage, "oracle", trace_o, params.nodes)
         finally:
             # joined on every path; a Galerkin failure wins, as it does serially
             if child is not None:
@@ -373,21 +356,19 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
             )
 
         _tracking_checks(cfg, eq, traj, report, trace_g, trace_o)
-        if staged:
-            staged["report.txt"].write_text(report.render())
-        for name, tmp in staged.items():
-            os.replace(tmp, out_path / name)
-    except BaseException:
-        for tmp in staged.values():
-            tmp.unlink(missing_ok=True)
-        raise
+        if stage is not None:
+            (stage / "report.txt").write_text(report.render())
+            # report.txt takes its name after the CSVs it reports on
+            for name in sorted(os.listdir(stage), key="report.txt".__eq__):
+                os.replace(stage / name, out_path / name)
+    finally:
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
     return report
 
 
 def _tracking_checks(cfg, eq, traj, report, trace_g, trace_o):
     trace = trace_g if trace_g is not None else trace_o
-    if trace is None:
-        return
     y = trace.y_sim if trace_g is not None else trace.y
     ts = trace.t
     if cfg.traj_kind == "transition":

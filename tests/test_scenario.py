@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import errno
 import os
@@ -519,3 +520,113 @@ def test_route_agreement_check_can_fail(tmp_path, monkeypatch):
 
     monkeypatch.setattr(galerkin, "simulate", scaled)
     assert _route_agreement(run(cfg)) == (False, "y gap 0.1052 (budget 0.05)")
+
+
+def _checks(report):
+    return {name: (ok, detail) for name, ok, detail in report.checks}
+
+
+def test_ide_identity_and_history_decay_checks_can_fail(fig2a_cfg, fig2a_report, monkeypatch):
+    # an RK4 step whose k4 weight is 1.001 in place of 1 breaks the delay
+    # route's renewal identity and its history-norm envelope
+    clean = _checks(fig2a_report)
+    assert clean["oracle_ide_identity"] == (True, "max residual 5.03e-07")
+    assert clean["history_decay"] == (True, "W0 0.154, monotone True, envelope True, floor True")
+
+    def skewed(a0, dt, v, k1, s_half, s_one):
+        half = 0.5 * dt
+        k2 = a0 * (v + half * k1) + s_half
+        k3 = a0 * (v + half * k2) + s_half
+        k4 = a0 * (v + dt * k3) + s_one
+        return dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + 1.001 * k4)
+
+    monkeypatch.setattr(delay, "_rk4_increment", skewed)
+    checks = _checks(run(dataclasses.replace(fig2a_cfg, routes="oracle")))
+    assert checks["oracle_ide_identity"] == (False, "max residual 3.92e-06")
+    assert checks["history_decay"] == (False, "W0 0.154, monotone True, envelope False, floor True")
+
+
+def test_limiting_exponential_check_can_fail(fig3_report, monkeypatch):
+    assert _checks(fig3_report)["limiting_exponential"] == (True, "drift 0.000136 over [0, 4.82]")
+    simulate_modal = galerkin.simulate
+
+    def drifting(*args, **kwargs):
+        trace = simulate_modal(*args, **kwargs)
+        return dataclasses.replace(trace, y_sim=trace.y_sim * (1.0 + 0.005 * trace.t))
+
+    monkeypatch.setattr(galerkin, "simulate", drifting)
+    checks = _checks(run(load_config(bundled("fig3.cfg"))))
+    assert checks["limiting_exponential"] == (False, "drift 0.0241 over [0, 4.82]")
+    # a 2.4% drift of the modal output stays inside the route-agreement budget
+    assert checks["route_agreement"] == (True, "y gap 0.04 (budget 0.05)")
+
+
+def test_unwritable_out_is_refused_before_any_route_runs(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "tiny.cfg"
+    path.write_text(small_config_text())
+    out = tmp_path / "read-only"
+    out.mkdir()
+    monkeypatch.setattr(galerkin, "characteristic_roots", _failing(AssertionError, "the Galerkin route ran"))
+    monkeypatch.setattr(delay, "simulate_closed_loop", _failing(AssertionError, "the delay route ran"))
+    if os.geteuid() != 0:
+        out.chmod(0o555)
+    else:  # root may write anywhere: refuse what a read-only directory refuses
+        mkdir, open_ = os.mkdir, builtins.open
+
+        def refused(p):
+            if isinstance(p, (str, os.PathLike)) and out in Path(p).parents:
+                raise PermissionError(errno.EACCES, "Permission denied", str(p))
+
+        def guarded_mkdir(p, *args, **kwargs):
+            refused(p)
+            return mkdir(p, *args, **kwargs)
+
+        def guarded_open(p, mode="r", *args, **kwargs):
+            if set(mode) & set("wax+"):
+                refused(p)
+            return open_(p, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "mkdir", guarded_mkdir)
+        monkeypatch.setattr(builtins, "open", guarded_open)
+    try:
+        code = main(["run", str(path), "--out", str(out)])
+    finally:
+        out.chmod(0o755)
+    assert code == 3
+    assert capsys.readouterr().err == "input error: --out %s: cannot create directory (Permission denied)\n" % out
+    assert list(out.iterdir()) == []
+
+
+def _tree(out):
+    """Every entry under ``out`` by relative path: a file's bytes, or None for a directory."""
+    return {p.relative_to(out).as_posix(): p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+
+
+@needs_fork
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("exc_type", [KeyboardInterrupt, Instability])
+def test_failed_run_removes_its_staging_directory_and_nothing_else(tmp_path, monkeypatch, n_cpus, exc_type):
+    _cpus(monkeypatch, n_cpus)
+    out = tmp_path / "o"
+    (out / ".cache").mkdir(parents=True)
+    (out / ".cache" / "keep").write_bytes(b"kept\n")
+    (out / "notes.txt").write_bytes(b"notes\n")
+    run(_tiny(tmp_path), out)
+    earlier = _tree(out)
+    assert sorted(earlier) == [
+        ".cache",
+        ".cache/keep",
+        "galerkin.csv",
+        "galerkin_profiles.csv",
+        "notes.txt",
+        "oracle.csv",
+        "oracle_profiles.csv",
+        "report.txt",
+    ]
+    assert earlier[".cache/keep"] == b"kept\n" and earlier["notes.txt"] == b"notes\n"
+    monkeypatch.setattr(delay, "simulate_closed_loop", _failing(exc_type, "delay route stopped"))
+    with pytest.raises(exc_type, match="delay route stopped"):
+        run(_tiny(tmp_path), out)
+    # re-raised after the child is reaped and the staging directory removed
+    assert _tree(out) == earlier
+    _assert_no_child_left()
