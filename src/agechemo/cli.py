@@ -15,12 +15,10 @@ import functools
 import sys
 
 from . import galerkin, lyapunov
-from .config import build_model, build_trajectory, load_config
-from .controller import ControllerGains
+from .config import build_model, load_config
 from .errors import AgeChemoError, ParseError, ValidationError
 from .model import solve_equilibrium
-from .scenario import run
-from .trajectories import validate
+from .scenario import prepare, run
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -37,34 +35,21 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    params = build_model(cfg)
-    eq = solve_equilibrium(params)
-    traj = build_trajectory(cfg)
-    gains = ControllerGains(cfg.gamma, cfg.l1, cfg.l2, cfg.z0)
-    lines = ["d_star = %.12g" % eq.d_star]
-    validity = validate(traj, eq, cfg.d_min, cfg.d_max, horizon=cfg.t_final)
-    lines.append(
-        "trajectory: inf_rate %.6g sup_rate %.6g valid %s"
-        % (validity.inf_rate, validity.sup_rate, validity.valid)
-    )
-    ok = True
-    try:
-        cert = lyapunov.build_certificate(validity, eq, gains, params)
+    report, _, eq = prepare(load_config(args.config))[:3]
+    band, cert = report.validity, report.certificate
+    lines = [
+        "d_star = %.12g" % eq.d_star,
+        "trajectory: inf_rate %.6g sup_rate %.6g valid %s" % (band.inf_rate, band.sup_rate, band.valid),
+    ]
+    if cert is None:
+        lines.append(report.warnings[-1])  # certificate unavailable: ...
+    else:
         lines.append("certificate:")
-        for key, val in cert.as_dict().items():
-            lines.append("  %s = %.12g" % (key, val))
-    except AgeChemoError as exc:
-        lines.append("certificate unavailable: %s" % exc)
-        ok = False
+        lines.extend("  %s = %.12g" % item for item in cert.as_dict().items())
     fact = lyapunov.saturation_fact_check()
-    lines.append(
-        "saturation inequality: %d violations in %d samples"
-        % (fact.n_violations, fact.n_samples)
-    )
-    ok = ok and fact.n_violations == 0
+    lines.append("saturation inequality: %d violations in %d samples" % (fact.n_violations, fact.n_samples))
     sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if cert is not None and fact.n_violations == 0 else EXIT_FAIL
 
 
 def _cmd_roots(args) -> int:

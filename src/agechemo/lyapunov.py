@@ -248,7 +248,7 @@ class Certificate:
             raise ValueError("history weight too small: M sigma <= beta2 e^{2 sigma A}")
         if not self.b3_value < 1.0:
             raise ValueError("kernel contraction value >= 1")
-        if self.alpha1 * min(math.sqrt(self.k1), math.sqrt(self.big_m / 2.0)) < 2.0:
+        if self.alpha1 < overshoot_floor(self.k1, self.big_m):
             raise ValueError("alpha1 below the overshoot-construction floor")
         positives = tuple(v for k, v in self.as_dict().items() if k not in ("b3_value", "d_star"))
         if not all(v > 0 for v in positives):
@@ -271,6 +271,11 @@ class RateConstants(NamedTuple):
 
 #: relative margin on alpha1 above its lower bound
 ALPHA1_MARGIN = 1.1
+
+
+def overshoot_floor(k1: float, big_m: float) -> float:
+    """The least alpha1 of the overshoot construction, 2 / min(sqrt k1, sqrt(M/2)), as built and as checked."""
+    return 2.0 / min(math.sqrt(k1), math.sqrt(big_m / 2.0))
 
 
 def rate_constants(
@@ -305,8 +310,7 @@ def rate_constants(
     bound = (8.0 * d_span / beta) * (
         1.0 / (gains.gamma * math.sqrt(oq.k1)) + math.sqrt(2.0) * math.exp(sigma * params.a_max) / math.sqrt(big_m)
     )
-    floor = 2.0 / min(math.sqrt(oq.k1), math.sqrt(big_m / 2.0))
-    alpha1 = max(ALPHA1_MARGIN * bound, floor)
+    alpha1 = max(ALPHA1_MARGIN * bound, overshoot_floor(oq.k1, big_m))
     l_rate = min(beta - (bound * beta) / alpha1, mu1)
     return RateConstants(mu1, mu2, beta, l_rate, alpha1, big_m)
 

@@ -133,31 +133,68 @@ def _write_snapshots(path: Path, nodes: np.ndarray, snapshots: dict):
     _write_csv(path, ["a"] + ["t=%g" % t for t in times], [nodes] + [snapshots[t].values for t in times])
 
 
-def _record_route(report: RunReport, cfg: ScenarioConfig, route: str, trace):
-    """Store a route's trace and its saturation fractions."""
-    d = trace.d
-    report.traces[route] = trace
-    report.saturation[route] = (
-        float(np.sum(d <= cfg.d_min + 1e-12)) / len(d),
-        float(np.sum(d >= cfg.d_max - 1e-12)) / len(d),
-    )
-
-
 def _write_route(stage: Path, route: str, trace, nodes):
     """Write a route's per-step and profile CSVs into the directory ``stage``."""
     _write_csv(stage / (route + ".csv"), trace.CSV_COLUMNS, trace.columns())
     _write_snapshots(stage / (route + "_profiles.csv"), nodes, trace.snapshots)
 
 
-def _galerkin_route(cfg, eq, params, x0, traj, gains, stage) -> galerkin.GalerkinTrace:
-    """The whole Galerkin route: roots, basis, assembly, simulation and its CSVs, if ``stage``."""
+def _galerkin_route(cfg, eq, params, x0, traj, gains, stage):
+    """The whole Galerkin route, roots to its CSVs (if ``stage``) and its check: ``(trace, checks)``."""
     roots = galerkin.characteristic_roots(eq, params, cfg.n_modes)
     basis = galerkin.build_basis(x0, eq, roots, cfg.n_modes, params)
     system = galerkin.assemble(basis, params)
     trace = galerkin.simulate(system, basis, traj, gains, params, cfg.t_final, cfg.dt, cfg.snapshot_times)
     if stage is not None:
         _write_route(stage, "galerkin", trace, params.nodes)
-    return trace
+    low = trace.min_profile.min()
+    return trace, [("galerkin_positivity", low >= 0, "min profile %.3g" % low)]
+
+
+def _delay_route(cfg, eq, params, x0, traj, gains, stage, report):
+    """The whole delay route, as ``_galerkin_route``; its checks read ``report`` and may add a warning."""
+    trace = delay.simulate_closed_loop(x0, traj, eq, gains, params, cfg.t_final, cfg.dt, cfg.snapshot_times)
+    if stage is not None:
+        _write_route(stage, "oracle", trace, params.nodes)
+    t_end = trace.t[-1]  # the last stored node; an off-grid t_final may lie past it
+    ide = max(trace.ide_residual(t) for t in np.linspace(min(0.5, t_end), t_end, 8))
+    checks = [("oracle_ide_identity", ide < IDE_TOL, "max residual %.3g" % ide)]
+    # output consistency at snapshot times
+    cons = 0.0
+    for t_snap, prof in trace.snapshots.items():
+        i = int(round(t_snap / cfg.dt))
+        y_profile = float(params.weights @ (params.p.values * prof.values))
+        cons = max(cons, abs(y_profile - trace.y[i]) / max(abs(trace.y[i]), 1e-300))
+    if trace.snapshots:
+        # a gap at rounding level prints as a bound, so that the report's
+        # bytes do not follow the last bit of eta
+        gap = "max gap < 1e-12" if cons < 1e-12 else "max gap %.3g" % cons
+        checks.append(("oracle_output_consistency", cons < 1e-8, gap))
+    cert = report.certificate
+    if cert is not None:
+        norms = lyapunov.window_norms(trace, cert.sigma)
+        hist = lyapunov.check_history_decay(trace, cert.sigma, norms=norms)
+        checks.append((
+            "history_decay",
+            hist.passed,
+            "W0 %.3g, monotone %s, envelope %s, floor %s"
+            % (hist.w0, hist.w_monotone, hist.w_envelope, hist.c_monotone),
+        ))
+        if report.validity.valid:
+            ts, vs = lyapunov.sample_clf(trace, cert, norms=norms)
+            if len(ts) < 3:
+                report.warnings.append(
+                    "clf_decay not checked: %d CLF samples span fewer than two intervals" % len(ts)
+                )
+            else:
+                decay = lyapunov.verify_decay(ts, vs, cert.l_rate)
+                checks.append((
+                    "clf_decay",
+                    decay.passed,
+                    "%d violations / %d samples (slack %.3g)"
+                    % (decay.n_violations, decay.n_samples, decay.slack),
+                ))
+    return trace, checks
 
 
 class _Child:
@@ -224,17 +261,11 @@ class _Child:
         raise value
 
 
-def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
-    """Execute a scenario; deterministic for a fixed config.
+def prepare(cfg: ScenarioConfig):
+    """The set-up that ``run`` and ``agechemo verify`` share: ``(report, params, eq, traj, x0, gains)``.
 
-    Every file of ``out_dir`` (each route's two CSVs and ``report.txt``) is
-    written under its own name into a private directory (``.run-*`` in
-    ``out_dir``, made before either route runs), moved into ``out_dir``
-    once every file of the run has been written, and the private directory
-    is removed on every path. So the report, the files and the error raised
-    on a failure are those of a serial run, and a failed run leaves an
-    earlier run's files as they were. An ``out_dir`` in which nothing can
-    be made is a :class:`ValidationError`.
+    ``report`` holds the rate-band verdict, the certificate or, as its last
+    warning, ``certificate unavailable: ...``. An inadmissible x0 is a :class:`ValidationError`.
     """
     params = build_model(cfg)
     eq = solve_equilibrium(params)
@@ -263,12 +294,26 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
         )
 
     try:
-        cert = lyapunov.build_certificate(validity, eq, gains, params)
-        report.certificate = cert
+        report.certificate = lyapunov.build_certificate(validity, eq, gains, params)
     except AgeChemoError as exc:
-        cert = None
         report.warnings.append("certificate unavailable: %s" % exc)
+    return report, params, eq, traj, x0, gains
 
+
+def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
+    """Execute a scenario after :func:`prepare`; deterministic for a fixed config.
+
+    Where both routes are asked for they run at once, and each route's trace
+    and checks are recorded Galerkin first. Every file of ``out_dir`` (each
+    route's two CSVs and ``report.txt``) is written under its own name into
+    a private directory (``.run-*`` in ``out_dir``, made before either route
+    runs), moved into ``out_dir`` once every file of the run has been
+    written, and the private directory is removed on every path. So the
+    report, the files and the error raised on a failure are those of a
+    serial run, and a failed run leaves an earlier run's files as they were.
+    An ``out_dir`` in which nothing can be made is a :class:`ValidationError`.
+    """
+    report, params, eq, traj, x0, gains = prepare(cfg)
     out_path = stage = None
     if out_dir is not None:
         out_path = Path(out_dir)
@@ -281,81 +326,35 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
     try:
         route_g = functools.partial(_galerkin_route, cfg, eq, params, x0, traj, gains, stage)
         child = _Child(route_g) if cfg.routes == "both" else None
-        trace_g = route_g() if cfg.routes == "galerkin" else None
-        trace_o = None
+        results = {"galerkin": route_g() if cfg.routes == "galerkin" else None, "oracle": None}
         try:
             if cfg.routes in ("both", "oracle"):
-                trace_o = delay.simulate_closed_loop(
-                    x0, traj, eq, gains, params, cfg.t_final, cfg.dt, cfg.snapshot_times
-                )
-                t_end = trace_o.t[-1]  # the last stored node; an off-grid t_final may lie past it
-                ide = max(trace_o.ide_residual(t) for t in np.linspace(min(0.5, t_end), t_end, 8))
-                norms = lyapunov.window_norms(trace_o, cert.sigma) if cert is not None else None
-                if stage is not None:  # while the child, if any, still runs
-                    _write_route(stage, "oracle", trace_o, params.nodes)
+                results["oracle"] = _delay_route(cfg, eq, params, x0, traj, gains, stage, report)
         finally:
             # joined on every path; a Galerkin failure wins, as it does serially
             if child is not None:
-                trace_g = child.result()
+                results["galerkin"] = child.result()
 
-        # recorded in the serial order, so that the report's checks are listed as
-        # a serial run lists them
-        if trace_g is not None:
-            _record_route(report, cfg, "galerkin", trace_g)
-            report.add_check(
-                "galerkin_positivity",
-                bool(np.all(trace_g.min_profile >= 0)),
-                "min profile %.3g" % trace_g.min_profile.min(),
-            )
-
-        if trace_o is not None:
-            _record_route(report, cfg, "oracle", trace_o)
-            report.add_check("oracle_ide_identity", ide < IDE_TOL, "max residual %.3g" % ide)
-            # output consistency at snapshot times
-            cons = 0.0
-            for t_snap, prof in trace_o.snapshots.items():
-                i = int(round(t_snap / cfg.dt))
-                y_profile = float(params.weights @ (params.p.values * prof.values))
-                cons = max(cons, abs(y_profile - trace_o.y[i]) / max(abs(trace_o.y[i]), 1e-300))
-            if trace_o.snapshots:
-                # a gap at rounding level prints as a bound, so that the report's
-                # bytes do not follow the last bit of eta
-                gap = "max gap < 1e-12" if cons < 1e-12 else "max gap %.3g" % cons
-                report.add_check("oracle_output_consistency", cons < 1e-8, gap)
-            if cert is not None:
-                hist = lyapunov.check_history_decay(trace_o, cert.sigma, norms=norms)
-                report.add_check(
-                    "history_decay",
-                    hist.passed,
-                    "W0 %.3g, monotone %s, envelope %s, floor %s"
-                    % (hist.w0, hist.w_monotone, hist.w_envelope, hist.c_monotone),
+        for route in ("galerkin", "oracle"):
+            if results[route] is not None:
+                trace, checks = results[route]
+                report.traces[route] = trace
+                report.saturation[route] = (
+                    float(np.sum(trace.d <= cfg.d_min + 1e-12)) / len(trace.d),
+                    float(np.sum(trace.d >= cfg.d_max - 1e-12)) / len(trace.d),
                 )
-                if validity.valid:
-                    ts, vs = lyapunov.sample_clf(trace_o, cert, norms=norms)
-                    if len(ts) < 3:
-                        report.warnings.append(
-                            "clf_decay not checked: %d CLF samples span fewer than two intervals"
-                            % len(ts)
-                        )
-                    else:
-                        decay = lyapunov.verify_decay(ts, vs, cert.l_rate)
-                        report.add_check(
-                            "clf_decay",
-                            decay.passed,
-                            "%d violations / %d samples (slack %.3g)"
-                            % (decay.n_violations, decay.n_samples, decay.slack),
-                        )
+                for check in checks:
+                    report.add_check(*check)
 
-        if trace_g is not None and trace_o is not None:
-            metrics = compare_routes(trace_g, trace_o)
-            report.metrics = metrics
+        if len(report.traces) == 2:
+            report.metrics = compare_routes(report.traces["galerkin"], report.traces["oracle"])
             report.add_check(
                 "route_agreement",
-                metrics.y_gap_linf <= ROUTE_GAP_BUDGET,
-                "y gap %.4g (budget %g)" % (metrics.y_gap_linf, ROUTE_GAP_BUDGET),
+                report.metrics.y_gap_linf <= ROUTE_GAP_BUDGET,
+                "y gap %.4g (budget %g)" % (report.metrics.y_gap_linf, ROUTE_GAP_BUDGET),
             )
 
-        _tracking_checks(cfg, eq, traj, report, trace_g, trace_o)
+        _tracking_checks(cfg, eq, traj, report)
         if stage is not None:
             (stage / "report.txt").write_text(report.render())
             # report.txt takes its name after the CSVs it reports on
@@ -367,9 +366,9 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
     return report
 
 
-def _tracking_checks(cfg, eq, traj, report, trace_g, trace_o):
-    trace = trace_g if trace_g is not None else trace_o
-    y = trace.y_sim if trace_g is not None else trace.y
+def _tracking_checks(cfg, eq, traj, report):
+    trace = next(iter(report.traces.values()))  # the Galerkin trace where that route ran
+    y = trace.y_sim if "galerkin" in report.traces else trace.y
     ts = trace.t
     if cfg.traj_kind == "transition":
         t_delta = cfg.traj_params["t_delta"]

@@ -1,20 +1,27 @@
+import contextlib
+import dataclasses
 import filecmp
 import inspect
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agechemo import galerkin
 from agechemo.cli import main
 from agechemo.config import _SCHEMA, build_model, build_trajectory, build_x0, load_config
 from agechemo.errors import ParseError, ValidationError
+from agechemo.lyapunov import overshoot_floor
 from agechemo.model import solve_equilibrium
-from agechemo.scenario import run
+from agechemo.scenario import prepare, run
 from agechemo.trajectories import KINDS
 from conftest import bundled, bundled_with, small_config_text
 
@@ -227,8 +234,9 @@ def test_cli_inadmissible_x0_exits_3_on_every_route(tmp_path, capsys, x0, routes
     # a profile out of class is an input error whichever route would read it
     path = tmp_path / "bad.cfg"
     path.write_text(small_config_text().replace("x0 = compat-linear-exp 1.30 1.0", "x0 = " + x0))
-    assert main(["run", str(path), "--routes", routes]) == 3
-    assert capsys.readouterr().err.startswith("input error: [model] x0: " + message)
+    for argv in (["run", str(path), "--routes", routes], ["verify", str(path)]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("input error: [model] x0: " + message)
 
 
 def test_compatible_table_x0_is_taken_as_given(tmp_path):
@@ -254,6 +262,71 @@ def test_infeasible_observer_gains_leave_no_certificate(tmp_path, capsys):
     assert "certificate unavailable: no (p1, p2) satisfies the shape inequalities" in report.warnings[-1]
     assert main(["verify", str(path)]) == 2
     assert "certificate unavailable: no (p1, p2)" in capsys.readouterr().out
+
+
+def test_certificate_whose_alpha1_is_its_floor_validates(tmp_path, capsys):
+    # these gains make the overshoot-construction floor, not 1.1 times the
+    # bound, decide alpha1; the floor times min(sqrt k1, sqrt(M/2)) rounds to
+    # 1.9999999999999998, so the check must compare alpha1 with the floor itself
+    path = tmp_path / "stiff.cfg"
+    path.write_text(
+        bundled("const.cfg").read_text().replace(
+            "gamma = 2.0\nl1 = 4.0\nl2 = 8.0",
+            "gamma = 526.6697846546866\nl1 = 674.5382666365973\nl2 = 923.3822544596309",
+        )
+    )
+    assert main(["verify", str(path)]) == 0
+    assert "certificate:\n  sigma = " in capsys.readouterr().out
+    cert = prepare(load_config(path))[0].certificate
+    floor = overshoot_floor(cert.k1, cert.big_m)
+    assert cert.alpha1 == floor
+    with pytest.raises(ValueError, match="overshoot-construction floor"):
+        dataclasses.replace(cert, alpha1=np.nextafter(floor, 0)).validate()
+
+
+#: a gain log-uniform on [1e-3, 1e3]
+_DECADES = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+#: a malformed reference of each kind, and one with the keys of another kind
+_MALFORMED_REFERENCES = (
+    "kind = constant\nvalue = 0.0",
+    "kind = ramp\ny4 = 1.0\ny1 = -0.5",
+    "kind = periodic\ny2 = 1.0\ny3 = 1.0\nomega = 1.0",
+    "kind = transition\ny0 = 1.0\ny_delta = 2.0\nt_delta = -1.0",
+    "kind = ramp\nvalue = 1.0",
+)
+#: a well-formed reference of each kind, or a malformed one
+_REFERENCE_BLOCKS = st.one_of(
+    st.builds("kind = constant\nvalue = {!r}".format, st.floats(0.2, 3.0)),
+    st.builds("kind = ramp\ny4 = {!r}\ny1 = {!r}".format, st.floats(0.2, 2.0), st.floats(0.0, 1.0)),
+    st.builds(
+        lambda y2, frac, omega: "kind = periodic\ny2 = %r\ny3 = %r\nomega = %r" % (y2, frac * y2, omega),
+        st.floats(1.0, 2.0), st.floats(0.0, 0.9), st.floats(0.5, 3.0),
+    ),
+    st.builds(
+        "kind = transition\ny0 = {!r}\ny_delta = {!r}\nt_delta = {!r}".format,
+        st.floats(0.5, 3.0), st.floats(0.5, 3.0), st.floats(0.5, 10.0),
+    ),
+    st.sampled_from(_MALFORMED_REFERENCES),
+)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.tuples(_DECADES, _DECADES, _DECADES), _REFERENCE_BLOCKS, st.floats(1.4, 3.2), st.floats(0.0, 0.4))
+def test_verify_on_drawn_configs_keeps_the_exit_code_contract(gains, reference, k0, mu):
+    text = (
+        small_config_text(kind_block=reference)
+        .replace("gamma = 2.0\nl1 = 4.0\nl2 = 8.0", "gamma = %r\nl1 = %r\nl2 = %r" % gains)
+        .replace("k = quadratic-motherhood 2.00", "k = quadratic-motherhood %r" % k0)
+        .replace("mu = constant 0.1", "mu = constant %r" % mu)
+    )
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.cfg"
+        path.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["verify", str(path)])  # raises nothing
+    assert code in (0, 2, 3) and (code == 3 or reference not in _MALFORMED_REFERENCES)
+    assert err.getvalue().startswith("input error:") == (code == 3), err.getvalue()
 
 
 @pytest.mark.parametrize("age_nodes, n_modes", [(5, 6), (21, 8)])

@@ -278,14 +278,17 @@ _REFERENCES = st.one_of(
         st.floats(1.0, 2.0), st.floats(0.0, 0.9), st.floats(0.5, 3.0),
     ),
 )
+#: a gain log-uniform over four decades, wide enough that the overshoot
+#: floor, not 1.1 times its bound, decides alpha1 on some draws
+_GAIN = st.floats(-1.0, 3.0).map(lambda e: 10.0**e)
 #: observer gains; (0.0146, 0.0116) has no feasible (p1, p2)
-_OBSERVER_GAINS = st.one_of(st.just((0.0146, 0.0116)), st.tuples(st.floats(0.5, 6.0), st.floats(0.5, 12.0)))
+_OBSERVER_GAINS = st.one_of(st.just((0.0146, 0.0116)), st.tuples(_GAIN, _GAIN))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     st.sampled_from([101, 201, 401]), st.floats(0.0, 0.4), st.floats(1.4, 3.2),
-    st.sampled_from([1.0, 1.0, 1.0, 2.5]), st.floats(0.5, 3.0), _OBSERVER_GAINS, _REFERENCES,
+    st.sampled_from([1.0, 1.0, 1.0, 2.5]), _GAIN, _OBSERVER_GAINS, _REFERENCES,
 )
 def test_certificate_is_its_three_parts(n, mu, k0, mass, gamma, l12, traj):
     eq, params = motherhood_model(n, mu, k0)

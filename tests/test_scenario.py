@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agechemo import delay, galerkin, scenario, trajectories
+from agechemo import delay, galerkin, lyapunov, scenario, trajectories
 from agechemo.cli import main
 from agechemo.delay import simulate_closed_loop
 from agechemo.errors import AgeChemoError, GridMismatch, Instability, NonPositiveOutput
@@ -559,6 +559,25 @@ def test_limiting_exponential_check_can_fail(fig3_report, monkeypatch):
     assert checks["limiting_exponential"] == (False, "drift 0.0241 over [0, 4.82]")
     # a 2.4% drift of the modal output stays inside the route-agreement budget
     assert checks["route_agreement"] == (True, "y gap 0.04 (budget 0.05)")
+
+
+def test_clf_decay_check_can_fail(fig2a_cfg, monkeypatch):
+    certify = lyapunov.build_certificate
+
+    def clf_decay(factor):
+        # the certificate claims ``factor`` times its decay rate L
+        def faster(*args):
+            cert = certify(*args)
+            return dataclasses.replace(cert, l_rate=factor * cert.l_rate)
+
+        monkeypatch.setattr(lyapunov, "build_certificate", faster)
+        return _checks(run(dataclasses.replace(fig2a_cfg, routes="oracle")))["clf_decay"]
+
+    assert clf_decay(1000.0) == (False, "24 violations / 240 samples (slack 15.4)")
+    # 100 times L still passes: the fallback second-difference slack (15.4,
+    # against V0 of about 135) hides it; ROADMAP item 5 keeps the half-step
+    # slack that would refute it
+    assert clf_decay(100.0) == (True, "0 violations / 240 samples (slack 15.4)")
 
 
 def test_unwritable_out_is_refused_before_any_route_runs(tmp_path, monkeypatch, capsys):
