@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .controller import ControllerGains, ScalarLoop, snapshot_steps
-from .errors import HistoryGap, InvalidIC, LogDomain
+from .errors import HistoryGap, Instability, InvalidIC, LogDomain
 from .grid import GridFunction, fd4, hermite_basis, hermite_eval, hermite_resample, simpson_weights, tail_integral
 from .model import Equilibrium, ModelParams, check_initial_condition
 from .trajectories import Trajectory
@@ -356,13 +356,18 @@ def simulate_closed_loop(
     half-nodes from the finished history, and the scalar block (eta, z1,
     z2) is then integrated on its own.  ``d_override``, a callable t -> D, replaces the
     feedback loop for open-loop experiments; the observer still integrates
-    with the applied input.
+    with the applied input.  Instability is raised at the first node where
+    eta, z1 or z2 is not finite.
     """
     state = init_delay_state(x0, traj, eq, params, dt)
     history = _advance_psi(state.dyn, state.buffer, int(round(t_final / dt)))
     dlt = _delta_grid(state.dyn, history)
     loop = ScalarLoop.of(gains, eq.d_star, params.d_min, params.d_max)
-    t, (eta, z1, z2), d, _, y = loop.sweep(traj, dt, (state.eta, *gains.z0), dlt, d_override)
+    t, scalars, d, _, y = loop.sweep(traj, dt, (state.eta, *gains.z0), dlt, d_override)
+    over = ~np.isfinite(scalars).all(axis=0)
+    if over.any():
+        raise Instability("scalar state overflowed at t = %g" % t[int(np.argmax(over))])
+    eta, z1, z2 = scalars
     delta = dlt[0::2].copy()
     del dlt  # free the stage array before the snapshots are built
 

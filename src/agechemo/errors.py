@@ -42,7 +42,7 @@ class DependentBasis(AgeChemoError):
 
 
 class Instability(AgeChemoError):
-    """Modal weights overflowed during integration."""
+    """A route's modal weights or scalar state overflowed during integration."""
 
 
 class B3Fail(AgeChemoError):

@@ -191,8 +191,9 @@ def _delay_route(cfg, eq, params, x0, traj, gains, stage, report):
                 checks.append((
                     "clf_decay",
                     decay.passed,
-                    "%d violations / %d samples (slack %.3g)"
-                    % (decay.n_violations, decay.n_samples, decay.slack),
+                    "%d violations / %d samples (slack %.3g)%s"
+                    % (decay.n_violations, decay.n_samples, decay.slack,
+                       "; %d non-finite" % decay.n_nonfinite if decay.n_nonfinite else ""),
                 ))
     return trace, checks
 

@@ -284,6 +284,45 @@ def test_certificate_whose_alpha1_is_its_floor_validates(tmp_path, capsys):
         dataclasses.replace(cert, alpha1=np.nextafter(floor, 0)).validate()
 
 
+@pytest.mark.parametrize(
+    "routes, message",
+    [("oracle", "scalar state overflowed at t = 4.28"), ("both", "modal weights overflowed at t = 4.28")],
+)
+def test_stiff_gains_overflow_is_a_run_failure_on_each_route(tmp_path, capsys, routes, message):
+    # the observer pole near -673 puts dt |lambda| past RK4's stability limit;
+    # with both routes the Galerkin child's failure wins at the join
+    path = tmp_path / "stiff.cfg"
+    path.write_text(
+        bundled("const.cfg").read_text().replace(
+            "gamma = 2.0\nl1 = 4.0\nl2 = 8.0",
+            "gamma = 526.6697846546866\nl1 = 674.5382666365973\nl2 = 923.3822544596309",
+        )
+    )
+    assert main(["run", str(path), "--routes", routes, "--out", str(tmp_path / "o")]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: %s\n" % message
+    assert not (tmp_path / "o" / "report.txt").exists()
+
+
+def test_non_finite_clf_sample_fails_clf_decay_by_name(tmp_path, monkeypatch):
+    from agechemo import lyapunov
+
+    sample_clf = lyapunov.sample_clf
+
+    def poisoned(*args, **kwargs):
+        ts, vs = sample_clf(*args, **kwargs)
+        vs = vs.copy()
+        vs[len(vs) // 2] = np.nan
+        return ts, vs
+
+    monkeypatch.setattr(lyapunov, "sample_clf", poisoned)
+    out = tmp_path / "o"
+    assert main(["run", str(bundled("fig2a.cfg")), "--routes", "oracle", "--out", str(out)]) == 2
+    line = next(l for l in (out / "report.txt").read_text().splitlines() if l.startswith("clf_decay"))
+    assert line.startswith("clf_decay                    FAIL")
+    assert "; 2 non-finite" in line
+
+
 #: a gain log-uniform on [1e-3, 1e3]
 _DECADES = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
 #: a malformed reference of each kind, and one with the keys of another kind
@@ -419,9 +458,13 @@ def test_cli_repeated_calls_agree(tmp_path, capsys):
 def test_cli_verify_command(tmp_path, capsys):
     path = tmp_path / "tiny.cfg"
     path.write_text(small_config_text())
-    assert main(["verify", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "d_star" in out and "certificate" in out and "saturation inequality: 0 violations" in out
+    # fig2b's and fig3's references leave the rate band, so they get no certificate and exit 2
+    codes = {"fig2a.cfg": 0, "fig2b.cfg": 2, "fig3.cfg": 2, "const.cfg": 0}
+    for cfg, code in [(path, 0), *((bundled(name), code) for name, code in codes.items())]:
+        assert main(["verify", str(cfg)]) == code
+        out = capsys.readouterr().out
+        assert "d_star" in out and "certificate" in out
+        assert "saturation inequality: 0 violations in 1000000 samples" in out.splitlines()
 
 
 def test_cli_run_single_route(tmp_path, capsys):
