@@ -259,22 +259,9 @@ def characteristic_roots(eq: Equilibrium, params: ModelParams, count: int) -> li
     pairs_needed = count // 2 - 1
     eigs = _collocation_eigenvalues(eq, params)
     found = _polish_roots(eigs, pairs_needed, kt_f, nodes_f, w_f, wk, nodes, omega_cap)
-    if len(found) < pairs_needed:
-        # every eigenvalue was polished; when the argument principle finds no
-        # other root in the box down to a margin below the last one, the
-        # missing pairs lie above the frequency cap the grid resolves
-        sigma_lo = (found[-1].real if found else 0.0) - _CERT_MARGIN
-        if _winding_number(wk_f, nodes_f, sigma_lo, omega_cap) == 2 * len(found) + 1:
-            raise ValidationError(
-                "[numerics] age_nodes: %d nodes resolve %d of the %d conjugate pairs "
-                "needed below the frequency cap pi/(4h) = %.4g; use more age nodes "
-                "or fewer modes" % (len(nodes), len(found), pairs_needed, omega_cap)
-            )
-        raise RootSearchExhausted(
-            "found %d conjugate pairs, need %d" % (len(found), pairs_needed)
-        )
+    kept = found[:pairs_needed]
     roots: list[complex] = [0.0 + 0.0j]
-    for s in found[:pairs_needed]:
+    for s in kept:
         roots.extend([s, s.conjugate()])
     for r in roots:
         # the trivial root is pinned by the native-grid normalization (that
@@ -284,12 +271,19 @@ def characteristic_roots(eq: Equilibrium, params: ModelParams, count: int) -> li
         if abs(residual) >= ROOT_RESIDUAL_TOL:
             raise RootSearchExhausted("root %s failed the residual check" % r)
 
-    last = found[pairs_needed - 1].real
-    if len(found) > pairs_needed:
-        sigma_lo = 0.5 * (last + found[pairs_needed].real)
-    else:
-        sigma_lo = last - _CERT_MARGIN
+    last = kept[-1].real if kept else 0.0
+    sigma_lo = 0.5 * (last + found[pairs_needed].real) if len(found) > pairs_needed else last - _CERT_MARGIN
     winding = _winding_number(wk_f, nodes_f, sigma_lo, omega_cap)
+    if len(kept) < pairs_needed:
+        # every eigenvalue was polished; with no other root in the box, the
+        # missing pairs lie above the frequency cap the grid resolves
+        if winding == len(roots):
+            raise ValidationError(
+                "[numerics] age_nodes: %d nodes resolve %d of the %d conjugate pairs "
+                "needed below the frequency cap pi/(4h) = %.4g; use more age nodes "
+                "or fewer modes" % (len(nodes), len(kept), pairs_needed, omega_cap)
+            )
+        raise RootSearchExhausted("found %d conjugate pairs, need %d" % (len(kept), pairs_needed))
     if winding != len(roots):
         raise RootSearchExhausted(
             "argument principle counts %d roots in Re s >= %.4g, |Im s| <= %.4g; "

@@ -36,8 +36,8 @@ class _Contraction:
 
     int_0^A e^{sigma a} |kt(a) - lam tail(a) / mean_age| da, with
     tail(a) = int_a^A kt; the tail, the Simpson weights and the mean age
-    depend on the kernel only, so one set-up serves every (lam, sigma) of
-    both searches.
+    depend on the kernel only, so one set-up serves the median and every
+    sigma of the bisection.
     """
 
     def __init__(self, k_tilde: GridFunction):
@@ -52,9 +52,6 @@ class _Contraction:
     def integrand(self, lam: float) -> np.ndarray:
         return np.abs(self.kt - lam * self.tail / self.mean_age)
 
-    def value(self, lam: float, sigma: float = 0.0) -> float:
-        return self.weighted(self.integrand(lam), sigma)
-
     def weighted(self, integrand: np.ndarray, sigma: float) -> float:
         weight = np.exp(sigma * self.nodes) if sigma else 1.0
         return float(self.w @ (weight * integrand))
@@ -66,19 +63,16 @@ class KernelConstants(NamedTuple):
     b3_value: float
 
 
-#: lambda rows per block of :func:`kernel_constants`'s log scan; a block's
-#: temporaries stay near 200 kB at 801 age nodes
-B3_BLOCK = 32
-
-
 def kernel_constants(k_tilde: GridFunction) -> KernelConstants:
     """The kernel's contraction constant and history decay rate, on one set-up.
 
-    lambda_b3 minimizes the kernel deviation integral: a logarithmic grid
-    (plus the zero boundary, where the integral is exactly one by
-    normalization) is scanned B3_BLOCK values at a time and refined with
-    golden sections, stopping early at their fixed point.  Raises B3Fail
-    when the minimum is not below one.  sigma is the largest exponential
+    At sigma = 0 the integral is sum_j w_j |kt_j - lam c_j| with
+    c_j = tail_j / mean_age >= 0: each node with c_j > 0 adds
+    w_j c_j |r_j - lam|, r_j = kt_j / c_j, and the rest add a constant.  The
+    sum is convex and piecewise linear in lam, so lambda_b3, its exact
+    minimizer, is the weighted median of the r_j with weights w_j c_j (one
+    of the r_j; nothing bounds it to a search range).  Raises B3Fail when
+    the minimum is not below one.  sigma is the largest exponential
     weight keeping the integral at lambda_b3 below one: bisection, at most
     60 halvings, stopping early once the bracket no longer moves (adjacent
     floats), returning the last verified-feasible endpoint, so the returned
@@ -86,34 +80,14 @@ def kernel_constants(k_tilde: GridFunction) -> KernelConstants:
     built once; each step only reweights it.
     """
     contraction = _Contraction(k_tilde)
-    value_at = contraction.value
-    grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e2, 400)])
-    scan = np.concatenate(
-        [
-            contraction.integrand(grid[lo : lo + B3_BLOCK, None]) @ contraction.w
-            for lo in range(0, len(grid), B3_BLOCK)
-        ]
-    )
-    # the block sums round differently from value_at's; both are sums of
-    # nonnegative terms within n ulps of each other, so value_at's argmin
-    # (a NaN's if there is one) is among the values this close to the
-    # scan's minimum
-    bound = scan.min() * (1.0 + 8.0 * len(contraction.w) * np.finfo(float).eps)
-    near = np.flatnonzero(~(scan > bound))
-    i0 = int(near[np.argmin([value_at(lam) for lam in grid[near]])])
-    lo = grid[max(i0 - 1, 0)]
-    hi = grid[min(i0 + 1, len(grid) - 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(90):
-        c1 = hi - inv_phi * (hi - lo)
-        c2 = lo + inv_phi * (hi - lo)
-        bracket = (lo, c2) if value_at(c1) < value_at(c2) else (c1, hi)
-        if bracket == (lo, hi):
-            break  # each step is a function of (lo, hi): the rest would repeat it
-        lo, hi = bracket
-    lam = float(0.5 * (lo + hi))
+    c = contraction.tail / contraction.mean_age
+    pos = c > 0
+    ratio = contraction.kt[pos] / c[pos]
+    order = np.argsort(ratio, kind="stable")
+    cum = np.cumsum((contraction.w * c)[pos][order])
+    lam = float(ratio[order][np.searchsorted(cum, 0.5 * cum[-1])])
     weighted = functools.partial(contraction.weighted, contraction.integrand(lam))
-    value = weighted(0.0)  # value_at(lam); below one, sigma = 0 is feasible
+    value = weighted(0.0)  # below one, sigma = 0 is feasible
     if value >= 1.0:
         raise B3Fail("kernel contraction minimum %.6f >= 1" % value)
     lo, hi = 0.0, 1.0

@@ -43,7 +43,8 @@ from oracles import (
 
 def test_b3_boundary_value(trial):
     # lambda = 0 reduces to the kernel normalization, exactly one
-    assert _Contraction(trial["eq"].k_tilde).value(0.0) == pytest.approx(1.0, abs=1e-12)
+    contraction = _Contraction(trial["eq"].k_tilde)
+    assert contraction.weighted(contraction.integrand(0.0), 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_b3_search_trial_kernel(trial):
@@ -51,8 +52,8 @@ def test_b3_search_trial_kernel(trial):
     assert value < 1.0
     # independent dense scan over the same integrand
     grid = np.linspace(0.0, 3.0, 3001)
-    value_at = _Contraction(trial["eq"].k_tilde).value
-    dense = min(value_at(g) for g in grid)
+    contraction = _Contraction(trial["eq"].k_tilde)
+    dense = min(contraction.weighted(contraction.integrand(g), 0.0) for g in grid)
     assert value <= dense + 1e-9
 
 
@@ -74,15 +75,17 @@ def test_sigma_bracketing(trial, trial_cert):
     lam = trial_cert.lambda_b3
     sigma = kernel_constants(kt).sigma
     assert sigma > 0
-    assert _Contraction(kt).value(lam, sigma) < 1.0
-    assert _Contraction(kt).value(lam, sigma + 1e-4) > 1.0
+    contraction = _Contraction(kt)
+    assert contraction.weighted(contraction.integrand(lam), sigma) < 1.0
+    assert contraction.weighted(contraction.integrand(lam), sigma + 1e-4) > 1.0
 
 
 def test_sigma_integrand_monotone(trial, trial_cert):
     kt = trial["eq"].k_tilde
     lam = trial_cert.lambda_b3
     sigmas = np.linspace(0, 2, 21)
-    vals = [_Contraction(kt).value(lam, s) for s in sigmas]
+    contraction = _Contraction(kt)
+    vals = [contraction.weighted(contraction.integrand(lam), s) for s in sigmas]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -99,33 +102,41 @@ def trial_kernel(request, trial):
 
 
 def test_contraction_value_matches_per_call_reference(trial_kernel):
+    contraction = _Contraction(trial_kernel)
     for lam, sigma in ((0.0, 0.0), (0.7, 0.0), (0.7, 1.3), (12.0, 0.25)):
-        assert _Contraction(trial_kernel).value(lam, sigma) == reference_contraction_value(
+        assert contraction.weighted(contraction.integrand(lam), sigma) == reference_contraction_value(
             trial_kernel, lam, sigma
         )
 
 
+def _check_median_and_bisection(k_tilde):
+    """kernel_constants against brute force over the breakpoints and the reference searches."""
+    sigma, lam, value = kernel_constants(k_tilde)
+    contraction = _Contraction(k_tilde)
+    c = contraction.tail / contraction.mean_age
+    breakpoints = contraction.kt[c > 0] / c[c > 0]
+    assert lam in breakpoints
+    # the integral is piecewise linear between breakpoints, so its least
+    # value over them is its minimum, and lambda_b3 attains it
+    assert value == min(reference_contraction_value(k_tilde, r) for r in breakpoints)
+    assert value <= np.nextafter(reference_b3_search(k_tilde)[1], np.inf)
+    assert sigma == reference_sigma_search(k_tilde, lam)
+    # negative control: a lambda moved off the median gives a larger integral
+    for moved in (lam * (1.0 - 1e-6), lam * (1.0 + 1e-6)):
+        assert reference_contraction_value(k_tilde, moved) > value
+    # the bisection's weighting at sigma = 0 is the minimum compared with
+    # one, so sigma = 0 needs no second check
+    assert contraction.weighted(contraction.integrand(lam), 0.0) == value
+
+
 def test_searches_match_reference_driven_searches(trial_kernel):
-    # the shared per-kernel set-up keeps each value's arithmetic, so the
-    # searches take the same branches and return the same bits
-    sigma, lam, value = kernel_constants(trial_kernel)
-    assert (lam, value) == reference_b3_search(trial_kernel)
-    assert sigma == reference_sigma_search(trial_kernel, lam)
+    _check_median_and_bisection(trial_kernel)
 
 
 @pytest.mark.parametrize("kernel", range(len(SCREEN_KERNELS)), ids=lambda i: "screen%d" % i)
 def test_searches_match_reference_on_screened_kernels(kernel):
-    # the block scan picks the per-value scan's argmin, and the golden
-    # sections stop only at their fixed point
     n, mu, k0, _ = SCREEN_KERNELS[kernel]
-    k_tilde = motherhood_model(n, mu, k0)[0].k_tilde
-    sigma, lam, value = kernel_constants(k_tilde)
-    assert (lam, value) == reference_b3_search(k_tilde)
-    assert sigma == reference_sigma_search(k_tilde, lam)
-    # the bisection's weighting at sigma = 0 is the minimum the b3 search
-    # compared with one, so sigma = 0 needs no second check
-    contraction = _Contraction(k_tilde)
-    assert contraction.weighted(contraction.integrand(lam), 0.0) == value
+    _check_median_and_bisection(motherhood_model(n, mu, k0)[0].k_tilde)
 
 
 def test_b3_search_rejects_non_contracting_kernel(trial):
