@@ -114,18 +114,17 @@ class RunReport:
         return out.getvalue()
 
 
-#: rows formatted per chunk of a CSV file, bounding the float objects alive
-_CSV_CHUNK = 32
-
-
 def _write_csv(path: Path, names, columns):
-    """One header line, then one line per row with every value as %.17g."""
-    line = ",".join(["%.17g"] * len(names)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for lo in range(0, len(columns[0]), _CSV_CHUNK):
-            chunk = [np.asarray(c, dtype=float)[lo : lo + _CSV_CHUNK].tolist() for c in columns]
-            fh.writelines(line % row for row in zip(*chunk))
+    """One header line, then one line per row with every value as %.17g, a block of rows at a time."""
+    # imported on first use: `verify`, `roots` and a run without --out never
+    # compile the kernel or build its tables
+    from . import csvtext
+
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
+        for lo in range(0, len(columns[0]), csvtext.BLOCK):
+            fh.write(csvtext.format_rows(np.column_stack([c[lo : lo + csvtext.BLOCK] for c in columns])))
 
 
 def _write_snapshots(path: Path, nodes: np.ndarray, snapshots: dict):

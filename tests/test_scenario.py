@@ -4,12 +4,13 @@ import errno
 import os
 import signal
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from agechemo import delay, galerkin, lyapunov, scenario, trajectories
+from agechemo import csvtext, delay, galerkin, lyapunov, scenario, trajectories
 from agechemo.cli import main
 from agechemo.delay import simulate_closed_loop
 from agechemo.errors import AgeChemoError, GridMismatch, Instability, NonPositiveOutput
@@ -295,6 +296,39 @@ def test_csv_writer_matches_per_value_writer(tmp_path, trial, fig2a_runs):
         _write_per_value(tmp_path / "old_profiles.csv", names, rows)
         scenario._write_snapshots(tmp_path / "new_profiles.csv", nodes, trace.snapshots)
         assert (tmp_path / "new_profiles.csv").read_bytes() == (tmp_path / "old_profiles.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, csvtext.BLOCK - 1, csvtext.BLOCK + 1, 2401])
+def test_csv_writer_matches_per_value_writer_at_block_edges(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    names = ["t", "y", "u"]
+    cols = [np.arange(n_rows) * 0.005, rng.lognormal(0.0, 3.0, n_rows), rng.normal(0.0, 1e-3, n_rows)]
+    _write_per_value(tmp_path / "old.csv", names, zip(*cols))
+    scenario._write_csv(tmp_path / "new.csv", names, cols)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    # one column: a profiles file with no snapshot times
+    nodes = np.linspace(0.0, 2.0, n_rows)
+    _write_per_value(tmp_path / "old_profiles.csv", ["a"], ([a] for a in nodes))
+    scenario._write_snapshots(tmp_path / "new_profiles.csv", nodes, {})
+    assert (tmp_path / "new_profiles.csv").read_bytes() == (tmp_path / "old_profiles.csv").read_bytes()
+
+
+def test_csv_writer_memory_does_not_grow_with_the_trace(tmp_path):
+    # a block of rows is formatted at a time, so a trace three times longer peaks no higher
+    rng = np.random.default_rng(7)
+    names = list("abcdefgh")
+    scenario._write_csv(tmp_path / "warm.csv", names, list(rng.uniform(-2.0, 2.0, (8, 300))))
+    peaks = []
+    for n_rows in (2401, 7201):
+        cols = list(rng.uniform(-2.0, 2.0, (8, n_rows)))
+        tracemalloc.start()
+        try:
+            scenario._write_csv(tmp_path / "trace.csv", names, cols)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] == peaks[1] < 0.5e6
 
 
 # The Galerkin route of a run with both routes goes to a forked child when the
