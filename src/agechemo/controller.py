@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import Instability, InvalidIC
 from .trajectories import Trajectory
 
 
@@ -36,7 +37,8 @@ class ScalarLoop:
     plant's growth rate without dilution, and delta is the route's
     input-free contribution, so the log error is eta + delta.  This class
     holds the one copy of the control law and the observer right-hand side
-    (``rhs``) and of the RK4 step (``sweep``).
+    (``rhs``) and of the closing (``sweep``): the RK4 step, eta(0) and the
+    checks of the reference at t = 0 and of the scalar state.
     """
 
     gamma: float
@@ -72,20 +74,26 @@ class ScalarLoop:
         mism = z1 - log_error
         return self.d_star - rate - forced, z2 - rate - forced - self.l1 * mism, -self.l2 * mism, forced
 
-    def sweep(self, traj: Trajectory, dt: float, u0: tuple, delta: np.ndarray, d_override=None):
-        """Integrate (eta, z1, z2) from u0 over the nodes t_k = k dt, one RK4 step per dt.
+    def sweep(self, traj: Trajectory, dt: float, m: float, z0: tuple, delta: np.ndarray, d_override=None):
+        """Close a route's input-free solve: RK4 of (eta, z1, z2) on the nodes t_k = k dt.
 
-        ``delta`` is given on the stage grid t_0, t_0 + dt/2, t_1, ..., so
-        its length sets the horizon; the reference rate and an imposed input
-        ``d_override`` (a callable t -> D, or None for the feedback law) are
-        taken there in one call each.  Returns the node times t, the
-        (3, n + 1) array of (eta, z1, z2), the input applied at each node,
-        y_ref(t) and the output y = y_ref e^{eta + delta}.  The loop reads
-        its stage values from Python lists and writes its outputs back to
-        the arrays SWEEP_CHUNK steps at a time, since lists for the whole
-        horizon would hold a float object per value and raise the process's
-        peak memory.
+        The route gives its output scale ``m`` and the observer start
+        ``z0``; eta(0) = log(m / y_ref(0)).  ``delta`` is given on the stage
+        grid t_0, t_0 + dt/2, t_1, ..., so its length sets the horizon; the
+        reference rate and an imposed input ``d_override`` (a callable
+        t -> D, or None for the feedback law) are taken there in one call
+        each.  Returns the node times t, the (3, n + 1) array of (eta, z1,
+        z2), the input applied at each node, y_ref(t) and the output
+        y = y_ref e^{eta + delta}.  Raises InvalidIC unless y_ref(0) > 0, and
+        Instability at the first node where eta, z1 or z2 is not finite.
+        The loop reads its stage values from Python lists and writes its
+        outputs back to the arrays SWEEP_CHUNK steps at a time, since lists
+        for the whole horizon would hold a float object per value and raise
+        the process's peak memory.
         """
+        y_ref0 = float(traj.eval(0.0))
+        if not y_ref0 > 0:
+            raise InvalidIC("reference must be positive at t = 0")
         n_steps = (len(delta) - 1) // 2
         t = dt * np.arange(n_steps + 1)
         t_half = t[:-1] + 0.5 * dt
@@ -102,15 +110,15 @@ class ScalarLoop:
             forced = staged(lambda ts: [float(d_override(s)) for s in ts.tolist()])
         hist = np.empty((3, n_steps + 1))
         d = np.empty(n_steps + 1)
-        hist[:, 0] = u = u0
+        hist[:, 0] = u = (math.log(m / y_ref0), *z0)
         rhs, half, sixth = self.rhs, 0.5 * dt, dt / 6.0
         for k0 in range(0, n_steps, SWEEP_CHUNK):
-            m = min(SWEEP_CHUNK, n_steps - k0)
-            s = slice(2 * k0, 2 * (k0 + m) + 1)
+            n = min(SWEEP_CHUNK, n_steps - k0)
+            s = slice(2 * k0, 2 * (k0 + n) + 1)
             rs, ds = rate[s].tolist(), delta[s].tolist()
-            fs = [None] * (2 * m + 1) if forced is None else forced[s].tolist()
+            fs = [None] * (2 * n + 1) if forced is None else forced[s].tolist()
             us, d_chunk = [], []
-            for j in range(0, 2 * m, 2):
+            for j in range(0, 2 * n, 2):
                 e, p, q = u
                 a1, b1, c1, d0 = rhs(e, p, q, rs[j], ds[j], fs[j])
                 a2, b2, c2, _ = rhs(e + half * a1, p + half * b1, q + half * c1, rs[j + 1], ds[j + 1], fs[j + 1])
@@ -123,12 +131,15 @@ class ScalarLoop:
                 )
                 us.append(u)
                 d_chunk.append(d0)
-            hist[:, k0 + 1 : k0 + m + 1] = np.array(us).T
-            d[k0 : k0 + m] = d_chunk
+            hist[:, k0 + 1 : k0 + n + 1] = np.array(us).T
+            d[k0 : k0 + n] = d_chunk
         last = None if forced is None else float(forced[-1])
         d[-1] = rhs(u[0], u[1], u[2], float(rate[-1]), float(delta[2 * n_steps]), last)[3]
+        over = ~np.isfinite(hist).all(axis=0)
+        if over.any():
+            raise Instability("scalar state overflowed at t = %g" % t[int(np.argmax(over))])
         y_ref = np.asarray(traj.eval(t), dtype=float)
-        with np.errstate(over="ignore"):  # a run that overflows is the route's to report
+        with np.errstate(over="ignore"):  # a finite eta + delta past log(max float) overflows y alone
             y = y_ref * np.exp(hist[0] + delta[0::2])
         return t, hist, d, y_ref, y
 

@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .controller import ControllerGains, ScalarLoop, snapshot_steps
-from .errors import HistoryGap, Instability, InvalidIC, LogDomain
+from .errors import HistoryGap, LogDomain
 from .grid import GridFunction, fd4, hermite_basis, hermite_eval, hermite_resample, simpson_weights, tail_integral
 from .model import Equilibrium, ModelParams, check_initial_condition
 from .trajectories import Trajectory
@@ -146,35 +146,27 @@ class _PsiDynamics:
 
 
 class DelayState(NamedTuple):
-    """The initial split: scalar coordinate, psi history, its read maps."""
+    """The initial split: output scale M, psi history, its read maps."""
 
-    eta: float
+    m: float
     buffer: HistoryBuffer
     dyn: _PsiDynamics
 
 
-def init_delay_state(
-    x0: GridFunction,
-    traj: Trajectory,
-    eq: Equilibrium,
-    params: ModelParams,
-    dt: float,
-) -> DelayState:
-    """Split an admissible initial profile into (eta0, psi0) and fill the history.
+def init_delay_state(x0: GridFunction, eq: Equilibrium, params: ModelParams, dt: float) -> DelayState:
+    """Split an admissible initial profile into (M, psi0) and fill the history.
 
     With r = x0/x* resampled onto the buffer grid by cubic Hermite
     interpolation, one tail-weighted mean M = <tau, r>/<tau> (tau the tail
     integral of kt, proportional to pi x*) is the discrete Pi(x0) on that
-    grid: psi0 = r/M - 1 and eta0 = log(M / y_ref(0)).  psi0's discrete
-    tail-weighted mean then vanishes at machine precision, pinning the
-    conserved functional of the renewal dynamics to zero, which is what
-    drives psi to zero instead of a spurious constant.  Raises InvalidIC
-    for an x0 that :func:`check_initial_condition` refuses.
+    grid: psi0 = r/M - 1, and M is the output scale from which the scalar
+    loop sets eta0 = log(M / y_ref(0)).  psi0's discrete tail-weighted mean
+    then vanishes at machine precision, pinning the conserved functional of
+    the renewal dynamics to zero, which is what drives psi to zero instead
+    of a spurious constant.  Raises InvalidIC for an x0 that
+    :func:`check_initial_condition` refuses.
     """
     check_initial_condition(x0, params)
-    y_ref0 = float(traj.eval(0.0))
-    if y_ref0 <= 0:
-        raise InvalidIC("reference must be positive at t = 0")
     n_hist = int(round(params.a_max / dt))
     if abs(n_hist * dt - params.a_max) > 1e-9 * params.a_max:
         raise ValueError("dt must divide a_max; got dt=%g, a_max=%g" % (dt, params.a_max))
@@ -189,13 +181,12 @@ def init_delay_state(
         wb[0] *= 0.5
         wb[-1] *= 0.5
     big_pi = float(wb @ (tail_b * ratio_b)) / float(wb @ tail_b)
-    eta0 = math.log(big_pi / y_ref0)
 
     val = ratio_b[::-1] / big_pi - 1.0  # psi0 at t = -A, ..., 0
     der = fd4(val, dt)
     dyn = _PsiDynamics.build(eq, params, dt)
     der[n_hist] = dyn.a0 * val[n_hist] + (val @ dyn.stage_val + der @ dyn.stage_der)[0]
-    return DelayState(eta0, HistoryBuffer(-params.a_max, dt, val, der), dyn)
+    return DelayState(big_pi, HistoryBuffer(-params.a_max, dt, val, der), dyn)
 
 
 #: steps per block of :func:`_advance_psi`, each block one product of the
@@ -356,24 +347,21 @@ def simulate_closed_loop(
     half-nodes from the finished history, and the scalar block (eta, z1,
     z2) is then integrated on its own.  ``d_override``, a callable t -> D, replaces the
     feedback loop for open-loop experiments; the observer still integrates
-    with the applied input.  Instability is raised at the first node where
-    eta, z1 or z2 is not finite.
+    with the applied input.  The reference, the gains and the input band
+    enter only through :meth:`ScalarLoop.sweep`, which raises InvalidIC and
+    Instability for this route as for the modal one.
     """
-    state = init_delay_state(x0, traj, eq, params, dt)
+    state = init_delay_state(x0, eq, params, dt)
     history = _advance_psi(state.dyn, state.buffer, int(round(t_final / dt)))
     dlt = _delta_grid(state.dyn, history)
     loop = ScalarLoop.of(gains, eq.d_star, params.d_min, params.d_max)
-    t, scalars, d, _, y = loop.sweep(traj, dt, (state.eta, *gains.z0), dlt, d_override)
-    over = ~np.isfinite(scalars).all(axis=0)
-    if over.any():
-        raise Instability("scalar state overflowed at t = %g" % t[int(np.argmax(over))])
-    eta, z1, z2 = scalars
+    t, (eta, z1, z2), d, y_ref, y = loop.sweep(traj, dt, state.m, gains.z0, dlt, d_override)
     delta = dlt[0::2].copy()
     del dlt  # free the stage array before the snapshots are built
 
     snapshots = {}
     for i, t_i in snapshot_steps(snapshot_times, t, dt).items():
-        scale = float(traj.eval(t_i)) * math.exp(eta[i])
+        scale = float(y_ref[i]) * math.exp(eta[i])
         window = history.eval(t_i - params.nodes)
         snapshots[t_i] = GridFunction(eq.x_star.values * scale * (1.0 + window), params.a_max)
 

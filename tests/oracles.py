@@ -82,6 +82,26 @@ def pi_functional(f, eq, params):
     return float(w @ (pi * f.values)) / float(w @ (pi * eq.x_star.values))
 
 
+#: amplitude of the mode in ``modal_profile``; with the dominant root of the
+#: bundled kernel it keeps the profile positive on [0, A]
+MODAL_EPS = 0.0159
+
+
+def modal_profile(x_star, nodes, s, eps=MODAL_EPS):
+    """x0 = x* (1 + eps Re e^{-s a}) at the age nodes: the equilibrium plus the eigenmode of the root s."""
+    return x_star * (1.0 + eps * np.real(np.exp(-s * nodes)))
+
+
+def modal_psi(t, s, m, eps=MODAL_EPS):
+    """The delay route's psi(t) from ``modal_profile``, in closed form: (1 + eps Re e^{s t}) / m - 1.
+
+    psi(t) = int kt(a) psi(t - a) da holds for a constant, since kt
+    integrates to one, and for e^{s t} wherever int kt e^{-s a} da = 1; the
+    split divides x0 / x* by the output scale m, the discrete Pi(x0).
+    """
+    return (1.0 + eps * np.real(np.exp(s * np.asarray(t)))) / m - 1.0
+
+
 def grid_scan_extrema(f, lo, hi, n=200_001):
     xs = np.linspace(lo, hi, n)
     ys = np.asarray(f(xs), dtype=float)
@@ -115,7 +135,7 @@ def reference_closed_loop(x0, traj, eq, gains, params, t_final, dt, snapshot_tim
     kt, ktp, g = eq.k_tilde.values, eq.k_tilde_prime.values, eq.g.values
     n_hist = int(round(a_max / dt))
     n_steps = int(round(t_final / dt))
-    start = init_delay_state(x0, traj, eq, params, dt)
+    start = init_delay_state(x0, eq, params, dt)
     val, der = np.zeros(n_hist + 1 + n_steps), np.zeros(n_hist + 1 + n_steps)
     val[: n_hist + 1] = start.buffer.val
     der[: n_hist + 1] = fd4(val[: n_hist + 1], dt)
@@ -156,7 +176,7 @@ def reference_closed_loop(x0, traj, eq, gains, params, t_final, dt, snapshot_tim
     snap_idx = {round(s / dt): round(s / dt) * dt for s in snapshot_times}  # keyed by the node time
     snapshots = {}
     t = 0.0
-    u = np.array([start.eta, gains.z0[0], gains.z0[1]], dtype=float)
+    u = np.array([math.log(start.m / float(traj.eval(0.0))), gains.z0[0], gains.z0[1]], dtype=float)
 
     def record(i):
         dlt = delta_at(t)
@@ -444,13 +464,14 @@ def reference_polish(s, kt, nodes, w, wa, dampings=None):
     return s if abs(f) < 1e-13 else None
 
 
-def reference_sweep(loop, traj, t_node, dt, u0, delta, d_override=None):
+def reference_sweep(loop, traj, t_node, dt, m, z0, delta, d_override=None):
     """RK4 of (eta, z1, z2) with the stage values sliced out step by step.
 
     The scalar loop as one function per stage: the saturated law and the
     observer right-hand side are written out here, and only the loop's
     constants (gamma, l1, l2, d_star, d_min, d_max) are read from ``loop``.
-    Takes ``ScalarLoop.sweep``'s arguments and returns its (hist, d).
+    Takes ``ScalarLoop.sweep``'s arguments and returns its (hist, d); eta
+    starts at log(m / y_ref(0)) and z at z0.
     """
     n_steps = len(t_node) - 1
     t_half = t_node[:-1] + 0.5 * dt
@@ -475,7 +496,7 @@ def reference_sweep(loop, traj, t_node, dt, u0, delta, d_override=None):
         forced = staged(lambda ts: [float(d_override(s)) for s in ts.tolist()])
     hist = np.empty((3, n_steps + 1))
     d = np.empty(n_steps + 1)
-    hist[:, 0] = u = u0
+    hist[:, 0] = u = (math.log(m / float(traj.eval(0.0))), *z0)
     half, sixth = 0.5 * dt, dt / 6.0
     for k in range(n_steps):
         s = slice(2 * k, 2 * k + 3)

@@ -286,10 +286,11 @@ def test_certificate_whose_alpha1_is_its_floor_validates(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "routes, message",
-    [("oracle", "scalar state overflowed at t = 4.28"), ("both", "modal weights overflowed at t = 4.28")],
+    [("oracle", "scalar state overflowed at t = 4.28"), ("both", "scalar state overflowed at t = 4.28")],
 )
 def test_stiff_gains_overflow_is_a_run_failure_on_each_route(tmp_path, capsys, routes, message):
     # the observer pole near -673 puts dt |lambda| past RK4's stability limit;
+    # both routes close through the one sweep and fail with its message, and
     # with both routes the Galerkin child's failure wins at the join
     path = tmp_path / "stiff.cfg"
     path.write_text(

@@ -5,7 +5,7 @@ import pytest
 
 from agechemo import controller
 from agechemo.controller import ControllerGains, ScalarLoop
-from agechemo.errors import NonPositiveOutput
+from agechemo.errors import Instability, NonPositiveOutput
 from agechemo.galerkin import assemble, simulate
 from agechemo.trajectories import make_constant, make_transition
 from oracles import reference_sweep
@@ -95,7 +95,7 @@ def test_observer_fixed_point(trial):
     # D = D* + D_FF and matched output: the observer stands still
     rhs = loop.rhs(0.0, 0.0, eq.d_star, 0.0, 0.0, eq.d_star)
     assert np.allclose(rhs[:3], 0.0, atol=1e-15)
-    _, hist, _, _, _ = loop.sweep(traj, 0.01, (0.0, 0.0, eq.d_star), np.zeros(3), lambda t: eq.d_star)
+    _, hist, _, _, _ = loop.sweep(traj, 0.01, 1.0, (0.0, eq.d_star), np.zeros(3), lambda t: eq.d_star)
     assert np.allclose(hist[1:, 1], [0.0, eq.d_star], atol=1e-14)
 
 
@@ -127,7 +127,7 @@ def test_scalar_loop_fourth_order():
 
     def err(dt):
         n = int(round(1.0 / dt))
-        _, hist, _, _, _ = loop.sweep(make_constant(1.0), dt, (0.0, 1.0, 0.0), np.zeros(2 * n + 1), lambda t: 0.0)
+        _, hist, _, _, _ = loop.sweep(make_constant(1.0), dt, 1.0, (1.0, 0.0), np.zeros(2 * n + 1), lambda t: 0.0)
         return float(np.max(np.abs(hist[1:, -1] - exact)))
 
     assert err(0.01) / err(0.005) > 12
@@ -188,11 +188,11 @@ def _recorded_sweep(monkeypatch, name):
     return loop, args
 
 
-def _assert_sweep_matches_reference(loop, traj, dt, u0, delta, d_override):
+def _assert_sweep_matches_reference(loop, traj, dt, m, z0, delta, d_override):
     """sweep equals the stepwise reference fed the clock t_k = k dt, bitwise."""
-    t, hist, d, y_ref, y = loop.sweep(traj, dt, u0, delta, d_override)
+    t, hist, d, y_ref, y = loop.sweep(traj, dt, m, z0, delta, d_override)
     assert np.array_equal(t, dt * np.arange(len(delta) // 2 + 1))
-    ref_hist, ref_d = reference_sweep(loop, traj, t, dt, u0, delta, d_override)
+    ref_hist, ref_d = reference_sweep(loop, traj, t, dt, m, z0, delta, d_override)
     assert np.array_equal(hist, ref_hist) and np.array_equal(d, ref_d)
     assert np.array_equal(y_ref, traj.eval(t)) and np.array_equal(y, y_ref * np.exp(hist[0] + delta[0::2]))
     return d
@@ -208,14 +208,24 @@ def test_sweep_matches_stepwise_reference(monkeypatch, name, bound):
 
 
 def test_sweep_d_override_and_ragged_chunks(monkeypatch):
-    loop, (traj, dt, u0, delta, _) = _recorded_sweep(monkeypatch, "fig2a")
+    loop, (traj, dt, m, z0, delta, _) = _recorded_sweep(monkeypatch, "fig2a")
     n_steps = len(delta) // 2
     assert n_steps % controller.SWEEP_CHUNK and n_steps % 7
     override = lambda t: 1.0 + 0.3 * np.sin(t)
     for chunk in (controller.SWEEP_CHUNK, 7, n_steps + 5):
         monkeypatch.setattr(controller, "SWEEP_CHUNK", chunk)
         for d_override in (None, override):
-            _assert_sweep_matches_reference(loop, traj, dt, u0, delta, d_override)
+            _assert_sweep_matches_reference(loop, traj, dt, m, z0, delta, d_override)
+
+
+def test_sweep_starts_eta_at_the_output_scale_and_stops_at_the_first_non_finite_node(trial):
+    loop, traj = ScalarLoop.of(trial["gains"]), make_constant(2.5)
+    _, hist, _, _, _ = loop.sweep(traj, 0.01, 0.5, (0.1, 0.2), np.zeros(3))
+    assert hist[:, 0].tolist() == [math.log(0.5 / 2.5), 0.1, 0.2]
+    delta = np.zeros(21)
+    delta[7] = np.nan  # the half-node of the step from t = 0.03 to 0.04
+    with pytest.raises(Instability, match="^scalar state overflowed at t = 0.04$"):
+        loop.sweep(traj, 0.01, 1.0, (0.0, 0.0), delta)
 
 
 def test_scalar_loop_checks_bounds_once_built(trial):

@@ -178,13 +178,13 @@ def test_initial_condition_flat_profile_mismatch(trial):
 def test_initial_condition_one_rule_for_every_reader(tmp_path, trial, trial_roots, slope, decay, failed):
     # both routes refuse the profile with the rule's own text; the config
     # loader names the key in front of it
-    params, eq, traj = trial["params"], trial["eq"], trial["traj"]
+    params, eq = trial["params"], trial["eq"]
     x0 = GridFunction(slope * params.nodes + np.exp(-decay * params.nodes), params.a_max)
     with pytest.raises(InvalidIC, match=failed) as rule:
         check_initial_condition(x0, params)
     text = str(rule.value)
     with pytest.raises(InvalidIC) as delay_route:
-        init_delay_state(x0, traj, eq, params, params.h)
+        init_delay_state(x0, eq, params, params.h)
     with pytest.raises(InvalidIC) as galerkin_route:
         build_basis(x0, eq, trial_roots, 6, params)
     assert str(delay_route.value) == str(galerkin_route.value) == text

@@ -13,7 +13,9 @@ import pytest
 from agechemo import csvtext, delay, galerkin, lyapunov, scenario, trajectories
 from agechemo.cli import main
 from agechemo.delay import simulate_closed_loop
-from agechemo.errors import AgeChemoError, GridMismatch, Instability, NonPositiveOutput
+from agechemo.config import build_trajectory, build_x0
+from agechemo.controller import ControllerGains, ScalarLoop
+from agechemo.errors import AgeChemoError, GridMismatch, Instability, InvalidIC, NonPositiveOutput
 from agechemo.galerkin import assemble, simulate
 from agechemo.scenario import compare_routes, run
 from agechemo.trajectories import Trajectory
@@ -173,20 +175,71 @@ def _counting(traj):
     return Trajectory(traj.kind, traj.params, counted("eval"), counted("rate")), calls
 
 
+def _run_route(route, trial, basis, traj, t_final, snapshot_times=()):
+    """One route's trace on fig2a's model under the reference ``traj``."""
+    params, gains, dt = trial["params"], trial["gains"], trial["cfg"].dt
+    if route == "galerkin":
+        return simulate(assemble(basis, params), basis, traj, gains, params, t_final, dt, snapshot_times)
+    return simulate_closed_loop(trial["x0"], traj, trial["eq"], gains, params, t_final, dt, snapshot_times)
+
+
 @pytest.mark.parametrize("route", ["galerkin", "oracle"])
 def test_trajectory_calls_do_not_grow_with_steps(trial, trial_basis, route):
-    # the reference is read as arrays, a fixed number of times per run
-    params, gains, dt = trial["params"], trial["gains"], trial["cfg"].dt
-    counts = []
+    # the reference is read as arrays, by the sweep alone: y_ref(0), then the
+    # staged rate in two calls and y_ref at the nodes; snapshots reuse it
     for t_final in (1.0, 3.0):
         traj, calls = _counting(trial["traj"])
-        if route == "galerkin":
-            simulate(assemble(trial_basis, params), trial_basis, traj, gains, params, t_final, dt, (0.5,))
-        else:
-            simulate_closed_loop(trial["x0"], traj, trial["eq"], gains, params, t_final, dt, (0.5,))
-        counts.append(calls)
-    assert counts[0] == counts[1]
-    assert sum(counts[0].values()) <= 6
+        _run_route(route, trial, trial_basis, traj, t_final, (0.5, 0.75))
+        assert calls == {"eval": 2, "rate": 2}
+
+
+@pytest.mark.parametrize("y_ref0", [0.0, -1.0])
+@pytest.mark.parametrize("route", ["galerkin", "oracle"])
+def test_a_reference_not_positive_at_zero_is_refused_by_both_routes(trial, trial_basis, route, y_ref0):
+    traj = Trajectory("constant", {}, lambda t: np.full(np.shape(t), y_ref0), lambda t: np.zeros(np.shape(t)))
+    with pytest.raises(InvalidIC, match="^reference must be positive at t = 0$"):
+        _run_route(route, trial, trial_basis, traj, 1.0)
+
+
+@pytest.fixture(scope="module")
+def input_free_solves(trial, trial_basis):
+    """Each route's input-free solve on fig2a's model over fig2a's horizon: (loop constants, m, delta)."""
+    params, eq, dt = trial["params"], trial["eq"], trial["cfg"].dt
+    n_steps = int(round(trial["cfg"].t_final / dt))
+    state = delay.init_delay_state(trial["x0"], eq, params, dt)
+    history = delay._advance_psi(state.dyn, state.buffer, n_steps)
+    system = assemble(trial_basis, params)
+    a_mat = system.a_matrix
+    c = float(a_mat[1, 1])
+    prop = galerkin._expm((a_mat - c * np.eye(len(a_mat))) * (0.5 * dt))
+    mu_nodes = np.empty((n_steps + 1, len(a_mat)))
+    y_free = galerkin._propagate(prop, system.lam, system.p_vector, 2 * n_steps + 1, mu_nodes)
+    return {
+        "oracle": (eq.d_star, state.m, delay._delta_grid(state.dyn, history)),
+        "galerkin": (c, 1.0, np.log(y_free)),
+    }
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig2b", "const"])
+def test_one_input_free_solve_closes_under_each_reference(request, trial, input_free_solves, name):
+    # the reference, the gains and the input band reach a route only through
+    # the sweep, so one solve, sliced to a config's horizon, closes into that
+    # config's run bit for bit
+    cfg = load_config(bundled(name + ".cfg"))
+    assert cfg.dt == trial["cfg"].dt and cfg.t_final <= trial["cfg"].t_final
+    assert np.array_equal(build_x0(cfg, trial["params"], trial["eq"]).values, trial["x0"].values)
+    report = request.getfixturevalue(name + "_report") if name != "const" else run(cfg)
+    traj, gains = build_trajectory(cfg), ControllerGains(cfg.gamma, cfg.l1, cfg.l2, cfg.z0)
+    n_steps = int(round(cfg.t_final / cfg.dt))
+    fields = {"oracle": ("eta", "z1", "z2", "d", "y"), "galerkin": ("z1", "z2", "d", "y_sim")}
+    for route, (d_star, m, delta) in input_free_solves.items():
+        loop = ScalarLoop.of(gains, d_star, cfg.d_min, cfg.d_max)
+        t, (eta, z1, z2), d, _, y = loop.sweep(traj, cfg.dt, m, gains.z0, delta[: 2 * n_steps + 1])
+        closed = {"eta": eta, "z1": z1, "z2": z2, "d": d, "y": y, "y_sim": y}
+        trace = report.traces[route]
+        assert np.array_equal(t, trace.t)
+        for field in fields[route]:
+            assert np.array_equal(closed[field], getattr(trace, field)), (route, field)
 
 
 def test_output_consistency_check_can_fail(tmp_path, monkeypatch):
