@@ -8,7 +8,7 @@ that unknown equilibrium value online.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,6 +74,107 @@ class ScalarLoop:
         mism = z1 - log_error
         return self.d_star - rate - forced, z2 - rate - forced - self.l1 * mism, -self.l2 * mism, forced
 
+    def _block_map(self, dt: float, forced: bool) -> np.ndarray:
+        """SWEEP_BLOCK RK4 steps in one regime as one matrix, read off ``rhs`` on unit inputs.
+
+        In a regime (the law inside the band, or ``forced``: D given) rhs
+        is affine in x = (eta, z1, z2 - d_star) and in the stage inputs 1,
+        delta, rate and, if forced, D.  Columns: x at the block's start, then
+        each input's 2 B + 1 stage values.  Row c B + j is x_c after step j
+        less x_c at the start, row 3 B + i B + j the law at stage i of step
+        j.  The shift keeps the exact-tracking fixed point x = 0 at zero.
+        """
+        b, nc = SWEEP_BLOCK, 3 + forced
+        lawful = replace(self, d_min=-math.inf, d_max=math.inf)
+        free = replace(lawful, d_star=0.0)
+
+        def read(given):  # (eta', z1', z2', D) by x and by the inputs at one stage time
+            at = lambda loop, v: np.array(loop.rhs(v[0], v[1], v[2], v[4], v[3], v[5] if given else None))
+            cols = [at(free, v) - at(free, [0.0] * 6) for v in np.eye(6).tolist()]
+            return np.column_stack(cols[:3] + [at(lawful, [0.0] * 6) + cols[2] * self.d_star] + cols[3 : 2 + nc])
+
+        rows, u, half = np.vstack([read(forced)[:3], read(False)[3:]]), np.eye(3, 3 + 3 * nc), 0.5 * dt
+        a, g = rows[:3, :3], np.pad(np.kron(np.eye(3), rows[:, 3:]), ((0, 0), (3, 0))).reshape(3, 4, -1)
+        k1 = a @ u + g[0, :3]
+        k2 = a @ (u + half * k1) + g[1, :3]
+        k3 = a @ (u + half * k2) + g[1, :3]
+        k4 = a @ (u + dt * k3) + g[2, :3]
+        stages = rows[3, :3] @ np.stack([u, u + half * k1, u + half * k2, u + dt * k3]) + g[[0, 1, 1, 2], 3]
+        step = np.vstack([dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), stages])
+        p = np.zeros((7, b, 3 + nc * (2 * b + 1)))
+        x = p[:3, 0].copy()  # kept apart from x at the start, so that no digits are lost
+        for j in range(b):
+            p[:, j] = step[:, :3] @ x
+            p[:3, j] += x
+            p[:, j, [0, 1, 2] + [3 + i * (2 * b + 1) + 2 * j + s for s in range(3) for i in range(nc)]] += step
+            x = p[:3, j]
+        return p.reshape(7 * b, -1)
+
+    def _advance(self, dt: float, u0: tuple, delta, rate, forced) -> tuple:
+        """(hist, d) from u0.  A window of SWEEP_WINDOW steps from node k takes the input's
+        regime at k and is one product of its block map, kept up to the first step with a
+        stage outside the regime or a value that is not finite.  There the RK4 step on
+        Python floats through ``rhs`` takes over; it stops at a state that is not finite."""
+        n_steps = (len(delta) - 1) // 2
+        hist, d = np.empty((3, n_steps + 1)), np.empty(n_steps + 1)
+        hist[:, 0], rhs, half, sixth = u0, self.rhs, 0.5 * dt, dt / 6.0
+
+        def stepwise(k, stop):
+            u = hist[:, k].tolist()
+            for j in range(k, stop):
+                s = slice(2 * j, 2 * j + 3)
+                (r0, r1, r2), (d0, d1, d2) = rate[s].tolist(), delta[s].tolist()
+                f0, f1, f2 = (None,) * 3 if forced is None else forced[s].tolist()
+                e, p, q = u
+                a1, b1, c1, d[j] = rhs(e, p, q, r0, d0, f0)
+                a2, b2, c2, _ = rhs(e + half * a1, p + half * b1, q + half * c1, r1, d1, f1)
+                a3, b3, c3, _ = rhs(e + half * a2, p + half * b2, q + half * c2, r1, d1, f1)
+                a4, b4, c4, _ = rhs(e + dt * a3, p + dt * b3, q + dt * c3, r2, d2, f2)
+                u = (e + sixth * (a1 + 2 * a2 + 2 * a3 + a4), p + sixth * (b1 + 2 * b2 + 2 * b3 + b4),
+                     q + sixth * (c1 + 2 * c2 + 2 * c3 + c4))
+                hist[:, j + 1] = u
+
+        b, w, k, maps, shift = SWEEP_BLOCK, SWEEP_WINDOW, 0, {}, np.array([0.0, 0.0, self.d_star])
+        buf = np.ones((4, 2 * w + 1))  # 1, delta, rate and D at the window's stage times
+        blocks = np.empty((4, 2 * b + 1, w // b))
+        view = np.lib.stride_tricks.as_strided(buf, blocks.shape, buf.strides + (2 * b * buf.strides[1],))
+        steps = np.empty((7, w // b, b))  # x after each step less x at k, the law at its four stages
+        keep = b  # the fewest steps a window must keep before the next one
+        while k < n_steps:
+            size = min(w, n_steps - k)
+            seg, used = slice(2 * k, 2 * (k + size) + 1), 2 * size + 1
+            f0 = None if forced is None else float(forced[2 * k])
+            dk = rhs(*hist[:, k].tolist(), float(rate[2 * k]), float(delta[2 * k]), f0)[3]
+            regime = 3 if forced is not None else int(dk > self.d_min) + int(dk >= self.d_max)
+            nc = 3 + (regime != 1)  # 0: at d_min, 1: the law, 2: at d_max, 3: imposed
+            maps[nc] = maps[nc] if nc in maps else self._block_map(dt, nc == 4)
+            buf[1:3, :used] = delta[seg], rate[seg]
+            buf[3, :used] = dk if forced is None else forced[seg]
+            buf[1:, used:] = 0.0
+            np.copyto(blocks, view)
+            y = _window(maps[nc], hist[:, k] - shift, blocks[:nc].reshape(-1, w // b))
+            np.copyto(steps, y.reshape(7, b, -1).transpose(0, 2, 1))
+            x, law = steps[:3].reshape(3, w)[:, :size], steps[3:].reshape(4, w)[:, :size]
+            finite = np.isfinite(steps.reshape(7, w)[:, :size]).all(axis=0)
+            ok = finite & ((np.where(law >= self.d_max, 2, law > self.d_min) == regime).all(axis=0) | (regime == 3))
+            n_ok = size if ok.all() else int(np.argmin(ok))
+            np.add(hist[:, k, None], x[:, :n_ok], out=hist[:, k + 1 : k + 1 + n_ok])
+            d[k : k + n_ok] = law[0, :n_ok] if regime == 1 else buf[3, : 2 * n_ok : 2]
+            if n_ok == size:
+                k, keep = k + size, b
+                continue
+            # a switch: its step, or float steps to ``keep`` (doubled) if the window kept
+            # fewer, so that chattering costs about the stepwise loop; not finite: the window
+            stop = k + (max(n_ok + 1, min(keep, size) if n_ok < keep else 0) if finite[n_ok] else size)
+            keep = min(2 * keep, w) if n_ok < keep else b
+            stepwise(k + n_ok, stop)
+            if not np.isfinite(hist[:, stop]).all():
+                return hist, d  # the caller names the first node that is not finite
+            k = stop
+        last = None if forced is None else float(forced[-1])
+        d[-1] = rhs(*hist[:, -1].tolist(), float(rate[-1]), float(delta[2 * n_steps]), last)[3]
+        return hist, d
+
     def sweep(self, traj: Trajectory, dt: float, m: float, z0: tuple, delta: np.ndarray, d_override=None):
         """Close a route's input-free solve: RK4 of (eta, z1, z2) on the nodes t_k = k dt.
 
@@ -86,55 +187,25 @@ class ScalarLoop:
         z2), the input applied at each node, y_ref(t) and the output
         y = y_ref e^{eta + delta}.  Raises InvalidIC unless y_ref(0) > 0, and
         Instability at the first node where eta, z1 or z2 is not finite.
-        The loop reads its stage values from Python lists and writes its
-        outputs back to the arrays SWEEP_CHUNK steps at a time, since lists
-        for the whole horizon would hold a float object per value and raise
-        the process's peak memory.
+        The loop is affine while the input keeps its regime (the law inside
+        the band, at d_min, at d_max, or imposed); see :meth:`_advance`.
         """
         y_ref0 = float(traj.eval(0.0))
         if not y_ref0 > 0:
             raise InvalidIC("reference must be positive at t = 0")
         n_steps = (len(delta) - 1) // 2
         t = dt * np.arange(n_steps + 1)
-        t_half = t[:-1] + 0.5 * dt
 
         def staged(f) -> np.ndarray:
             out = np.empty(2 * n_steps + 1)
             out[0::2] = f(t)
-            out[1::2] = f(t_half)
+            out[1::2] = f(t[:-1] + 0.5 * dt)
             return out
 
         rate = staged(traj.rate)
-        forced = None
-        if d_override is not None:
-            forced = staged(lambda ts: [float(d_override(s)) for s in ts.tolist()])
-        hist = np.empty((3, n_steps + 1))
-        d = np.empty(n_steps + 1)
-        hist[:, 0] = u = (math.log(m / y_ref0), *z0)
-        rhs, half, sixth = self.rhs, 0.5 * dt, dt / 6.0
-        for k0 in range(0, n_steps, SWEEP_CHUNK):
-            n = min(SWEEP_CHUNK, n_steps - k0)
-            s = slice(2 * k0, 2 * (k0 + n) + 1)
-            rs, ds = rate[s].tolist(), delta[s].tolist()
-            fs = [None] * (2 * n + 1) if forced is None else forced[s].tolist()
-            us, d_chunk = [], []
-            for j in range(0, 2 * n, 2):
-                e, p, q = u
-                a1, b1, c1, d0 = rhs(e, p, q, rs[j], ds[j], fs[j])
-                a2, b2, c2, _ = rhs(e + half * a1, p + half * b1, q + half * c1, rs[j + 1], ds[j + 1], fs[j + 1])
-                a3, b3, c3, _ = rhs(e + half * a2, p + half * b2, q + half * c2, rs[j + 1], ds[j + 1], fs[j + 1])
-                a4, b4, c4, _ = rhs(e + dt * a3, p + dt * b3, q + dt * c3, rs[j + 2], ds[j + 2], fs[j + 2])
-                u = (
-                    e + sixth * (a1 + 2 * a2 + 2 * a3 + a4),
-                    p + sixth * (b1 + 2 * b2 + 2 * b3 + b4),
-                    q + sixth * (c1 + 2 * c2 + 2 * c3 + c4),
-                )
-                us.append(u)
-                d_chunk.append(d0)
-            hist[:, k0 + 1 : k0 + n + 1] = np.array(us).T
-            d[k0 : k0 + n] = d_chunk
-        last = None if forced is None else float(forced[-1])
-        d[-1] = rhs(u[0], u[1], u[2], float(rate[-1]), float(delta[2 * n_steps]), last)[3]
+        forced = None if d_override is None else staged(lambda ts: [float(d_override(s)) for s in ts.tolist()])
+        hist, d = self._advance(dt, (math.log(m / y_ref0), *z0), delta, rate, forced)
+        del rate, forced
         over = ~np.isfinite(hist).all(axis=0)
         if over.any():
             raise Instability("scalar state overflowed at t = %g" % t[int(np.argmax(over))])
@@ -142,6 +213,24 @@ class ScalarLoop:
         with np.errstate(over="ignore"):  # a finite eta + delta past log(max float) overflows y alone
             y = y_ref * np.exp(hist[0] + delta[0::2])
         return t, hist, d, y_ref, y
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a window that overflows is stepped again
+def _window(p: np.ndarray, x: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Block map ``p``'s rows for a window from x, a column of ``inputs`` per block; the
+    block starts follow by a prefix scan, one product by R^(2^i) per round."""
+    b = SWEEP_BLOCK
+    out = p[:, 3:] @ inputs
+    r = p[b - 1 : 3 * b : b, :3]  # R^B - I
+    starts = np.zeros((3, inputs.shape[1]))  # less x
+    starts[:, 1:] = out[b - 1 : 3 * b : b, :-1] + (r @ x)[:, None]
+    lag = 1
+    while lag < starts.shape[1]:
+        starts[:, lag:] += starts[:, :-lag] + r @ starts[:, :-lag]
+        r, lag = r @ r + 2 * r, 2 * lag
+    out += p[:, :3] @ (starts + x[:, None])
+    out.reshape(7, b, -1)[:3] += starts[:, None]
+    return out
 
 
 def snapshot_steps(times, t: np.ndarray, dt: float) -> dict:
@@ -154,5 +243,6 @@ def snapshot_steps(times, t: np.ndarray, dt: float) -> dict:
     return {i: float(t[i]) for i in sorted(steps)}
 
 
-#: RK4 steps per chunk of :meth:`ScalarLoop.sweep`'s stage lists
-SWEEP_CHUNK = 256
+#: RK4 steps per block map of :meth:`ScalarLoop.sweep`, and steps per window
+#: (a multiple): one product of a block map and one regime check each
+SWEEP_BLOCK, SWEEP_WINDOW = 8, 512

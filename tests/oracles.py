@@ -464,14 +464,17 @@ def reference_polish(s, kt, nodes, w, wa, dampings=None):
     return s if abs(f) < 1e-13 else None
 
 
-def reference_sweep(loop, traj, t_node, dt, m, z0, delta, d_override=None):
+def reference_sweep(loop, traj, t_node, dt, m, z0, delta, d_override=None, dtype=float, law=None):
     """RK4 of (eta, z1, z2) with the stage values sliced out step by step.
 
     The scalar loop as one function per stage: the saturated law and the
     observer right-hand side are written out here, and only the loop's
     constants (gamma, l1, l2, d_star, d_min, d_max) are read from ``loop``.
     Takes ``ScalarLoop.sweep``'s arguments and returns its (hist, d); eta
-    starts at log(m / y_ref(0)) and z at z0.
+    starts at log(m / y_ref(0)) and z at z0.  ``dtype`` is the type the
+    loop computes in from the float stage values (np.longdouble for a
+    reference more precise than the sweep), and ``law``, a function of
+    ``ScalarLoop.rhs``'s signature, stands in for the one written here.
     """
     n_steps = len(t_node) - 1
     t_half = t_node[:-1] + 0.5 * dt
@@ -480,7 +483,7 @@ def reference_sweep(loop, traj, t_node, dt, m, z0, delta, d_override=None):
         out = np.empty(2 * n_steps + 1)
         out[0::2] = f(t_node)
         out[1::2] = f(t_half)
-        return out
+        return out.astype(dtype)
 
     def rhs(eta, z1, z2, rate, dlt, forced):
         log_error = eta + dlt
@@ -490,14 +493,17 @@ def reference_sweep(loop, traj, t_node, dt, m, z0, delta, d_override=None):
         mism = z1 - log_error
         return loop.d_star - rate - forced, z2 - rate - forced - loop.l1 * mism, -loop.l2 * mism, forced
 
-    rate = staged(traj.rate)
+    rhs = rhs if law is None else law
+    rate, delta = staged(traj.rate), np.asarray(delta).astype(dtype)
     forced = None
     if d_override is not None:
         forced = staged(lambda ts: [float(d_override(s)) for s in ts.tolist()])
-    hist = np.empty((3, n_steps + 1))
-    d = np.empty(n_steps + 1)
-    hist[:, 0] = u = (math.log(m / float(traj.eval(0.0))), *z0)
-    half, sixth = 0.5 * dt, dt / 6.0
+    hist = np.empty((3, n_steps + 1), dtype)
+    d = np.empty(n_steps + 1, dtype)
+    hist[:, 0] = (math.log(m / float(traj.eval(0.0))), *z0)
+    u = hist[:, 0].tolist()
+    dt = dtype(dt)
+    half, sixth = 0.5 * dt, dt / 6
     for k in range(n_steps):
         s = slice(2 * k, 2 * k + 3)
         (r0, r1, r2), (d0, d1, d2) = rate[s].tolist(), delta[s].tolist()
@@ -513,8 +519,8 @@ def reference_sweep(loop, traj, t_node, dt, m, z0, delta, d_override=None):
             q + sixth * (c1 + 2 * c2 + 2 * c3 + c4),
         )
         hist[:, k + 1] = u
-    last = None if forced is None else float(forced[-1])
-    d[-1] = rhs(u[0], u[1], u[2], float(rate[-1]), float(delta[2 * n_steps]), last)[3]
+    last = None if forced is None else forced[-1]
+    d[-1] = rhs(u[0], u[1], u[2], rate[-1], delta[2 * n_steps], last)[3]
     return hist, d
 
 

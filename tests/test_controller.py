@@ -189,13 +189,24 @@ def _recorded_sweep(monkeypatch, name):
 
 
 def _assert_sweep_matches_reference(loop, traj, dt, m, z0, delta, d_override):
-    """sweep equals the stepwise reference fed the clock t_k = k dt, bitwise."""
+    """sweep against the stepwise reference fed the clock t_k = k dt.
+
+    t, y_ref, y and the nodes at each bound are bitwise; hist and d, whose
+    arithmetic runs in another order, lie within 2e-14.
+    """
     t, hist, d, y_ref, y = loop.sweep(traj, dt, m, z0, delta, d_override)
     assert np.array_equal(t, dt * np.arange(len(delta) // 2 + 1))
+    assert hist.flags.c_contiguous
     ref_hist, ref_d = reference_sweep(loop, traj, t, dt, m, z0, delta, d_override)
-    assert np.array_equal(hist, ref_hist) and np.array_equal(d, ref_d)
+    assert np.abs(hist - ref_hist).max() < 2e-14 and np.abs(d - ref_d).max() < 2e-14
+    for bound in (loop.d_min, loop.d_max):
+        assert np.array_equal(d == bound, ref_d == bound)
     assert np.array_equal(y_ref, traj.eval(t)) and np.array_equal(y, y_ref * np.exp(hist[0] + delta[0::2]))
     return d
+
+
+def _override(t):
+    return 1.0 + 0.3 * np.sin(t)
 
 
 @pytest.mark.parametrize("name, bound", [("fig2a", None), ("fig2b", "d_max"), ("fig3", "d_min")])
@@ -210,12 +221,81 @@ def test_sweep_matches_stepwise_reference(monkeypatch, name, bound):
 def test_sweep_d_override_and_ragged_chunks(monkeypatch):
     loop, (traj, dt, m, z0, delta, _) = _recorded_sweep(monkeypatch, "fig2a")
     n_steps = len(delta) // 2
-    assert n_steps % controller.SWEEP_CHUNK and n_steps % 7
-    override = lambda t: 1.0 + 0.3 * np.sin(t)
-    for chunk in (controller.SWEEP_CHUNK, 7, n_steps + 5):
-        monkeypatch.setattr(controller, "SWEEP_CHUNK", chunk)
-        for d_override in (None, override):
+    assert n_steps % controller.SWEEP_WINDOW and n_steps % 7
+    # the default sizes, one 7-step block per window, and one window past the horizon
+    sizes = [(controller.SWEEP_BLOCK, controller.SWEEP_WINDOW), (7, 7), (7, 7 * ((n_steps + 5) // 7 + 1))]
+    for block, window in sizes:
+        monkeypatch.setattr(controller, "SWEEP_BLOCK", block)
+        monkeypatch.setattr(controller, "SWEEP_WINDOW", window)
+        for d_override in (None, _override):
             _assert_sweep_matches_reference(loop, traj, dt, m, z0, delta, d_override)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps, reason="long double is double here")
+@pytest.mark.parametrize("name, d_override", [("fig2a", None), ("fig2b", None), ("fig3", None), ("fig2a", _override)])
+def test_sweep_is_within_1e_14_of_a_long_double_reference(monkeypatch, name, d_override):
+    loop, (traj, dt, m, z0, delta, _) = _recorded_sweep(monkeypatch, name)
+    t, hist, d, _, _ = loop.sweep(traj, dt, m, z0, delta, d_override)
+    ref_hist, ref_d = reference_sweep(loop, traj, t, dt, m, z0, delta, d_override, np.longdouble)
+    assert np.all(np.abs(hist - ref_hist) < 1e-14) and np.all(np.abs(d - ref_d) < 1e-14)
+
+
+@pytest.mark.parametrize("name, d_override", [("fig2a", None), ("fig3", None), ("fig2a", _override)])
+def test_sweep_is_a_prefix_of_a_longer_sweep_bitwise(monkeypatch, name, d_override):
+    # the block products have one shape whatever the horizon; the input at
+    # the last node is read through rhs, like that of a switch step
+    loop, (traj, dt, m, z0, delta, _) = _recorded_sweep(monkeypatch, name)
+    b, w = controller.SWEEP_BLOCK, controller.SWEEP_WINDOW
+    t, hist, d, y_ref, y = loop.sweep(traj, dt, m, z0, delta[: 2 * w + 3], d_override)
+    if d_override is None:  # fig2a's closing runs inside the band, fig3's at d_min
+        inside = (d > loop.d_min) & (d < loop.d_max)
+        assert np.all(inside[1:] if name == "fig2a" else d == loop.d_min)
+    for n in (0, 1, b - 1, b, b + 1, w - 1, w, w + 1):
+        cut = loop.sweep(traj, dt, m, z0, delta[: 2 * n + 1], d_override)
+        assert np.array_equal(cut[2][:n], d[:n]), n
+        for a, full in zip(cut[:2] + cut[3:], (t, hist, y_ref, y)):
+            assert np.array_equal(a, full[..., : n + 1]), n
+    # a zero-step sweep is the start and the input there
+    rate0 = float(traj.rate(0.0))
+    forced = None if d_override is None else float(d_override(0.0))
+    t, hist, d, y_ref, y = loop.sweep(traj, dt, m, z0, delta[:1], d_override)
+    eta0 = math.log(m / float(traj.eval(0.0)))
+    assert t.tolist() == [0.0] and hist.tolist() == [[eta0], [z0[0]], [z0[1]]]
+    assert d.tolist() == [loop.rhs(eta0, *z0, rate0, float(delta[0]), forced)[3]]
+    assert y_ref.tolist() == [float(traj.eval(0.0))] and y.tolist() == (y_ref * np.exp(eta0 + delta[:1])).tolist()
+
+
+def test_chattering_costs_about_the_stepwise_loop(monkeypatch, trial):
+    # delta swings the law across d_max and back every 4 steps: no window
+    # keeps more than 3 steps, and the float steps after each run on for a
+    # stretch that doubles
+    loop = ScalarLoop.of(trial["gains"], d_star=1.0, d_min=0.5, d_max=1.5)
+    n_steps, dt = 1000, 0.01
+    delta = np.where(np.arange(2 * n_steps + 1) % 8 < 4, 0.45, -0.45)
+    calls = []
+    window = controller._window
+    monkeypatch.setattr(controller, "_window", lambda *args: calls.append(1) or window(*args))
+    traj = make_constant(1.0)
+    d = _assert_sweep_matches_reference(loop, traj, dt, 1.0, (0.0, 1.0), delta, None)
+    assert np.sum(d == loop.d_max) > n_steps // 8 and np.sum(np.diff(d == loop.d_max) != 0) > n_steps // 8
+    assert len(calls) <= 2 * math.ceil(n_steps / controller.SWEEP_BLOCK) + 2
+
+
+def test_the_block_path_reads_the_law_from_rhs(monkeypatch):
+    # freezing z2 in rhs (the adaptation switched off) freezes it in the sweep
+    loop, (traj, dt, m, z0, delta, _) = _recorded_sweep(monkeypatch, "fig2a")
+    rhs = ScalarLoop.rhs
+
+    def frozen(self, *args):
+        eta, z1, _, d = rhs(self, *args)
+        return eta, z1, 0.0, d
+
+    monkeypatch.setattr(ScalarLoop, "rhs", frozen)
+    for d_override in (None, _override):
+        t, hist, d, _, _ = loop.sweep(traj, dt, m, z0, delta, d_override)
+        assert np.all(hist[2] == z0[1])
+        ref_hist, ref_d = reference_sweep(loop, traj, t, dt, m, z0, delta, d_override, law=loop.rhs)
+        assert np.abs(hist - ref_hist).max() < 2e-14 and np.abs(d - ref_d).max() < 2e-14
 
 
 def test_sweep_starts_eta_at_the_output_scale_and_stops_at_the_first_non_finite_node(trial):
