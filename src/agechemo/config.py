@@ -33,8 +33,9 @@ Grammar (all keys required unless noted, unknown keys rejected):
 Every number must be finite.  Tables are values on the uniform age grid
 with exactly age_nodes entries.  An x0 of any form, table and linear-exp
 included, must be positive and boundary compatible (build_x0).
-dt is snapped to an exact divisor of a_max so that the delay window tiles
-the time grid, and t_final must span at least one step.  Each route keys a
+dt is snapped to h / max(1, round(h/dt)), the age step h = a_max /
+(age_nodes - 1) over a whole number, so that the delay route's time grid
+refines the age grid; t_final must span at least one step.  Each route keys a
 snapshot by the time of the step nearest each snapshot time; times that
 share a step or fall outside the horizon are dropped
 (controller.snapshot_steps).
@@ -194,7 +195,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
     t_final = getf("numerics", "t_final")
     if dt <= 0 or t_final <= 0:
         raise ValidationError("[numerics]: dt and t_final must be positive")
-    dt = a_max / max(1, round(a_max / dt))  # snap to an exact divisor of the window
+    h = a_max / (age_nodes - 1)
+    dt = h / max(1, round(h / dt))  # snap to the age step over a whole number
     if round(t_final / dt) == 0:
         raise ValidationError(
             "[numerics] t_final: %g is less than half a time step (dt = %g)" % (t_final, dt)

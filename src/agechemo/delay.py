@@ -1,26 +1,28 @@
 """Exact solution route through the equivalent delay model.
 
 The age-structured PDE is parameterized by a scalar log-scale coordinate
-driven by the input and an autonomous internal coordinate psi governed by a
-renewal integral equation.  psi is advanced through the equivalent delay
-differential equation
+driven by the input and an autonomous internal coordinate psi governed by
+the renewal integral equation psi(t) = int_0^A kt(a) psi(t - a) da.
 
-    dpsi/dt = kt(0) psi(t) - kt(A) psi(t-A) + int_0^A kt'(a) psi(t-a) da
+psi is stepped as that equation on a buffer grid of step dt = h/q, for the
+age step h and a whole q >= 1.  With kt read at the buffer ages by cubic
+Hermite interpolation, c_j that times the composite Simpson weights, and
+sum c_j = 1 re-imposed, the equation on the grid is the fixed linear
+recurrence psi_n (1 - c_0) = sum_{j=1..N} c_j psi_{n-j}, N = A/dt
+(repeated Simpson; Linz, Analytical and Numerical Methods for Volterra
+Equations, SIAM 1985).  It conserves Q_n = sum_{j<N} T_j psi_{n-j},
+T_j = sum_{i>j} c_i, and the initial split pins Q to zero, which is what
+drives psi to zero instead of to a constant.  A step is a fixed linear map
+of the newest N values, so PSI_BLOCK steps compose into one block
+propagator, built once per run and applied one product per block.
 
-with classical fourth-order stepping and cubic-Hermite history
-interpolation, which avoids the implicit endpoint of the integral form;
-the integral identity is kept as a verification invariant instead.
-
-Every history read of the stepper and of delta is at t_b + c dt - a_j, for
-a buffer node b, a stage offset c in {0, 1/2, 1} and an age node a_j = j h.
-That read lies c - j h/dt buffer steps from node b, whatever b is, so each
-read pattern is a fixed linear map of the (value, derivative) pairs of a
-slice of the buffer, built once per (model, dt), and delta along a whole
-history is one correlation per map.  psi's equation is linear, autonomous
-and has constant coefficients, so an RK4 step is a fixed linear map of the
-newest n_hist + 1 nodes too; PSI_BLOCK steps compose into one block
-propagator, built once per run, and the stepper applies it one matrix-vector
-product per block.
+delta reads psi on the native age grid: at a node time the window is the
+buffer nodes at stride q, at a half-node time (the scalar loop's RK4
+stages) each read is the cubic-Hermite midpoint of two nodes.  The node
+slopes come from the delay equation
+psi' = kt(0) psi(t) - kt(A) psi(t - A) + int_0^A kt'(a) psi(t - a) da, the
+renewal equation differentiated, in one correlation; before t = 0 they are
+the fd4 slopes of the initial history.
 
 Everything the input does to the plant acts through the scalar coordinate
 only, so psi histories are bit-for-bit independent of the applied dilution
@@ -38,7 +40,7 @@ import numpy as np
 
 from .controller import ControllerGains, ScalarLoop, snapshot_steps
 from .errors import HistoryGap, LogDomain
-from .grid import GridFunction, fd4, hermite_basis, hermite_eval, hermite_resample, simpson_weights, tail_integral
+from .grid import GridFunction, fd4, hermite_eval, refined_rule, simpson_weights
 from .model import Equilibrium, ModelParams, check_initial_condition
 from .trajectories import Trajectory
 
@@ -46,13 +48,12 @@ _EDGE_TOL = 1e-9
 
 
 class HistoryBuffer(NamedTuple):
-    """The finished psi history: (value, derivative) pairs at t0 + i*dt.
+    """The finished psi history: (value, slope) pairs at t0 + i*dt.
 
     Built once (:func:`init_delay_state`, then :func:`_advance_psi`) and
-    never changed.  ``eval`` serves the reads made from the finished
-    history (snapshots, the windows of the Lyapunov readers, the renewal
-    identity), all within [t0, t_last]; the stepper and delta read through
-    the maps of :func:`_read_map` instead.
+    never changed.  ``eval`` serves the reads made at arbitrary times
+    (snapshots, the windows of the Lyapunov readers, the renewal identity),
+    all within [t0, t_last].
     """
 
     t0: float
@@ -76,77 +77,60 @@ class HistoryBuffer(NamedTuple):
         return self.val.copy()
 
 
-def _read_map(coef: np.ndarray, n_hist: int, dt: float, c2: int, top: int):
-    """The linear map of sum_j coef[j] psi(t_b + (c2/2) dt - a_j) on the buffer.
+def _on_buffer(values: np.ndarray, slopes: np.ndarray, q: int) -> np.ndarray:
+    """The cubic Hermite interpolant of age-grid (values, slopes per age step) at every q-th part of a step.
 
-    Returns (cv, cd) such that the sum equals
-    cv @ val[b - n_hist : b + top + 1] + cd @ der[b - n_hist : b + top + 1]
-    for every node b, where b + top is the newest stored node.  With
-    h/dt = n_hist/q (q + 1 age nodes), read j lies (c2 q - 2 j n_hist)/(2q)
-    buffer steps from node b; that offset is exact in integers.  Each read
-    takes the cubic-Hermite weights of its segment, clipped to the last
-    stored one: a stage read past the newest node, which only dt > h makes,
-    extrapolates that segment's cubic.
+    Segment and offset come from integers, so the age nodes come back exactly.
     """
-    q = len(coef) - 1
-    num = c2 * q - 2 * n_hist * np.arange(q + 1)
-    seg = np.minimum(num // (2 * q), top - 1)
-    h00, h10, h01, h11 = hermite_basis((num - seg * 2 * q) / (2 * q))
-    pos = seg + n_hist
-    cv = np.zeros(n_hist + top + 1)
-    cd = np.zeros(n_hist + top + 1)
-    np.add.at(cv, pos, coef * h00)
-    np.add.at(cd, pos, coef * h10 * dt)
-    np.add.at(cv, pos + 1, coef * h01)
-    np.add.at(cd, pos + 1, coef * h11 * dt)
-    return cv, cd
+    return hermite_eval(np.arange((len(values) - 1) * q + 1) / q, 0.0, 1.0, values, slopes)
 
 
 @dataclass
 class _PsiDynamics:
-    """Grid data and the precomputed history-read maps for one (model, dt).
+    """The recurrence and the readers' maps for one (model, dt).
 
-    The delay equation at a stage is psi' = a0 psi_stage + S_c, where S_c
-    is the column c of ``stage_val``/``stage_der`` (c = 0, 1/2, 1) applied
-    to the last n_hist + 1 buffer nodes: the Simpson-weighted kt' reads of
-    ages j >= 1 and the boundary term -kt(A) psi(t - A).  Age 0 is the
-    stage value itself, so its weight kt(0) + w_0 kt'(0) is the scalar a0.
-    ``delta_node`` and ``delta_half`` are the g-weighted window maps at
-    offsets 0 (n_hist + 1 nodes) and 1/2 (n_hist + 2 nodes, the half-node
-    read interpolates up to the next node).
+    ``coef`` holds a_j = c_j / (1 - c_0) for j = 1..N, so that
+    psi_n = sum_j a_j psi_{n-j}.  ``slope`` and ``delta`` are maps over the
+    window of the N + 1 nodes that ends at a node, oldest first, reading the
+    native age grid at stride q: the right-hand side of the delay equation,
+    and the g-weighted Simpson sum <g, psi window>.
     """
 
     dt: float
+    q: int
     n_hist: int
-    a0: float
-    stage_val: np.ndarray
-    stage_der: np.ndarray
-    delta_node: tuple
-    delta_half: tuple
+    coef: np.ndarray
+    slope: np.ndarray
+    delta: np.ndarray
 
     @staticmethod
     def build(eq: Equilibrium, params: ModelParams, dt: float) -> "_PsiDynamics":
-        n_hist = int(round(params.a_max / dt))
-        w, kt = params.weights, eq.k_tilde.values
-        coef = w * eq.k_tilde_prime.values
-        a0 = float(kt[0] + coef[0])
-        coef[0] = 0.0
-        coef[-1] -= kt[-1]
-        stages = [_read_map(coef, n_hist, dt, c2, 0) for c2 in (0, 1, 2)]
-        wg = w * eq.g.values
-        return _PsiDynamics(
-            dt=dt,
-            n_hist=n_hist,
-            a0=a0,
-            stage_val=np.column_stack([cv for cv, _ in stages]),
-            stage_der=np.column_stack([cd for _, cd in stages]),
-            delta_node=_read_map(wg, n_hist, dt, 0, 0),
-            delta_half=_read_map(wg, n_hist, dt, 1, 1),
-        )
+        q = round(params.h / dt)
+        if q < 1 or abs(q * dt - params.h) > 1e-9 * params.h:
+            raise ValueError("dt must divide the age step h; got dt=%g, h=%g" % (dt, params.h))
+        n_hist = q * (params.mu.n - 1)
+        kt, ktp = eq.k_tilde.values, eq.k_tilde_prime.values
+        # n_hist is even, so the buffer ages take Simpson weights; the step cancels in coef
+        c = simpson_weights(n_hist + 1, 1.0) * _on_buffer(kt, params.h * ktp, q)
+
+        def strided(v):
+            out = np.zeros(n_hist + 1)
+            out[::q] = v[::-1]
+            return out
+
+        w = params.weights
+        slope = strided(w * ktp)
+        slope[-1] += kt[0]
+        slope[0] -= kt[-1]
+        return _PsiDynamics(dt, q, n_hist, c[1:] / c[1:].sum(), slope, strided(w * eq.g.values))
+
+    def conserved_weights(self) -> np.ndarray:
+        """T_j / (1 - c_0) = sum_{i>j} a_i for j = 0..N-1: Q_n = T @ (psi_n, psi_{n-1}, ...) is conserved."""
+        return np.cumsum(self.coef[::-1])[::-1]
 
 
 class DelayState(NamedTuple):
-    """The initial split: output scale M, psi history, its read maps."""
+    """The initial split: output scale M, psi history, the recurrence and its maps."""
 
     m: float
     buffer: HistoryBuffer
@@ -157,128 +141,76 @@ def init_delay_state(x0: GridFunction, eq: Equilibrium, params: ModelParams, dt:
     """Split an admissible initial profile into (M, psi0) and fill the history.
 
     With r = x0/x* resampled onto the buffer grid by cubic Hermite
-    interpolation, one tail-weighted mean M = <tau, r>/<tau> (tau the tail
-    integral of kt, proportional to pi x*) is the discrete Pi(x0) on that
-    grid: psi0 = r/M - 1, and M is the output scale from which the scalar
-    loop sets eta0 = log(M / y_ref(0)).  psi0's discrete tail-weighted mean
-    then vanishes at machine precision, pinning the conserved functional of
-    the renewal dynamics to zero, which is what drives psi to zero instead
-    of a spurious constant.  Raises InvalidIC for an x0 that
+    interpolation, M = 1 + <T, r - 1>/<T, 1> is the discrete Pi(x0) on that
+    grid: psi0 = r/M - 1 gives the conserved Q_0 = <T, psi0> = 0, which is
+    what drives psi to zero, and r = 1 gives M = 1 exactly.  M is the output
+    scale from which the scalar loop sets eta0 = log(M / y_ref(0)).  Raises
+    ValueError unless dt divides the age step, and InvalidIC for an x0 that
     :func:`check_initial_condition` refuses.
     """
     check_initial_condition(x0, params)
-    n_hist = int(round(params.a_max / dt))
-    if abs(n_hist * dt - params.a_max) > 1e-9 * params.a_max:
-        raise ValueError("dt must divide a_max; got dt=%g, a_max=%g" % (dt, params.a_max))
-
-    ages = np.linspace(0.0, params.a_max, n_hist + 1)
-    ratio_b = hermite_resample(params.nodes, x0.values / eq.x_star.values, ages)
-    tail_b = hermite_resample(params.nodes, tail_integral(eq.k_tilde.values, params.h), ages)
-    if n_hist % 2 == 0:
-        wb = simpson_weights(n_hist + 1, dt)
-    else:
-        wb = np.full(n_hist + 1, dt)
-        wb[0] *= 0.5
-        wb[-1] *= 0.5
-    big_pi = float(wb @ (tail_b * ratio_b)) / float(wb @ tail_b)
-
-    val = ratio_b[::-1] / big_pi - 1.0  # psi0 at t = -A, ..., 0
-    der = fd4(val, dt)
     dyn = _PsiDynamics.build(eq, params, dt)
-    der[n_hist] = dyn.a0 * val[n_hist] + (val @ dyn.stage_val + der @ dyn.stage_der)[0]
-    return DelayState(big_pi, HistoryBuffer(-params.a_max, dt, val, der), dyn)
+    ratio = x0.values / eq.x_star.values
+    r = _on_buffer(ratio, fd4(ratio, 1.0), dyn.q)
+    tail = dyn.conserved_weights()
+    big_pi = 1.0 + float(tail @ (r[:-1] - 1.0)) / float(tail.sum())
+    val = r[::-1] / big_pi - 1.0  # psi0 at t = -A, ..., 0
+    return DelayState(big_pi, HistoryBuffer(-params.a_max, dt, val, fd4(val, dt)), dyn)
 
 
 #: steps per block of :func:`_advance_psi`, each block one product of the
-#: block propagator with the newest n_hist + 1 stored (value, derivative) pairs
+#: block propagator with the newest N stored values
 PSI_BLOCK = 32
 
 
-def _rk4_increment(a0: float, dt: float, v: float, k1: float, s_half: float, s_one: float) -> float:
-    """psi(t + dt) - psi(t) over one RK4 step of psi' = a0 psi + S_c from v = psi(t), k1 = psi'(t)."""
-    half = 0.5 * dt
-    k2 = a0 * (v + half * k1) + s_half
-    k3 = a0 * (v + half * k2) + s_half
-    k4 = a0 * (v + dt * k3) + s_one
-    return dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+def _block_propagator(coef: np.ndarray, n_block: int) -> np.ndarray:
+    """P of shape (n_block, N): P @ x are the next n_block values of psi_n = sum_j coef[j-1] psi_{n-j}.
 
-
-def _block_propagator(dyn: _PsiDynamics, n_block: int) -> np.ndarray:
-    """P of shape (2 n_block, 2 (n_hist + 1)) for n_block RK4 steps from the newest stored node.
-
-    With s = [val; der] of the newest n_hist + 1 stored nodes, the first
-    n_block rows of P @ s are the new values less the newest stored one, and
-    the last n_block rows are their derivatives.  The values are kept as
-    increments so that the 1 with which each new node carries the newest
-    stored value is exact, where P's rounding would otherwise build up over
-    the blocks of a run.
-
-    One step from node m is linear in the window of nodes m - n_hist .. m:
-    its increment reads the window through (rv, rd) = ch S_1/2 + c1 S_1 plus
-    cv v + ck k1 at node m, the coefficients of :func:`_rk4_increment` on unit
-    inputs, and the derivative of the new value v' is a0 v' plus the S_1 read
-    (ev, ed).  Row k, the step from node m + k, takes its reads of stored
-    nodes from a slice of these vectors shifted by k, and its reads of the k
-    new nodes before it from rows < k (forward substitution).
+    x holds the newest N stored values, oldest first.  Row k reads the
+    stored values through coef shifted by k, and the k new values before it
+    through rows < k (forward substitution).
     """
-    n, a0 = dyn.n_hist + 1, dyn.a0
-    cv, ck, ch, c1 = (_rk4_increment(a0, dyn.dt, *unit) for unit in np.eye(4).tolist())
-    ev, ed = dyn.stage_val[:, 2], dyn.stage_der[:, 2]
-    rv = ch * dyn.stage_val[:, 1] + c1 * ev
-    rd = ch * dyn.stage_der[:, 1] + c1 * ed
-    rv[-1] += cv
-    rd[-1] += ck
-    p = np.zeros((2 * n_block, 2 * n))
-    inc, pd = p[:n_block], p[n_block:]
+    n = len(coef)
+    rev = coef[::-1]
+    p = np.zeros((n_block, n))
     for k in range(n_block):
-        lo, j0 = max(n - k, 0), max(k - n, 0)  # first window read of a new node; that node's row
-        for row, wv, wd in ((inc[k], rv, rd), (pd[k], ev, ed)):
-            row[k:n] = wv[:lo]
-            row[n + k :] = wd[:lo]
-            row += wv[lo:] @ inc[j0:k] + wd[lo:] @ pd[j0:k]
-            row[n - 1] += wv[lo:].sum()  # each new node read carries the newest stored value
-        if k:
-            inc[k] += inc[k - 1]
-        pd[k] += a0 * inc[k]
-        pd[k, n - 1] += a0
+        lo, j0 = max(n - k, 0), max(k - n, 0)  # first read of a new value; that value's row
+        p[k, k:] = rev[:lo]
+        p[k] += rev[lo:] @ p[j0:k]
     return p
 
 
 def _advance_psi(dyn: _PsiDynamics, buf: HistoryBuffer, n_steps: int) -> HistoryBuffer:
-    """The history ``buf`` extended by ``n_steps`` RK4 steps of psi from its newest node.
+    """The history ``buf`` extended by ``n_steps`` steps of the recurrence.
 
     PSI_BLOCK steps at a time, through :func:`_block_propagator`.  Every
     block, the last one too, is the full product, so the nodes of a shorter
-    run are those of a longer one bit for bit.
+    run are those of a longer one bit for bit.  The slopes from t = 0 on
+    are the delay equation's, one correlation; those before are ``buf``'s.
     """
-    n = dyn.n_hist + 1
+    n = dyn.n_hist
     val = np.concatenate([buf.val, np.zeros(n_steps)])
-    der = np.concatenate([buf.der, np.zeros(n_steps)])
-    p = _block_propagator(dyn, PSI_BLOCK)
-    window = np.empty(2 * n)
+    p = _block_propagator(dyn.coef, PSI_BLOCK)
     for m in range(len(buf.val), len(val), PSI_BLOCK):
         b = min(PSI_BLOCK, len(val) - m)
-        window[:n], window[n:] = val[m - n : m], der[m - n : m]
-        nxt = p @ window
-        val[m : m + b] = val[m - 1] + nxt[:b]
-        der[m : m + b] = nxt[PSI_BLOCK : PSI_BLOCK + b]
+        val[m : m + b] = (p @ val[m - n : m])[:b]
+    der = np.concatenate([buf.der[:n], np.correlate(val, dyn.slope, "valid")])
     return HistoryBuffer(buf.t0, dyn.dt, val, der)
 
 
 def _delta_grid(dyn: _PsiDynamics, buf: HistoryBuffer) -> np.ndarray:
     """delta at t = (0, 1/2, 1, ..., n) dt, n steps past the history's first window.
 
-    One correlation per map; the window of node k starts at history node k
-    (time t_k - A).  Raises LogDomain at the earliest time where 1 + <g, psi window> <= 0.
+    The node windows start at history node k (time t_k - A) and are one
+    correlation; a half-node window is the Hermite midpoint of the windows
+    of its two nodes, which takes one more correlation, of the slopes.
+    Raises LogDomain at the earliest time where 1 + <g, psi window> <= 0.
     """
-    n = len(buf.val) - dyn.n_hist - 1
-    arg = np.empty(2 * n + 1)
-    (nv, nd), (hv, hd) = dyn.delta_node, dyn.delta_half
-    arg[0::2] = np.correlate(buf.val, nv, "valid")
-    arg[0::2] += np.correlate(buf.der, nd, "valid")
-    if n:
-        arg[1::2] = np.correlate(buf.val, hv, "valid")
-        arg[1::2] += np.correlate(buf.der, hd, "valid")
+    node = np.correlate(buf.val, dyn.delta, "valid")
+    slope = np.correlate(buf.der, dyn.delta, "valid")
+    arg = np.empty(2 * len(node) - 1)
+    arg[0::2] = node
+    arg[1::2] = 0.5 * (node[:-1] + node[1:]) + (0.125 * dyn.dt) * (slope[:-1] - slope[1:])
     arg += 1.0
     bad = np.flatnonzero(arg <= 0)
     if bad.size:
@@ -308,8 +240,7 @@ class OracleTrace:
     snapshots: dict
     buffer: HistoryBuffer
     nodes: np.ndarray
-    weights: np.ndarray
-    k_tilde: np.ndarray
+    rule: tuple  # (ages, Simpson weights times kt) of the identity check's rule
 
     def window(self, t: float) -> np.ndarray:
         return self.buffer.eval(t - self.nodes)
@@ -321,7 +252,15 @@ class OracleTrace:
             yield rows, self.buffer.eval(self.t[idx[rows], None] - self.nodes)
 
     def ide_residual(self, t: float) -> float:
-        return abs(float(self.buffer.eval(t)) - float(self.weights @ (self.k_tilde * self.window(t))))
+        """|psi(t) - int kt(a) psi(t - a) da| on a rule four times finer than the buffer grid.
+
+        psi solves the identity to rounding on its own rule, so the check
+        takes another: the kernel refined 4q-fold by :func:`grid.refined_rule`
+        (at dt = h, the rule :func:`galerkin.characteristic_roots` polishes
+        on), with psi read through Hermite.
+        """
+        ages, wk = self.rule
+        return abs(float(self.buffer.eval(t)) - float(wk @ self.buffer.eval(t - ages)))
 
     CSV_COLUMNS = ("t", "eta", "delta", "z1", "z2", "D", "y", "log_error")
 
@@ -365,6 +304,7 @@ def simulate_closed_loop(
         window = history.eval(t_i - params.nodes)
         snapshots[t_i] = GridFunction(eq.x_star.values * scale * (1.0 + window), params.a_max)
 
+    ages_f, kt_f, w_f = refined_rule(eq.k_tilde, 4 * state.dyn.q)
     return OracleTrace(
         t=t,
         eta=eta,
@@ -377,6 +317,5 @@ def simulate_closed_loop(
         snapshots=snapshots,
         buffer=history,
         nodes=params.nodes,
-        weights=params.weights,
-        k_tilde=eq.k_tilde.values,
+        rule=(ages_f, w_f * kt_f),
     )

@@ -27,7 +27,7 @@ from .errors import (
     RootSearchExhausted,
     ValidationError,
 )
-from .grid import GridFunction, fd4, hermite_resample, simpson_weights
+from .grid import GridFunction, fd4, refined_rule
 from .model import Equilibrium, ModelParams, check_initial_condition
 from .trajectories import Trajectory
 
@@ -250,10 +250,7 @@ def characteristic_roots(eq: Equilibrium, params: ModelParams, count: int) -> li
     wk = params.weights * kt
     omega_cap = math.pi / (4 * params.h)
 
-    n_fine = 4 * (params.mu.n - 1) + 1
-    nodes_f = np.linspace(0.0, params.a_max, n_fine)
-    kt_f = hermite_resample(nodes, kt, nodes_f)
-    w_f = simpson_weights(n_fine, nodes_f[1] - nodes_f[0])
+    nodes_f, kt_f, w_f = refined_rule(eq.k_tilde, 4)
     wk_f = w_f * kt_f
 
     pairs_needed = count // 2 - 1

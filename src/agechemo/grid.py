@@ -113,6 +113,13 @@ def hermite_resample(nodes: np.ndarray, values: np.ndarray, query: np.ndarray) -
     return hermite_eval(query, nodes[0], h, values, fd4(values, h))
 
 
+def refined_rule(f: GridFunction, factor: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nodes, values, Simpson weights) of ``f`` resampled by :func:`hermite_resample` on a ``factor``-fold finer grid."""
+    n_fine = factor * (f.n - 1) + 1
+    nodes_f = np.linspace(0.0, f.a_max, n_fine)
+    return nodes_f, hermite_resample(f.nodes, f.values, nodes_f), simpson_weights(n_fine, nodes_f[1] - nodes_f[0])
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Values of a function on [0, A] at the nodes of a uniform grid."""

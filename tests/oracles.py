@@ -114,27 +114,49 @@ def saturate(v, lo, hi):
     return min(hi, max(lo, v))
 
 
+def _reference_coefficients(eq, params, dt):
+    """c_j = w_j kt(j dt), j = 0..A/dt, with kt read by Hermite at the buffer ages and sum c = 1 imposed."""
+    from agechemo.grid import hermite_eval
+
+    n_hist = int(round(params.a_max / dt))
+    ages = dt * np.arange(n_hist + 1)
+    w = np.ones(n_hist + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    c = w * hermite_eval(ages, 0.0, params.h, eq.k_tilde.values, eq.k_tilde_prime.values)
+    return c / c.sum()
+
+
+def _reference_slope(eq, params, val, n, q):
+    """psi'(t_n) from the delay equation, reading the stored values val at the age nodes (stride q)."""
+    kt, ktp = eq.k_tilde.values, eq.k_tilde_prime.values
+    window = val[n - q * np.arange(len(kt))]  # psi(t_n - a_i)
+    return float(kt[0] * window[0] - kt[-1] * window[-1] + params.weights @ (ktp * window))
+
+
 def reference_closed_loop(x0, traj, eq, gains, params, t_final, dt, snapshot_times=(), d_override=None):
-    """The delay route with every history read re-interpolated per RK stage.
+    """The delay route with psi stepped one recurrence step at a time and every delta read re-interpolated.
 
     The exception to this module's rule: it reuses the package's initial
     split (``init_delay_state``) and ``grid.hermite_eval``, so that it
-    checks the precomputed stage maps of ``simulate_closed_loop`` against
-    the reads they stand for.  psi' at each stage and at t = 0, and delta at
-    t, t + dt/2 and t + dt, each evaluate the full window by Hermite
-    interpolation of the nodes stored so far (a stage read past the newest
-    node extrapolates its segment), and (psi, eta, z) advance one
-    synchronized step at a time.  Returns the trace arrays, the psi nodes
-    and the snapshot profiles in a dict.
+    checks the precomputed maps of ``simulate_closed_loop`` against the
+    reads they stand for.  Each step solves psi_n (1 - c_0) =
+    sum_j c_j psi_{n-j} for the new node, takes its slope from the delay
+    equation (as at t = 0), and reads delta at t, t + dt/2 and t + dt by
+    Hermite interpolation of the nodes stored so far; (psi, eta, z) advance
+    one synchronized step at a time.  Returns the trace arrays, the psi
+    nodes and the snapshot profiles in a dict.
     """
     from agechemo.delay import init_delay_state
     from agechemo.errors import LogDomain
     from agechemo.grid import fd4, hermite_eval
 
     nodes, w, a_max = params.nodes, params.weights, params.a_max
-    kt, ktp, g = eq.k_tilde.values, eq.k_tilde_prime.values, eq.g.values
+    g = eq.g.values
+    q = int(round(params.h / dt))
     n_hist = int(round(a_max / dt))
     n_steps = int(round(t_final / dt))
+    c = _reference_coefficients(eq, params, dt)
     start = init_delay_state(x0, eq, params, dt)
     val, der = np.zeros(n_hist + 1 + n_steps), np.zeros(n_hist + 1 + n_steps)
     val[: n_hist + 1] = start.buffer.val
@@ -143,12 +165,6 @@ def reference_closed_loop(x0, traj, eq, gains, params, t_final, dt, snapshot_tim
 
     def psi_at(tau):
         return hermite_eval(tau, -a_max, dt, val[:size], der[:size])
-
-    def psi_rhs(tau, psi_now):
-        window = psi_at(tau - nodes)
-        window[0] = psi_now
-        boundary = kt[0] * psi_now - kt[-1] * psi_at(tau - a_max)
-        return float(boundary + w @ (ktp * window))
 
     def delta_at(tau):
         arg = 1.0 + float(w @ (g * psi_at(tau - nodes)))
@@ -171,7 +187,7 @@ def reference_closed_loop(x0, traj, eq, gains, params, t_final, dt, snapshot_tim
             [eq.d_star - rate - d_app, z2 - rate - d_app - gains.l1 * mism, -gains.l2 * mism]
         )
 
-    der[n_hist] = psi_rhs(0.0, val[n_hist])
+    der[n_hist] = _reference_slope(eq, params, val, n_hist, q)
     out = {k: np.zeros(n_steps + 1) for k in ("eta", "delta", "z1", "z2", "d", "y")}
     snap_idx = {round(s / dt): round(s / dt) * dt for s in snapshot_times}  # keyed by the node time
     snapshots = {}
@@ -190,14 +206,8 @@ def reference_closed_loop(x0, traj, eq, gains, params, t_final, dt, snapshot_tim
 
     record(0)
     for i in range(n_steps):
-        tl = -a_max + (size - 1) * dt
-        v, k1 = val[size - 1], der[size - 1]
-        k2 = psi_rhs(tl + 0.5 * dt, v + 0.5 * dt * k1)
-        k3 = psi_rhs(tl + 0.5 * dt, v + 0.5 * dt * k2)
-        k4 = psi_rhs(tl + dt, v + dt * k3)
-        v_new = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        d_new = psi_rhs(tl + dt, v_new)
-        val[size], der[size] = v_new, d_new
+        val[size] = float(c[1:] @ val[size - n_hist : size][::-1]) / (1.0 - c[0])
+        der[size] = _reference_slope(eq, params, val, size, q)
         size += 1
 
         d_t, d_half, d_full = delta_at(t), delta_at(t + 0.5 * dt), delta_at(t + dt)
@@ -216,30 +226,26 @@ def reference_closed_loop(x0, traj, eq, gains, params, t_final, dt, snapshot_tim
     return out
 
 
-def reference_advance_psi(dyn, buf, n_steps):
-    """psi stepped one RK4 step at a time through the package's stage maps.
+def reference_advance_psi(eq, params, buf, n_steps):
+    """psi stepped one step of the renewal recurrence at a time, with the delay equation's slopes.
 
-    An exception to this module's rule: it reads ``dyn.stage_val`` and
-    ``dyn.stage_der``, which ``reference_closed_loop`` already checks
-    against re-interpolated reads, so that it checks only how
-    ``delay._advance_psi`` composes them.  Each step takes its three stage
-    sums S_0, S_1/2 and S_1 as two dots over the newest n_hist + 1 nodes.
-    Returns the extended (val, der).
+    An exception to this module's rule: it reads kt at the buffer ages with
+    the package's ``grid.hermite_eval``, so that it checks how
+    ``delay._advance_psi`` builds and composes the steps.  Each step solves
+    psi_n (1 - c_0) = sum_j c_j psi_{n-j} over the newest A/dt stored
+    values and takes psi'(t_n) from the delay equation on the age nodes,
+    from t = 0 on; the slopes of ``buf`` before t = 0 are kept.  Returns
+    the extended (val, der).
     """
+    n_hist = int(round(params.a_max / buf.dt))
+    q = int(round(params.h / buf.dt))
+    c = _reference_coefficients(eq, params, buf.dt)
     val = np.concatenate([buf.val, np.zeros(n_steps)])
     der = np.concatenate([buf.der, np.zeros(n_steps)])
-    a0, dt = dyn.a0, dyn.dt
-    half, sixth = 0.5 * dt, dt / 6.0
-    for m in range(len(buf.val) - 1, len(val) - 1):
-        w = slice(m - dyn.n_hist, m + 1)
-        _, s_half, s_one = (val[w] @ dyn.stage_val + der[w] @ dyn.stage_der).tolist()
-        v, k1 = float(val[m]), float(der[m])
-        k2 = a0 * (v + half * k1) + s_half
-        k3 = a0 * (v + half * k2) + s_half
-        k4 = a0 * (v + dt * k3) + s_one
-        v_new = v + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-        val[m + 1] = v_new
-        der[m + 1] = a0 * v_new + s_one
+    for n in range(n_hist + 1, len(val)):
+        val[n] = float(c[1:] @ val[n - n_hist : n][::-1]) / (1.0 - c[0])
+    for n in range(n_hist, len(val)):
+        der[n] = _reference_slope(eq, params, val, n, q)
     return val, der
 
 
@@ -328,17 +334,19 @@ def reference_galerkin_loop(system, basis, traj, gains, params, t_final, dt, sna
     return out
 
 
-def reference_clf_profile(profile, z, traj, eq, cert, params, t):
+def reference_clf_profile(profile, z, traj, eq, cert, params, t, functional=pi_functional):
     """The combined functional (V, Q) from an age profile at time t.
 
     The profile form: the scale is Pi(x) / y_ref(t), the history norm and
     floor are taken on the ratio x / (x* y_ref) against that scale, and the
     head term is the squared log scale.  It checks the history form along
     an oracle trace (eta and the psi window) against the profile that trace
-    reconstructs.
+    reconstructs.  ``functional(x, eq, params)`` gives Pi(x); an oracle
+    trace's eta follows the delay route's discrete Pi, which a caller
+    passes here to compare the two forms to rounding.
     """
     y_ref = float(traj.eval(t))
-    scale = pi_functional(profile, eq, params) / y_ref
+    scale = functional(profile, eq, params) / y_ref
     ratio = profile.values / (eq.x_star.values * y_ref)
     w_norm = float(np.max(np.exp(-cert.sigma * params.nodes) * np.abs(ratio - scale)))
     floor = min(scale, float(ratio.min()))

@@ -95,10 +95,34 @@ def test_table_length_mismatch(tmp_path):
 
 
 def test_dt_snaps_to_window_divisor(tmp_path):
+    # dt snaps to h / max(1, round(h/dt)), which also divides the window a_max
     path = tmp_path / "snap.cfg"
-    path.write_text(small_config_text(dt=0.024))
+    for age_nodes, dt, q in [(401, 0.024, 1), (401, 0.0024, 2), (101, 0.007, 3), (301, 0.005, 1)]:
+        path.write_text(small_config_text(age_nodes=age_nodes, dt=dt))
+        cfg = load_config(path)
+        assert cfg.dt == cfg.a_max / (age_nodes - 1) / q
+        assert abs(round(cfg.a_max / cfg.dt) * cfg.dt - cfg.a_max) < 1e-12
+
+
+def test_fig2a_on_a_grid_with_h_over_dt_four_thirds_passes_every_check(tmp_path):
+    # 301 nodes make h/dt = 4/3 at the shipped dt = 0.005, which snaps to dt = h;
+    # a divisor of a_max would keep 0.005 and fail oracle_ide_identity and history_decay
+    cfg = load_config(bundled_with(tmp_path, "fig2a.cfg", "age_nodes", "301"))
+    assert cfg.dt == 2.0 / 300
+    report = run(cfg)
+    assert report.passed and len(report.checks) == 7, report.checks
+
+
+@pytest.mark.parametrize("age_nodes", [201, 301, 401, 601, 801])
+def test_kernel_screen_grids_load_and_verify(tmp_path, age_nodes, capsys):
+    # the kernel screen draws odd node counts 201..801 at dt = 0.005
+    path = tmp_path / "screen.cfg"
+    path.write_text(small_config_text(age_nodes=age_nodes))
     cfg = load_config(path)
-    assert abs(round(cfg.a_max / cfg.dt) * cfg.dt - cfg.a_max) < 1e-12
+    h = 2.0 / (age_nodes - 1)
+    assert cfg.dt == h / max(1, round(h / 0.005))
+    assert main(["verify", str(path)]) == 0
+    assert "saturation inequality: 0 violations" in capsys.readouterr().out
 
 
 def test_run_determinism(tmp_path):

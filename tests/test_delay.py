@@ -17,10 +17,10 @@ from agechemo.config import build_model, build_trajectory, build_x0, load_config
 from agechemo.controller import ControllerGains
 from agechemo.errors import HistoryGap, InvalidIC
 from agechemo.galerkin import characteristic_roots
-from agechemo.grid import GridFunction, hermite_resample, simpson_weights, tail_integral
-from agechemo.model import solve_equilibrium
+from agechemo.grid import GridFunction
+from agechemo.model import ModelParams, solve_equilibrium
 from agechemo.trajectories import make_constant
-from conftest import bundled_with, motherhood_model, small_config_text
+from conftest import SCREEN_KERNELS, bundled, bundled_with, motherhood_model, small_config_text
 from oracles import (
     modal_profile,
     modal_psi,
@@ -76,44 +76,59 @@ def test_init_exact_tracking_start(trial):
     assert np.max(np.abs(state.buffer.eval(-params.nodes))) < 1e-12
 
 
+def _settled_constant(state):
+    """Q_0 / sum T: the constant psi settles to, Q_0 = sum_{j<N} T_j psi0(-j dt) the recurrence's conserved functional."""
+    tail = state.dyn.conserved_weights()
+    return float(tail @ state.buffer.val[:0:-1]) / float(tail.sum())
+
+
 def test_init_weighted_mean_zero(trial):
+    # M pins the conserved Q_0 to zero: psi0's T-weighted mean vanishes to rounding
     eq, params, x0 = trial["eq"], trial["params"], trial["x0"]
     state = init_delay_state(x0, eq, params, params.h)
-    pi = pi_weight(eq, params)
-    psi0 = state.buffer.eval(-params.nodes)
-    mean = float(params.weights @ (pi.values * eq.x_star.values * psi0))
-    assert abs(mean) < 1e-8
+    assert abs(_settled_constant(state)) < 1e-15
 
 
-def test_init_eta_matches_functional(trial):
-    eq, params, x0, traj = trial["eq"], trial["params"], trial["x0"], trial["traj"]
-    state = init_delay_state(x0, eq, params, params.h)
-    # y_ref(0) = 1, so eta0 = ln Pi(x0)
-    eta0 = math.log(state.m / float(traj.eval(0.0)))
-    assert eta0 == pytest.approx(math.log(pi_functional(x0, eq, params)), abs=1e-8)
+def test_init_eta_matches_functional(tmp_path):
+    # M, the discrete Pi(x0) of the recurrence, converges to Pi(x0) at second
+    # order in h: |M/Pi - 1| is 2.98e-6, 7.45e-7, 1.86e-7 and 4.65e-8 on
+    # fig2a at 201..1601 nodes, and 6.2e-8 down to 9.6e-10 on fig3
+    for name in ("fig2a.cfg", "fig3.cfg"):
+        gaps = []
+        for age_nodes in (201, 401, 801, 1601):
+            cfg = load_config(bundled_with(tmp_path, name, "age_nodes", str(age_nodes)))
+            params = build_model(cfg)
+            eq = solve_equilibrium(params)
+            x0 = build_x0(cfg, params, eq)
+            state = init_delay_state(x0, eq, params, params.h)
+            gaps.append(abs(state.m / pi_functional(x0, eq, params) - 1.0))
+        assert 0 < gaps[1] < 1e-6, name
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 3.9 < coarse / fine < 4.1, (name, gaps)
 
 
-@pytest.mark.parametrize("age_nodes, dt_over_h", [(401, 1.0), (401, 0.5), (401, 2.0), (301, 0.75)])
+@pytest.mark.parametrize(
+    "age_nodes, dt_over_h", [(401, 1.0), (401, 0.5), (401, 2.0), (301, 0.75), (301, 0.5), (201, 0.25)]
+)
 def test_init_split_is_one_normalization(tmp_path, age_nodes, dt_over_h):
-    # psi0's tail-weighted mean on the buffer grid vanishes to roundoff, and
-    # eta0 = log(M / y_ref(0)) is log Pi(x0) / y_ref(0): exactly at dt = h,
-    # where the buffer grid is the age grid, and up to resampling error elsewhere
+    # on every buffer grid h/q, psi0's T-weighted mean vanishes to rounding and
+    # the sweep starts from eta0 = log(M / y_ref(0)); a dt that is not h/q
+    # (2h, 0.75h) is refused
     cfg = load_config(bundled_with(tmp_path, "fig2a.cfg", "age_nodes", str(age_nodes)))
     params = build_model(cfg)
     eq = solve_equilibrium(params)
     x0, traj = build_x0(cfg, params, eq), build_trajectory(cfg)
     dt = dt_over_h * params.h
+    if (1.0 / dt_over_h) % 1:
+        with pytest.raises(ValueError, match="^dt must divide the age step h"):
+            init_delay_state(x0, eq, params, dt)
+        return
     state = init_delay_state(x0, eq, params, dt)
-    n_hist = len(state.buffer.val) - 1
-    assert n_hist % 2 == 0  # every case here takes the buffer grid's Simpson weights
-    ages = np.linspace(0.0, params.a_max, n_hist + 1)
-    tail_b = hermite_resample(params.nodes, tail_integral(eq.k_tilde.values, params.h), ages)
-    wb = simpson_weights(n_hist + 1, dt)
-    mean = float(wb @ (tail_b * state.buffer.val[::-1])) / float(wb @ tail_b)
-    assert abs(mean) < 1e-15
-    y_ref0 = float(traj.eval(0.0))
-    eta_pi = math.log(pi_functional(x0, eq, params) / y_ref0)
-    assert abs(math.log(state.m / y_ref0) - eta_pi) < (1e-15 if dt_over_h == 1.0 else 1e-9)
+    assert len(state.buffer.val) == round(params.a_max / dt) + 1
+    assert abs(_settled_constant(state)) < 1e-15
+    assert abs(state.m / pi_functional(x0, eq, params) - 1.0) < 2e-6
+    trace = simulate_closed_loop(x0, traj, eq, ControllerGains(cfg.gamma, cfg.l1, cfg.l2, cfg.z0), params, dt, dt)
+    assert trace.eta[0] == math.log(state.m / float(traj.eval(0.0)))
 
 
 def test_init_rejects_inadmissible_profile(trial):
@@ -136,13 +151,12 @@ def _modal_psi_error(params, eq, dt, horizon=4.0):
 
 
 def test_psi_follows_the_modal_closed_form(trial):
-    # 1.2e-10 on fig2a's grid
+    # 4.3e-11 on fig2a's grid (1.2e-10 with RK4 on the delay equation)
     assert _modal_psi_error(trial["params"], trial["eq"], trial["cfg"].dt) < 1e-9
 
 
 def test_modal_closed_form_error_falls_with_the_age_grid(tmp_path, trial):
-    # dt stays at fig2a's 0.005, so the fall comes from the age grid, not
-    # from the stepper: 1.2e-10 on 401 nodes, 9.4e-12 on 801
+    # dt follows the age step (q = 1): 4.3e-11 on 401 nodes, 2.7e-12 on 801
     cfg = load_config(bundled_with(tmp_path, "fig2a.cfg", "age_nodes", "801"))
     params = build_model(cfg)
     fine = _modal_psi_error(params, solve_equilibrium(params), cfg.dt)
@@ -160,23 +174,37 @@ def test_step_psi_zero_solution(trial):
 #: horizons on both sides of the first block edges of ``_advance_psi``
 PSI_STEPS = (0, 1, 31, 32, 33, 101)
 
+#: buffer steps h/q at q = 1, 2 and 3, and two steps the route refuses
+#: because they are not h/q (fig2a: h = 0.005)
+DT_OF = {
+    "h/2": lambda h: h / 2,
+    "h": lambda h: h,
+    "h/3": lambda h: h / 3,
+    "2h": lambda h: 2 * h,
+    "2/267": lambda h: 2.0 / 267,
+}
+REFUSED = ("2h", "2/267")
 
-def _assert_matches_stepwise_loop(dyn, buf):
+
+def _assert_matches_stepwise_loop(eq, params, dyn, buf):
     for n_steps in PSI_STEPS:
         history = _advance_psi(dyn, buf, n_steps)
-        val, der = reference_advance_psi(dyn, buf, n_steps)
+        val, der = reference_advance_psi(eq, params, buf, n_steps)
         assert len(history.val) == len(history.der) == len(val) == len(buf.val) + n_steps
         assert np.max(np.abs(history.val - val)) <= 1e-13, n_steps
         assert np.max(np.abs(history.der - der)) <= 1e-13, n_steps
 
 
-@pytest.mark.parametrize(
-    "dt_of", [lambda h: h / 2, lambda h: h, lambda h: 2 * h, lambda h: 2.0 / 267], ids=["h/2", "h", "2h", "2/267"]
-)
-def test_block_propagator_matches_stepwise_loop(trial, dt_of):
+@pytest.mark.parametrize("case", list(DT_OF))
+def test_block_propagator_matches_stepwise_loop(trial, case):
     eq, params, x0 = trial["eq"], trial["params"], trial["x0"]
-    state = init_delay_state(x0, eq, params, dt_of(params.h))
-    _assert_matches_stepwise_loop(state.dyn, state.buffer)
+    dt = DT_OF[case](params.h)
+    if case in REFUSED:
+        with pytest.raises(ValueError, match="^dt must divide the age step h; got dt=%g, h=0.005$" % dt):
+            init_delay_state(x0, eq, params, dt)
+        return
+    state = init_delay_state(x0, eq, params, dt)
+    _assert_matches_stepwise_loop(eq, params, state.dyn, state.buffer)
 
 
 def test_block_propagator_matches_stepwise_loop_with_boundary_term(tmp_path):
@@ -190,32 +218,111 @@ def test_block_propagator_matches_stepwise_loop_with_boundary_term(tmp_path):
     params = build_model(cfg)
     eq = solve_equilibrium(params)
     assert eq.k_tilde.values[-1] > 0.1
-    for dt in (params.h, 2 * params.h):
-        state = init_delay_state(build_x0(cfg, params, eq), eq, params, dt)
-        _assert_matches_stepwise_loop(state.dyn, state.buffer)
+    for q in (1, 2, 3):
+        state = init_delay_state(build_x0(cfg, params, eq), eq, params, params.h / q)
+        _assert_matches_stepwise_loop(eq, params, state.dyn, state.buffer)
 
 
 def test_block_propagator_matches_stepwise_loop_on_a_short_window():
-    # 11 stored nodes: from the 12th row of a block on, every read is of a new node
-    eq, params = motherhood_model(21, 0.1, 2.0)
-    dt = 2 * params.h
-    dyn = _PsiDynamics.build(eq, params, dt)
-    assert dyn.n_hist + 1 < PSI_BLOCK
-    t = np.linspace(-params.a_max, 0.0, dyn.n_hist + 1)
-    buf = HistoryBuffer(-params.a_max, dt, 0.2 * np.sin(3.0 * t), 0.6 * np.cos(3.0 * t))
-    _assert_matches_stepwise_loop(dyn, buf)
+    # N = 10 q stored values: from row N of a block on, every read is of a new value
+    eq, params = motherhood_model(11, 0.1, 2.0)
+    for q in (1, 2, 3):
+        dt = params.h / q
+        dyn = _PsiDynamics.build(eq, params, dt)
+        assert dyn.n_hist < PSI_BLOCK
+        t = np.linspace(-params.a_max, 0.0, dyn.n_hist + 1)
+        buf = HistoryBuffer(-params.a_max, dt, 0.2 * np.sin(3.0 * t), 0.6 * np.cos(3.0 * t))
+        _assert_matches_stepwise_loop(eq, params, dyn, buf)
 
 
 def test_psi_is_a_prefix_of_a_longer_run_bitwise(trial):
-    # psi on [0, T] does not depend on the horizon it was stepped to
+    # psi on [0, T] and its slopes do not depend on the horizon it was stepped to
     eq, params, x0 = trial["eq"], trial["params"], trial["x0"]
-    state = init_delay_state(x0, eq, params, params.h)
-    longest = _advance_psi(state.dyn, state.buffer, 3 * PSI_BLOCK + 5)
-    for n_steps in (0, 1, PSI_BLOCK - 1, PSI_BLOCK, PSI_BLOCK + 1, 2 * PSI_BLOCK + 7, 3 * PSI_BLOCK):
-        history = _advance_psi(state.dyn, state.buffer, n_steps)
-        size = len(history.val)
-        assert np.array_equal(history.val, longest.val[:size]), n_steps
-        assert np.array_equal(history.der, longest.der[:size]), n_steps
+    for q in (1, 2, 3):
+        state = init_delay_state(x0, eq, params, params.h / q)
+        longest = _advance_psi(state.dyn, state.buffer, 3 * PSI_BLOCK + 5)
+        for n_steps in (0, 1, PSI_BLOCK - 1, PSI_BLOCK, PSI_BLOCK + 1, 2 * PSI_BLOCK + 7, 3 * PSI_BLOCK):
+            history = _advance_psi(state.dyn, state.buffer, n_steps)
+            size = len(history.val)
+            assert np.array_equal(history.val, longest.val[:size]), (q, n_steps)
+            assert np.array_equal(history.der, longest.der[:size]), (q, n_steps)
+
+
+def _bundled_model(name):
+    cfg = load_config(bundled(name))
+    params = build_model(cfg)
+    eq = solve_equilibrium(params)
+    return cfg, params, eq, build_x0(cfg, params, eq)
+
+
+@pytest.mark.parametrize("name", ["fig2a.cfg", "fig3.cfg"])
+def test_psi_decays_to_rounding(name):
+    # with Q_0 = 0 there is no constant for psi to settle to: max |psi| on
+    # [28, 30] reads 3.7e-17 and 1.9e-15 (fig2a, fig3) at q = 1, and 7.6e-18
+    # and 6.4e-16 at q = 2, where RK4 on the delay equation floored at 6.0e-7
+    # and 1.2e-8
+    _, params, eq, x0 = _bundled_model(name)
+    for q in (1, 2):
+        state = init_delay_state(x0, eq, params, params.h / q)
+        history = _advance_psi(state.dyn, state.buffer, round(30.0 / state.dyn.dt))
+        assert np.max(np.abs(history.val[-state.dyn.n_hist - 1 :])) < 1e-12, q
+
+
+@pytest.mark.parametrize("name", ["fig2a.cfg", "fig3.cfg"])
+def test_recurrence_conserves_q(name):
+    # Q_n = sum_{j<N} T_j psi_{n-j} at every 50th node of [0, 30] stays within
+    # 1e-14 of sum_j T_j |psi0(-j dt)| of Q_0 (1.3e-15 at most, measured)
+    _, params, eq, x0 = _bundled_model(name)
+    for q in (1, 2):
+        state = init_delay_state(x0, eq, params, params.h / q)
+        n = state.dyn.n_hist
+        history = _advance_psi(state.dyn, state.buffer, round(30.0 / state.dyn.dt))
+        tail = state.dyn.conserved_weights()
+        newest = np.arange(n, len(history.val), 50)
+        q_n = np.array([tail @ history.val[m - n + 1 : m + 1][::-1] for m in newest])
+        scale = float(tail @ np.abs(history.val[n:0:-1]))
+        assert np.max(np.abs(q_n - q_n[0])) <= 1e-14 * scale, q
+
+
+def _kakeya_ratio(dyn):
+    """max_j T_{j+1} / T_j over the T_j > 0.
+
+    The recurrence's characteristic polynomial is (z - 1) sum_j T_j z^{N-1-j}.
+    The coefficients of the second factor are positive but for trailing zeros
+    (roots at z = 0), so by Enestrom-Kakeya every root other than z = 1 lies
+    in |z| <= this ratio; below one, the recurrence is stable.
+    """
+    tail = dyn.conserved_weights()
+    tail = tail[tail > 0]
+    return float(np.max(tail[1:] / tail[:-1]))
+
+
+def test_recurrence_is_stable_by_enestrom_kakeya():
+    for name in ("fig2a.cfg", "fig2b.cfg", "fig3.cfg", "const.cfg"):
+        cfg, params, eq, _ = _bundled_model(name)
+        assert _kakeya_ratio(_PsiDynamics.build(eq, params, cfg.dt)) < 1.0, name
+    for age_nodes, mu, k0, _ in SCREEN_KERNELS:
+        eq, params = motherhood_model(age_nodes, mu, k0)
+        dt = params.h / max(1, round(params.h / 0.005))  # the kernel screen's dt, as load_config snaps it
+        assert _kakeya_ratio(_PsiDynamics.build(eq, params, dt)) < 1.0, (age_nodes, mu, k0)
+    # fig2a: the bound, and the largest root but z = 1 from the companion matrix
+    _, params, eq, _ = _bundled_model("fig2a.cfg")
+    dyn = _PsiDynamics.build(eq, params, params.h)
+    bound = _kakeya_ratio(dyn)
+    assert bound == pytest.approx(0.99986877, abs=1e-8)
+    tail = dyn.conserved_weights()
+    radius = float(np.max(np.abs(np.roots(tail[tail > 0]))))
+    assert radius == pytest.approx(0.99066, abs=1e-5) and radius < bound
+
+
+def test_enestrom_kakeya_does_not_certify_a_kernel_with_a_gap():
+    # a kernel that is zero on [0.8, 1.2] leaves T_j flat there: ratio 1
+    a = np.linspace(0.0, 2.0, 401)
+    mk = lambda v: GridFunction(np.broadcast_to(v, a.shape).astype(float), 2.0)
+    k = 2.0 * a * (2.0 - a) * (np.abs(a - 1.0) > 0.2)
+    params = ModelParams(mu=mk(0.1), k=mk(k), p=mk(1.0), a_max=2.0, d_min=0.5, d_max=1.5)
+    eq = solve_equilibrium(params)
+    assert _kakeya_ratio(_PsiDynamics.build(eq, params, params.h)) == 1.0
 
 
 def _flat_history(buf, c):
@@ -229,7 +336,8 @@ def test_step_psi_constant_fixed_point(trial):
     c = 0.37
     flat = _flat_history(state.buffer, c)
     history = _advance_psi(state.dyn, flat, 200)
-    assert abs(history.val[-1] - c) < 1e-6
+    # the a_j sum to one, so a constant solves the recurrence
+    assert np.max(np.abs(history.val - c)) < 1e-14
     # the history it extends is left as it was
     assert len(flat.val) == len(state.buffer.val) and np.all(flat.val == c) and np.all(flat.der == 0.0)
 
@@ -238,6 +346,19 @@ def test_ide_identity_along_run(fig2a_runs):
     trace = fig2a_runs["oracle"]
     for t in (0.5, 1.0, 2.0):
         assert trace.ide_residual(t) < 1e-6
+
+
+def test_ide_identity_is_not_read_on_the_recurrence_rule(trial):
+    # the check's rule is four times finer than the buffer grid at every q, so
+    # it never reads the recurrence back: at t = 0.5 it reads 4.79e-7, 1.2e-7
+    # and 3.0e-8 at q = 1, 2 and 4, second order from psi's slope jump at
+    # t = 0; a rule four times finer than the age grid read 2.3e-13 at q = 4
+    eq, params, gains, x0, traj = (trial[k] for k in ("eq", "params", "gains", "x0", "traj"))
+    residuals = [
+        simulate_closed_loop(x0, traj, eq, gains, params, 1.0, params.h / q).ide_residual(0.5) for q in (1, 2, 4)
+    ]
+    assert residuals[0] < 1e-6 and residuals[2] > 1e-8
+    assert 3.5 < residuals[0] / residuals[1] < 4.5 and 3.5 < residuals[1] / residuals[2] < 4.5
 
 
 def test_delta_zero_history(trial):
@@ -420,19 +541,8 @@ def test_step_halving_convergence(trial):
 TRACE_FIELDS = ("eta", "delta", "z1", "z2", "d", "y", "log_error")
 
 
-@pytest.mark.parametrize(
-    "dt_of, forced",
-    [
-        (lambda h: h / 2, False),
-        (lambda h: h, False),
-        (lambda h: 2 * h, False),
-        (lambda h: 2.0 / 267, False),
-        (lambda h: h, True),
-    ],
-    ids=["h/2", "h", "2h", "2/267", "h-open-loop"],
-)
-def test_simulate_matches_hermite_reference(trial, dt_of, forced):
-    # dt = 2h reads past the newest node (extrapolated stages); 2/267 makes h/dt non-integer
+@pytest.mark.parametrize("case", [*DT_OF, "h-open-loop"])
+def test_simulate_matches_hermite_reference(trial, case):
     eq, params, gains, x0, traj = (
         trial["eq"],
         trial["params"],
@@ -440,9 +550,14 @@ def test_simulate_matches_hermite_reference(trial, dt_of, forced):
         trial["x0"],
         trial["traj"],
     )
-    dt = dt_of(params.h)
+    forced = case == "h-open-loop"
+    dt = params.h if forced else DT_OF[case](params.h)
     override = (lambda t: 1.0 + 0.2 * math.sin(3.0 * t)) if forced else None
     args = (x0, traj, eq, gains, params, 2.0, dt, (1.0, 2.0), override)
+    if case in REFUSED:
+        with pytest.raises(ValueError, match="^dt must divide the age step h"):
+            simulate_closed_loop(*args)
+        return
     trace = simulate_closed_loop(*args)
     ref = reference_closed_loop(*args)
     for name in TRACE_FIELDS:
@@ -466,7 +581,7 @@ def test_simulate_matches_hermite_reference_with_boundary_term(tmp_path):
     assert eq.k_tilde.values[-1] > 0.1
     traj = build_trajectory(cfg)
     args = (build_x0(cfg, params, eq), traj, eq, ControllerGains(cfg.gamma, cfg.l1, cfg.l2, cfg.z0), params)
-    for dt in (params.h, 2 * params.h):
+    for dt in (params.h, params.h / 2):
         trace = simulate_closed_loop(*args, 2.0, dt)
         ref = reference_closed_loop(*args, 2.0, dt)
         for name in TRACE_FIELDS:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agechemo import lyapunov
-from agechemo.delay import simulate_closed_loop
+from agechemo.config import build_model, load_config
+from agechemo.delay import init_delay_state, simulate_closed_loop
 from agechemo.controller import ControllerGains, ScalarLoop
 from agechemo.errors import AgeChemoError, B3Fail, InvalidTrajectory, NoFeasiblePair
 from agechemo.lyapunov import (
@@ -28,8 +29,9 @@ from agechemo.lyapunov import (
     verify_decay,
     window_norms,
 )
+from agechemo.model import solve_equilibrium
 from agechemo.trajectories import make_constant, make_periodic, make_ramp, validate
-from conftest import SCREEN_KERNELS, motherhood_model
+from conftest import SCREEN_KERNELS, bundled, motherhood_model
 from oracles import (
     eta_decay_violations,
     observer_iss_violations,
@@ -347,7 +349,11 @@ def test_clf_profile_and_history_forms_agree(trial, trial_cert):
     trace = simulate_closed_loop(x0, traj, eq, gains, params, params.h, params.h, (0.0,))
     _, vs = sample_clf(trace, trial_cert)
     z = (trace.z1[0], trace.z2[0])
-    v_prof, _ = reference_clf_profile(trace.snapshots[0.0], z, traj, eq, trial_cert, params, 0.0)
+
+    def route_pi(profile, eq, params):  # the output scale M the route splits x0 by
+        return init_delay_state(profile, eq, params, params.h).m
+
+    v_prof, _ = reference_clf_profile(trace.snapshots[0.0], z, traj, eq, trial_cert, params, 0.0, route_pi)
     assert vs[0] == pytest.approx(v_prof, rel=1e-8)
 
 
@@ -474,6 +480,19 @@ def test_history_decay_along_run(trial_cert, fig2a_runs):
     report = check_history_decay(fig2a_runs["oracle"], trial_cert.sigma)
     assert report.passed
     assert report.w0 > 0
+
+
+def test_fig3_history_decays_under_its_kernel_sigma(fig3_report):
+    # fig3's ramp leaves it without a certificate, so a run does not check its
+    # history; under the kernel's own sigma = 0.7371 it passes, the last
+    # window's W reading 2.58e-10 (RK4 on the delay equation floored at
+    # 1.45e-8 and failed the envelope)
+    eq = solve_equilibrium(build_model(load_config(bundled("fig3.cfg"))))
+    sigma = kernel_constants(eq.k_tilde).sigma
+    assert sigma == pytest.approx(0.7371, abs=1e-4)
+    trace = fig3_report.traces["oracle"]
+    assert check_history_decay(trace, sigma).passed
+    assert window_norms(trace, sigma)[0][-1] < 1e-9
 
 
 def test_history_checks_take_shared_window_norms(trial_cert, fig2a_runs):
