@@ -51,9 +51,9 @@ class HistoryBuffer(NamedTuple):
     """The finished psi history: (value, slope) pairs at t0 + i*dt.
 
     Built once (:func:`init_delay_state`, then :func:`_advance_psi`) and
-    never changed.  ``eval`` serves the reads made at arbitrary times
-    (snapshots, the windows of the Lyapunov readers, the renewal identity),
-    all within [t0, t_last].
+    never changed.  Snapshots and the Lyapunov readers' windows read ``val``
+    by index (:func:`_node_windows`); ``eval`` serves the one read that
+    falls between nodes, the renewal identity's, within [t0, t_last].
     """
 
     t0: float
@@ -219,9 +219,17 @@ def _delta_grid(dyn: _PsiDynamics, buf: HistoryBuffer) -> np.ndarray:
     return np.log(arg, out=arg)
 
 
-#: rows per block of :meth:`OracleTrace.windows`.  At 401 ages each
-#: temporary of ``HistoryBuffer.eval`` on a block is 26 kB and about a
-#: dozen are alive at once; 64-row blocks raised a long run's peak memory.
+def _node_windows(val: np.ndarray, n_hist: int, q: int) -> np.ndarray:
+    """Row k is psi at t_k - a_j over the age nodes a_j: a strided view of ``val``, no copy.
+
+    Trace node k at age node j is buffer index n_hist + k - q j.
+    """
+    return np.lib.stride_tricks.sliding_window_view(val, n_hist + 1)[:, ::-q]
+
+
+#: rows per block of :meth:`OracleTrace.windows`.  At 401 ages a block and
+#: each of the readers' temporaries on it (|block|, the decayed product,
+#: log1p) are 26 kB; 64-row blocks raised a long run's peak memory.
 WINDOW_BLOCK = 8
 
 
@@ -242,14 +250,13 @@ class OracleTrace:
     nodes: np.ndarray
     rule: tuple  # (ages, Simpson weights times kt) of the identity check's rule
 
-    def window(self, t: float) -> np.ndarray:
-        return self.buffer.eval(t - self.nodes)
-
     def windows(self, idx: np.ndarray):
-        """Yield (rows, block), WINDOW_BLOCK rows at a time: block[r] = window(t[idx[rows][r]])."""
+        """Yield (rows, block), WINDOW_BLOCK rows at a time: block[r] is the stored psi at t[idx[rows][r]] - nodes."""
+        n_hist = len(self.buffer.val) - len(self.t)
+        view = _node_windows(self.buffer.val, n_hist, n_hist // (len(self.nodes) - 1))
         for j in range(0, len(idx), WINDOW_BLOCK):
             rows = slice(j, j + WINDOW_BLOCK)
-            yield rows, self.buffer.eval(self.t[idx[rows], None] - self.nodes)
+            yield rows, view[idx[rows]]
 
     def ide_residual(self, t: float) -> float:
         """|psi(t) - int kt(a) psi(t - a) da| on a rule four times finer than the buffer grid.
@@ -298,11 +305,11 @@ def simulate_closed_loop(
     delta = dlt[0::2].copy()
     del dlt  # free the stage array before the snapshots are built
 
+    windows = _node_windows(history.val, state.dyn.n_hist, state.dyn.q)
     snapshots = {}
     for i, t_i in snapshot_steps(snapshot_times, t, dt).items():
         scale = float(y_ref[i]) * math.exp(eta[i])
-        window = history.eval(t_i - params.nodes)
-        snapshots[t_i] = GridFunction(eq.x_star.values * scale * (1.0 + window), params.a_max)
+        snapshots[t_i] = GridFunction(eq.x_star.values * scale * (1.0 + windows[i]), params.a_max)
 
     ages_f, kt_f, w_f = refined_rule(eq.k_tilde, 4 * state.dyn.q)
     return OracleTrace(

@@ -318,15 +318,10 @@ def build_certificate(
 # functional evaluation
 
 
-def sample_clf(
-    trace: OracleTrace, cert: Certificate, stride: int = 10, norms=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the history-form functional along an oracle trace.
-
-    norms: ``window_norms(trace, cert.sigma, stride)``, when already at hand.
-    """
+def sample_clf(trace: OracleTrace, cert: Certificate, stride: int = 10) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the history-form functional along an oracle trace."""
     idx = np.arange(0, len(trace.t), stride)
-    w_norms, floors = window_norms(trace, cert.sigma, stride) if norms is None else norms
+    w_norms, floors = window_norms(trace, cert.sigma, stride)
     eta = trace.eta[idx]
     e1 = trace.z1[idx] - eta
     e2 = trace.z2[idx] - cert.d_star
@@ -443,22 +438,16 @@ HISTORY_REL_TOL = 1e-3
 HISTORY_ABS_TOL_SCALE = 1e-5
 
 
-def check_history_decay(
-    trace: OracleTrace,
-    sigma: float,
-    stride: int = 10,
-    norms=None,
-) -> HistoryDecayReport:
+def check_history_decay(trace: OracleTrace, sigma: float, stride: int = 10) -> HistoryDecayReport:
     """Sliding-norm decay and floor monotonicity of the internal coordinate.
 
     The weighted history norm must decay pairwise at rate sigma and never
     increase; the floor functional 1 + min(0, min psi) must never decrease
     (that is what keeps the reconstruction positive).  Absolute tolerances
     are scaled to the initial norm: the trace resolves psi only down to its
-    integration floor.  norms: ``window_norms(trace, sigma, stride)``, when
-    already at hand.
+    integration floor.
     """
-    ws, cs = window_norms(trace, sigma, stride) if norms is None else norms
+    ws, cs = window_norms(trace, sigma, stride)
     ts = trace.t[::stride]
     abs_tol = HISTORY_ABS_TOL_SCALE * ws[0] + 1e-15
     w_monotone = bool(np.all(np.diff(ws) <= HISTORY_REL_TOL * ws[:-1] + abs_tol))

@@ -171,16 +171,15 @@ def _delay_route(cfg, eq, params, x0, traj, gains, stage, report):
         checks.append(("oracle_output_consistency", cons < 1e-8, gap))
     cert = report.certificate
     if cert is not None:
-        norms = lyapunov.window_norms(trace, cert.sigma)
-        hist = lyapunov.check_history_decay(trace, cert.sigma, norms=norms)
+        hist = lyapunov.check_history_decay(trace, cert.sigma)
         checks.append((
             "history_decay",
             hist.passed,
             "W0 %.3g, monotone %s, envelope %s, floor %s"
-            % (hist.w0, hist.w_monotone, hist.w_envelope, hist.c_monotone),
+            % (hist.w0, hist.w_monotone, hist.w_envelope, hist.c_monotone and hist.floor_positive),
         ))
         if report.validity.valid:
-            ts, vs = lyapunov.sample_clf(trace, cert, norms=norms)
+            ts, vs = lyapunov.sample_clf(trace, cert)
             if len(ts) < 3:
                 report.warnings.append(
                     "clf_decay not checked: %d CLF samples span fewer than two intervals" % len(ts)
@@ -190,9 +189,10 @@ def _delay_route(cfg, eq, params, x0, traj, gains, stage, report):
                 checks.append((
                     "clf_decay",
                     decay.passed,
-                    "%d violations / %d samples (slack %.3g)%s"
+                    "%d violations / %d samples (slack %.3g)%s%s"
                     % (decay.n_violations, decay.n_samples, decay.slack,
-                       "; %d non-finite" % decay.n_nonfinite if decay.n_nonfinite else ""),
+                       "; %d non-finite" % decay.n_nonfinite if decay.n_nonfinite else "",
+                       "" if decay.integrated_ok else "; integrated_ok False"),
                 ))
     return trace, checks
 

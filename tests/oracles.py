@@ -357,20 +357,18 @@ def reference_clf_profile(profile, z, traj, eq, cert, params, t, functional=pi_f
     return v, q
 
 
-def reference_sample_clf(trace, cert, stride=10, norms=None):
+def reference_sample_clf(trace, cert, stride=10):
     """The history-form functional along an oracle trace, one sample at a time.
 
     ``lyapunov.sample_clf`` as the per-sample loop it replaced, in the same
     arithmetic order.  An exception to this module's rule: it reads the
-    package's ``window_norms`` when ``norms`` is not given, so that it
-    checks only the functional's evaluation.
+    package's ``window_norms``, so that it checks only the functional's
+    evaluation.
     """
     from agechemo.lyapunov import window_norms
 
     idx = np.arange(0, len(trace.t), stride)
-    if norms is None:
-        norms = window_norms(trace, cert.sigma, stride)
-    w_norms, floors = (x.tolist() for x in norms)
+    w_norms, floors = (x.tolist() for x in window_norms(trace, cert.sigma, stride))
     vs = np.zeros(len(idx))
     for j, i in enumerate(idx):
         e1 = trace.z1[i] - trace.eta[i]

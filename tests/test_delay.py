@@ -19,6 +19,7 @@ from agechemo.errors import HistoryGap, InvalidIC
 from agechemo.galerkin import characteristic_roots
 from agechemo.grid import GridFunction
 from agechemo.model import ModelParams, solve_equilibrium
+from agechemo.scenario import run
 from agechemo.trajectories import make_constant
 from conftest import SCREEN_KERNELS, bundled, bundled_with, motherhood_model, small_config_text
 from oracles import (
@@ -396,14 +397,15 @@ def test_delta_log_domain_on_corrupted_history(trial):
 def test_delta_matches_direct_quadrature(trial, fig2a_runs):
     trace = fig2a_runs["oracle"]
     params, eq = trial["params"], trial["eq"]
-    window = trace.window(1.0)
+    i = int(round(1.0 / params.h))
+    ((_, block),) = trace.windows(np.array([i]))
+    window = block[0]
     n = len(window)
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     w *= params.h / 3.0
     expected = math.log(1.0 + float(w @ (eq.g.values * window)))
-    i = int(round(1.0 / params.h))
     assert trace.delta[i] == pytest.approx(expected, abs=1e-12)
 
 
@@ -589,13 +591,44 @@ def test_simulate_matches_hermite_reference_with_boundary_term(tmp_path):
         np.testing.assert_allclose(trace.buffer.node_values(), ref["psi"], rtol=0, atol=1e-12)
 
 
-def test_trace_windows_equal_window_bitwise(fig2a_runs):
-    trace = fig2a_runs["oracle"]
-    idx = np.arange(0, len(trace.t), 7)
-    covered = []
+def _stored_windows(trace, q, idx):
+    """The windows at trace nodes idx as explicit indices: node k at age node j is val[N + k - q j]."""
+    n_hist = q * (len(trace.nodes) - 1)
+    return trace.buffer.val[n_hist + idx[:, None] - q * np.arange(len(trace.nodes))]
+
+
+def test_trace_windows_equal_window_bitwise(fig2a_runs, const_setup, fig3_report):
+    # each row is the stored values, bit for bit; Hermite at the same times
+    # lands within rounding of them (2.2e-16 on fig2a and const, 1.3e-18 on
+    # fig3) but is exact on only a few rows
+    for trace in (fig2a_runs["oracle"], const_setup["trace"], fig3_report.traces["oracle"]):
+        idx = np.arange(0, len(trace.t), 7)
+        covered = []
+        for rows, block in trace.windows(idx):
+            assert 0 < len(block) <= WINDOW_BLOCK
+            assert np.array_equal(block, _stored_windows(trace, 1, idx[rows]))
+            hermite = trace.buffer.eval(trace.t[idx[rows], None] - trace.nodes)
+            assert np.max(np.abs(block - hermite)) <= 2.3e-16
+            covered.extend(range(len(idx))[rows])
+        assert covered == list(range(len(idx)))
+
+
+def test_fig2a_at_two_buffer_steps_per_age_step_reads_windows_at_stride_two(tmp_path):
+    # 201 nodes make h = 0.01, so the shipped dt = 0.005 is h/2: a window reads
+    # every other stored value, and the run's checks read as they did through Hermite
+    cfg = load_config(bundled_with(tmp_path, "fig2a.cfg", "age_nodes", "201"))
+    assert cfg.dt == 0.005
+    report = run(cfg)
+    trace = report.traces["oracle"]
+    idx = np.arange(len(trace.t))
     for rows, block in trace.windows(idx):
-        assert 0 < len(block) <= WINDOW_BLOCK
-        for i, row in zip(idx[rows], block, strict=True):
-            assert np.array_equal(row, trace.window(trace.t[i]))
-        covered.extend(range(len(idx))[rows])
-    assert covered == list(range(len(idx)))
+        assert np.array_equal(block, _stored_windows(trace, 2, idx[rows]))
+    assert report.render().split("[checks]\n")[1].split("\n\n")[0].splitlines() == [
+        "galerkin_positivity          PASS  min profile 0.147",
+        "oracle_ide_identity          PASS  max residual 4.79e-07",
+        "oracle_output_consistency    PASS  max gap < 1e-12",
+        "history_decay                PASS  W0 0.155, monotone True, envelope True, floor True",
+        "clf_decay                    PASS  0 violations / 240 samples (slack 15.8)",
+        "route_agreement              PASS  y gap 0.001696 (budget 0.05)",
+        "setpoint_reached             PASS  y(t_delta) = 3 vs 3 (rel 7.32e-10)",
+    ]

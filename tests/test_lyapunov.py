@@ -495,14 +495,6 @@ def test_fig3_history_decays_under_its_kernel_sigma(fig3_report):
     assert window_norms(trace, sigma)[0][-1] < 1e-9
 
 
-def test_history_checks_take_shared_window_norms(trial_cert, fig2a_runs):
-    trace, sigma = fig2a_runs["oracle"], trial_cert.sigma
-    norms = window_norms(trace, sigma)
-    assert check_history_decay(trace, sigma, norms=norms) == check_history_decay(trace, sigma)
-    shared, own = sample_clf(trace, trial_cert, norms=norms), sample_clf(trace, trial_cert)
-    assert all(np.array_equal(a, b) for a, b in zip(shared, own))
-
-
 @pytest.mark.parametrize("stride", [10, 20])
 @pytest.mark.parametrize("run", ["fig2a", "fig2a_half", "const", "const_half"])
 def test_sample_clf_equals_per_sample_loop_bitwise(trial_cert, fig2a_runs, const_setup, run, stride):

@@ -661,11 +661,31 @@ def test_clf_decay_check_can_fail(fig2a_cfg, monkeypatch):
         monkeypatch.setattr(lyapunov, "build_certificate", faster)
         return _checks(run(dataclasses.replace(fig2a_cfg, routes="oracle")))["clf_decay"]
 
+    # the integrated envelope still holds at 1000 times L and breaks by 3000
+    assert clf_decay(3000.0) == (False, "48 violations / 240 samples (slack 15.4); integrated_ok False")
     assert clf_decay(1000.0) == (False, "24 violations / 240 samples (slack 15.4)")
     # 100 times L still passes: the fallback second-difference slack (15.4,
     # against V0 of about 135) hides it; ROADMAP item 5 keeps the half-step
     # slack that would refute it
     assert clf_decay(100.0) == (True, "0 violations / 240 samples (slack 15.4)")
+
+
+def _oracle_checks_with(fig2a_cfg, monkeypatch, name, **fields):
+    """The oracle route's checks on fig2a with ``lyapunov.<name>``'s report given ``fields``."""
+    checker = getattr(lyapunov, name)
+    monkeypatch.setattr(lyapunov, name, lambda *a, **k: dataclasses.replace(checker(*a, **k), **fields))
+    return _checks(run(dataclasses.replace(fig2a_cfg, routes="oracle")))
+
+
+def test_history_decay_fail_names_a_nonpositive_floor(fig2a_cfg, monkeypatch):
+    # a floor that is monotone but not positive fails, and the detail says so
+    checks = _oracle_checks_with(fig2a_cfg, monkeypatch, "check_history_decay", floor_positive=False)
+    assert checks["history_decay"] == (False, "W0 0.154, monotone True, envelope True, floor False")
+
+
+def test_clf_decay_fail_names_a_broken_integrated_envelope(fig2a_cfg, monkeypatch):
+    checks = _oracle_checks_with(fig2a_cfg, monkeypatch, "verify_decay", integrated_ok=False)
+    assert checks["clf_decay"] == (False, "0 violations / 240 samples (slack 15.4); integrated_ok False")
 
 
 def test_unwritable_out_is_refused_before_any_route_runs(tmp_path, monkeypatch, capsys):
