@@ -145,15 +145,19 @@ def load_config(path: str | Path) -> ScenarioConfig:
     def getf(section: str, key: str) -> float:
         return _floats([get(section, key)], "[%s] %s" % (section, key))[0]
 
+    def getp(section: str, key: str) -> float:
+        value = getf(section, key)
+        if value <= 0:
+            raise ValidationError("[%s] %s: must be positive, got %g" % (section, key, value))
+        return value
+
     def geti(section: str, key: str) -> int:
         value = getf(section, key)
         if value != int(value):
             raise ValidationError("[%s] %s: not an integer" % (section, key))
         return int(value)
 
-    a_max = getf("model", "a_max")
-    if a_max <= 0:
-        raise ValidationError("[model] a_max: must be positive")
+    a_max = getp("model", "a_max")
     d_min, d_max = getf("model", "d_min"), getf("model", "d_max")
     if not 0 <= d_min < d_max:
         raise ValidationError("[model] d_min/d_max: need 0 <= d_min < d_max")
@@ -180,9 +184,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         )
     traj_params = {k: getf("trajectory", k) for k in needed}
 
-    gamma, l1, l2 = getf("controller", "gamma"), getf("controller", "l1"), getf("controller", "l2")
-    if min(gamma, l1, l2) <= 0:
-        raise ValidationError("[controller]: gamma, l1, l2 must be positive")
+    gamma, l1, l2 = getp("controller", "gamma"), getp("controller", "l1"), getp("controller", "l2")
     z0 = (getf("controller", "z01"), getf("controller", "z02"))
 
     n_modes = geti("numerics", "n_modes")
@@ -191,10 +193,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
     age_nodes = geti("numerics", "age_nodes")
     if age_nodes % 2 == 0 or age_nodes < 5:
         raise ValidationError("[numerics] age_nodes: must be odd and >= 5")
-    dt = getf("numerics", "dt")
-    t_final = getf("numerics", "t_final")
-    if dt <= 0 or t_final <= 0:
-        raise ValidationError("[numerics]: dt and t_final must be positive")
+    dt = getp("numerics", "dt")
+    t_final = getp("numerics", "t_final")
     h = a_max / (age_nodes - 1)
     dt = h / max(1, round(h / dt))  # snap to the age step over a whole number
     if round(t_final / dt) == 0:

@@ -17,7 +17,10 @@ Text. Each value gets a fixed row of 30 bytes: a sign, the ``0.000`` of
 ``e-XXX`` and the separator. The bytes a value does not use, trailing
 zeros included, are set to 0, and one compress of the rest yields the text.
 
-Fallback. ``"%.17g" % v`` itself formats zero, inf, nan, every |v| below
+Zero. A zero gets N = 0 and k = 0, whose text is the single digit ``0``;
+the sign is read from the sign bit, so -0.0 gives ``-0`` as ``%g`` does.
+
+Fallback. ``"%.17g" % v`` itself formats inf, nan, every nonzero |v| below
 1e-270 or from 1e16 up, and every value whose scaled fraction lies within
 1e-9 of one half, where the error bound cannot tell the rounding direction.
 """
@@ -100,7 +103,10 @@ def _select(mask, a, b):
 
 def _decimal(a):
     """For |v| = ``a``: (N, k, exact) with N the 17 significant digits as int64 and
-    k the decimal exponent, exact where the digits are certain; ``a`` is overwritten."""
+    k the decimal exponent, exact where the digits are certain; ``a`` is overwritten.
+
+    A zero gives N = 0 and k = 0, exact."""
+    zero = a == 0.0
     exact = (a >= _FAST_MIN) & (a < _FAST_MAX)
     a[~exact] = 1.0
     k = np.floor(np.log10(a)).astype(np.int64)
@@ -115,6 +121,11 @@ def _decimal(a):
     carry = n17 == _E17
     n17[carry] = _E16
     k += carry
+    # zeros by multiplication: a masked assignment's index arrays would move a writer's traced peak
+    exact |= zero
+    nonzero = np.logical_not(zero, out=zero)
+    n17 *= nonzero
+    k *= nonzero
     return n17, k, exact
 
 
@@ -178,7 +189,7 @@ def format_rows(block) -> bytes:
     if flat.size == 0:
         return b""
     n17, k, exact = _decimal(np.abs(flat))
-    text = _text(n17, k, flat < 0, v.shape[1]).T.copy()
+    text = _text(n17, k, np.signbit(flat), v.shape[1]).T.copy()
     slow = np.flatnonzero(~exact)
     if slow.size:
         texts = ["%.17g" % x for x in flat[slow].tolist()]

@@ -395,7 +395,13 @@ def _residual_map(basis: GalerkinBasis, a_matrix: np.ndarray, params: ModelParam
 
 @dataclass
 class GalerkinTrace:
-    """Per-step record of a modal-route run."""
+    """Per-step record of a modal-route run.
+
+    ``lam`` holds the weights at each node.  ``r`` is the L2 norm of the
+    transport defect ``lam @ B`` and ``profile_l2`` that of the profile
+    ``lam @ Phi``, both as the nodes' quadrature rule gives them; ``r`` is
+    declared relative to ``profile_l2`` by ``mean_relative_residual``.
+    """
 
     t: np.ndarray
     y_sim: np.ndarray
@@ -422,7 +428,7 @@ class GalerkinTrace:
 
 _LAM_OVERFLOW = 1e12
 #: rows per block of the stage propagation and of the diagnostics; at 401
-#: ages a block's profiles or residual nodes take 205 kB
+#: ages a block's profiles take 205 kB
 _BLOCK = 64
 
 
@@ -486,12 +492,16 @@ def simulate(
     up to quadrature.  mu is propagated exactly on the stage grid t_0,
     t_0 + dt/2, t_1, ...; delta = log(p^T mu) drives the shared scalar loop
     at output scale m = 1, so eta(0) = log(1 / y_ref(0)), and
-    lam = y_ref e^eta mu.  The diagnostics follow in blocks of rows.  As
-    y = y_ref e^eta p^T mu, the first stage with y <= 0 does not depend on
-    the input: NonPositiveOutput is raised there before the loop runs.  Past
-    the sweep's own checks, Instability is raised at the first node where a
-    weight is not finite or exceeds 1e12; a profile below zero is recorded
-    in ``min_profile``, not raised.
+    lam = y_ref e^eta mu.  The diagnostics follow in blocks of rows: the
+    profiles lam @ Phi give ``min_profile`` and the snapshots, and the norms
+    are quadratic forms in the weights, ||lam @ Phi||^2 = lam^T M lam with
+    the mass matrix M = (Phi w) Phi^T and r^2 = lam^T R lam with
+    R = (B w) B^T for the residual map B (``_residual_map``), each formed
+    once.  As y = y_ref e^eta p^T mu, the first stage with y <= 0 does not
+    depend on the input: NonPositiveOutput is raised there before the loop
+    runs.  Past the sweep's own checks, Instability is raised at the first
+    node where a weight is not finite or exceeds 1e12; a profile below zero
+    is recorded in ``min_profile``, not raised.
     """
     n, n_steps = len(system.lam), int(round(t_final / dt))
     a_mat = system.a_matrix
@@ -507,12 +517,14 @@ def simulate(
     ts, hist, d, y_ref, y_sim = loop.sweep(traj, dt, 1.0, gains.z0, np.log(y_free, out=y_free), d_override)
     del y_free  # only per-node arrays stay alive through the blocks
 
-    phi, w = basis.trial_matrix, params.weights
+    phi = basis.trial_matrix
     res_map = _residual_map(basis, a_mat, params)
-    min_profile, profile_l2, r = (np.empty(n_steps + 1) for _ in range(3))
+    grams = np.stack([system.m_matrix, (res_map * params.weights) @ res_map.T])
+    min_profile = np.empty(n_steps + 1)
+    norms = np.empty((2, n_steps + 1))  # lam^T M lam and lam^T R lam, then their roots
     snap = snapshot_steps(snapshot_times, ts, dt)
     snapshots = {}
-    buf = np.empty((_BLOCK, phi.shape[1]))  # holds a block's profiles, then its residual nodes
+    buf = np.empty((_BLOCK, phi.shape[1]))  # a block's profiles
     for lo in range(0, n_steps + 1, _BLOCK):
         hi = min(lo + _BLOCK, n_steps + 1)
         blk = lam[lo:hi]
@@ -524,11 +536,10 @@ def simulate(
             raise Instability("modal weights overflowed at t = %g" % ts[lo + int(np.argmax(over))])
         prof = np.matmul(blk, phi, out=buf[: hi - lo])
         min_profile[lo:hi] = prof.min(axis=1)
-        profile_l2[lo:hi] = np.sqrt(np.maximum(np.einsum("ij,ij,j->i", prof, prof, w), 0.0))
         for i in sorted(snap.keys() & range(lo, hi)):
             snapshots[snap[i]] = GridFunction(prof[i - lo].copy(), params.a_max)
-        r_nodes = np.matmul(blk, res_map, out=buf[: hi - lo])
-        r[lo:hi] = np.sqrt(np.maximum(np.einsum("ij,ij,j->i", r_nodes, r_nodes, w), 0.0))
+        np.einsum("kij,ij->ki", blk @ grams, blk, out=norms[:, lo:hi])
+    profile_l2, r = np.sqrt(np.maximum(norms, 0.0, out=norms), out=norms)
 
     return GalerkinTrace(
         t=ts, y_sim=y_sim, y_ref=y_ref, d=d, z1=hist[1], z2=hist[2], r=r,

@@ -212,6 +212,26 @@ def test_cli_non_finite_number_exits_3(tmp_path, capsys, old, new, key):
 
 
 @pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("gamma = 2.0", "gamma = 0", "[controller] gamma: must be positive, got 0"),
+        ("l1 = 4.0", "l1 = -1", "[controller] l1: must be positive, got -1"),
+        ("l2 = 8.0", "l2 = -0.5", "[controller] l2: must be positive, got -0.5"),
+        ("dt = 0.005", "dt = 0", "[numerics] dt: must be positive, got 0"),
+        ("t_final = 4.0", "t_final = -4", "[numerics] t_final: must be positive, got -4"),
+    ],
+    ids=["gamma", "l1", "l2", "dt", "t_final"],
+)
+def test_cli_non_positive_value_names_its_key(tmp_path, capsys, old, new, message):
+    # each positivity rule names the one key at fault, and the others pass
+    path = tmp_path / "bad.cfg"
+    path.write_text(small_config_text().replace(old, new))
+    for cmd in ("run", "verify", "roots"):
+        assert main([cmd, str(path)]) == 3
+        assert capsys.readouterr().err == "input error: %s\n" % message
+
+
+@pytest.mark.parametrize(
     "kind_block",
     [
         "kind = constant\nvalue = 0.0",

@@ -76,6 +76,8 @@ def test_format_rows_matches_per_value_text_on_a_seeded_sweep():
         (1e-99, "1e-99"),
         (1.2e-270, "1.2e-270"),  # just above 1e-270, where the fallback takes over
         (0.1, "0.10000000000000001"),
+        (0.0, "0"),
+        (-0.0, "-0"),  # the sign bit, not v < 0
     ],
 )
 def test_format_rows_at_the_form_switches(value, text):
@@ -94,3 +96,12 @@ def test_format_rows_fallback_alone_gives_the_same_bytes(monkeypatch):
 
 def test_format_rows_of_an_empty_block():
     assert format_rows(np.empty((0, 3))) == b""
+
+
+def test_zeros_take_the_numpy_path():
+    # psi decays to exactly 0, so a long trace's delta column is mostly zeros: none needs "%.17g" % v
+    n17, k, exact = csvtext._decimal(np.abs(np.array([0.0, -0.0, 0.0, 1.5])))
+    assert exact.all()
+    assert n17[:3].tolist() == [0, 0, 0] and k[:3].tolist() == [0, 0, 0]
+    block = np.array([[0.0, -0.0, 2.5], [-0.0, 0.0, -0.0]])
+    assert format_rows(block) == _per_value(block) == b"0,-0,2.5\n-0,0,-0\n"

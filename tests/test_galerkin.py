@@ -393,6 +393,41 @@ def _modal_setup(name, n_modes=None):
     return cfg, params, build_trajectory(cfg), gains, basis
 
 
+def _norm_gaps(trace, system, basis, params):
+    """Largest relative gaps of r and profile_l2 from the node quadrature of every row."""
+    w = params.weights
+    r_nodes = np.sqrt(((trace.lam @ _residual_map(basis, system.a_matrix, params)) ** 2) @ w)
+    l2_nodes = np.sqrt(((trace.lam @ basis.trial_matrix) ** 2) @ w)
+    return np.max(np.abs(trace.r / r_nodes - 1.0)), np.max(np.abs(trace.profile_l2 / l2_nodes - 1.0))
+
+
+def _bundled_trace(name):
+    cfg, params, traj, gains, basis = _modal_setup(name)
+    system = assemble(basis, params)
+    trace = simulate(system, basis, traj, gains, params, cfg.t_final, cfg.dt, cfg.snapshot_times)
+    return trace, system, basis, params
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig3", "const"])
+def test_norms_as_quadratic_forms_match_the_node_quadrature(name):
+    # r^2 = lam^T R lam and ||x||^2 = lam^T M lam agree with sqrt(w @ (lam @ B)^2)
+    # and sqrt(w @ (lam @ Phi)^2) on every row of the run
+    r_gap, l2_gap = _norm_gaps(*_bundled_trace(name))
+    assert r_gap <= 1e-13
+    assert l2_gap <= 1e-13
+
+
+def test_norm_check_fails_on_a_residual_map_without_its_mu_term(monkeypatch):
+    # negative control: R built from B - mu Phi moves r far past the bound
+    full_map = galerkin._residual_map
+    monkeypatch.setattr(
+        galerkin, "_residual_map", lambda basis, a, params: full_map(basis, a, params) - basis.trial_matrix * params.mu.values
+    )
+    r_gap, l2_gap = _norm_gaps(*_bundled_trace("fig2a"))
+    assert r_gap > 1e-3
+    assert l2_gap <= 1e-13
+
+
 def _assert_matches_reference(trace, ref, tol=1e-8):
     assert np.max(np.abs(trace.y_sim / ref["y_sim"] - 1.0)) < tol
     for key in ("d", "z1", "z2", "r", "min_profile", "profile_l2", "lam"):
