@@ -159,8 +159,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
     a_max = getp("model", "a_max")
     d_min, d_max = getf("model", "d_min"), getf("model", "d_max")
-    if not 0 <= d_min < d_max:
-        raise ValidationError("[model] d_min/d_max: need 0 <= d_min < d_max")
+    if d_min < 0:
+        raise ValidationError("[model] d_min: must be >= 0, got %g" % d_min)
+    if d_max <= d_min:
+        raise ValidationError("[model] d_max: must be > d_min = %g, got %g" % (d_min, d_max))
 
     mu_spec = _spec(get("model", "mu"), "[model] mu", {"constant": 1, "table": None})
     k_spec = _spec(

@@ -38,7 +38,9 @@ class ScalarLoop:
     input-free contribution, so the log error is eta + delta.  This class
     holds the one copy of the control law and the observer right-hand side
     (``rhs``) and of the closing (``sweep``): the RK4 step, eta(0) and the
-    checks of the reference at t = 0 and of the scalar state.
+    checks of the reference at t = 0 and of the scalar state.  In each input
+    regime one RK4 step is an affine map, read off ``rhs``; the closing runs
+    it over windows of steps by a prefix scan (see :meth:`_advance`).
     """
 
     gamma: float
@@ -74,17 +76,18 @@ class ScalarLoop:
         mism = z1 - log_error
         return self.d_star - rate - forced, z2 - rate - forced - self.l1 * mism, -self.l2 * mism, forced
 
-    def _block_map(self, dt: float, forced: bool) -> np.ndarray:
-        """SWEEP_BLOCK RK4 steps in one regime as one matrix, read off ``rhs`` on unit inputs.
+    def _step_map(self, dt: float, forced: bool) -> tuple:
+        """One RK4 step in one regime as one matrix, read off ``rhs`` on unit inputs.
 
         In a regime (the law inside the band, or ``forced``: D given) rhs
         is affine in x = (eta, z1, z2 - d_star) and in the stage inputs 1,
-        delta, rate and, if forced, D.  Columns: x at the block's start, then
-        each input's 2 B + 1 stage values.  Row c B + j is x_c after step j
-        less x_c at the start, row 3 B + i B + j the law at stage i of step
-        j.  The shift keeps the exact-tracking fixed point x = 0 at zero.
+        delta, rate and, if forced, D.  Columns of the (7, 3 + 3 nc) map: x,
+        then the nc inputs at the step's start, midpoint and end; rows: x's
+        increment, then the law at the four stages.  Also returns the scan's
+        powers R^(2^i) - I for 2^i < SWEEP_WINDOW.  The shift keeps the
+        exact-tracking fixed point x = 0 at zero.
         """
-        b, nc = SWEEP_BLOCK, 3 + forced
+        nc = 3 + forced
         lawful = replace(self, d_min=-math.inf, d_max=math.inf)
         free = replace(lawful, d_star=0.0)
 
@@ -100,21 +103,18 @@ class ScalarLoop:
         k3 = a @ (u + half * k2) + g[1, :3]
         k4 = a @ (u + dt * k3) + g[2, :3]
         stages = rows[3, :3] @ np.stack([u, u + half * k1, u + half * k2, u + dt * k3]) + g[[0, 1, 1, 2], 3]
-        step = np.vstack([dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), stages])
-        p = np.zeros((7, b, 3 + nc * (2 * b + 1)))
-        x = p[:3, 0].copy()  # kept apart from x at the start, so that no digits are lost
-        for j in range(b):
-            p[:, j] = step[:, :3] @ x
-            p[:3, j] += x
-            p[:, j, [0, 1, 2] + [3 + i * (2 * b + 1) + 2 * j + s for s in range(3) for i in range(nc)]] += step
-            x = p[:3, j]
-        return p.reshape(7 * b, -1)
+        p = np.vstack([dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), stages])
+        powers = [p[:3, :3]]
+        while 2 ** len(powers) < SWEEP_WINDOW:
+            powers.append(powers[-1] @ powers[-1] + 2 * powers[-1])
+        return p, powers
 
     def _advance(self, dt: float, u0: tuple, delta, rate, forced) -> tuple:
         """(hist, d) from u0.  A window of SWEEP_WINDOW steps from node k takes the input's
-        regime at k and is one product of its block map, kept up to the first step with a
-        stage outside the regime or a value that is not finite.  There the RK4 step on
-        Python floats through ``rhs`` takes over; it stops at a state that is not finite."""
+        regime at k and is one product of its step map with the window's stage inputs and
+        a prefix scan, kept up to the first step with a stage outside the regime or a
+        value that is not finite.  There the RK4 step on Python floats through ``rhs``
+        takes over; it stops at a state that is not finite."""
         n_steps = (len(delta) - 1) // 2
         hist, d = np.empty((3, n_steps + 1)), np.empty(n_steps + 1)
         hist[:, 0], rhs, half, sixth = u0, self.rhs, 0.5 * dt, dt / 6.0
@@ -134,12 +134,9 @@ class ScalarLoop:
                      q + sixth * (c1 + 2 * c2 + 2 * c3 + c4))
                 hist[:, j + 1] = u
 
-        b, w, k, maps, shift = SWEEP_BLOCK, SWEEP_WINDOW, 0, {}, np.array([0.0, 0.0, self.d_star])
+        w, k, maps, shift = SWEEP_WINDOW, 0, {}, np.array([0.0, 0.0, self.d_star])
         buf = np.ones((4, 2 * w + 1))  # 1, delta, rate and D at the window's stage times
-        blocks = np.empty((4, 2 * b + 1, w // b))
-        view = np.lib.stride_tricks.as_strided(buf, blocks.shape, buf.strides + (2 * b * buf.strides[1],))
-        steps = np.empty((7, w // b, b))  # x after each step less x at k, the law at its four stages
-        keep = b  # the fewest steps a window must keep before the next one
+        keep = SWEEP_KEEP  # the fewest steps a window must keep before the next one
         while k < n_steps:
             size = min(w, n_steps - k)
             seg, used = slice(2 * k, 2 * (k + size) + 1), 2 * size + 1
@@ -147,26 +144,25 @@ class ScalarLoop:
             dk = rhs(*hist[:, k].tolist(), float(rate[2 * k]), float(delta[2 * k]), f0)[3]
             regime = 3 if forced is not None else int(dk > self.d_min) + int(dk >= self.d_max)
             nc = 3 + (regime != 1)  # 0: at d_min, 1: the law, 2: at d_max, 3: imposed
-            maps[nc] = maps[nc] if nc in maps else self._block_map(dt, nc == 4)
+            maps[nc] = maps[nc] if nc in maps else self._step_map(dt, nc == 4)
             buf[1:3, :used] = delta[seg], rate[seg]
             buf[3, :used] = dk if forced is None else forced[seg]
             buf[1:, used:] = 0.0
-            np.copyto(blocks, view)
-            y = _window(maps[nc], hist[:, k] - shift, blocks[:nc].reshape(-1, w // b))
-            np.copyto(steps, y.reshape(7, b, -1).transpose(0, 2, 1))
-            x, law = steps[:3].reshape(3, w)[:, :size], steps[3:].reshape(4, w)[:, :size]
-            finite = np.isfinite(steps.reshape(7, w)[:, :size]).all(axis=0)
+            inputs = np.concatenate([buf[:nc, s : s + 2 * w : 2] for s in range(3)])
+            y = _window(*maps[nc], hist[:, k] - shift, inputs)[:, :size]
+            x, law = y[:3], y[3:]  # x after each step less x at k, the law at its four stages
+            finite = np.isfinite(y).all(axis=0)
             ok = finite & ((np.where(law >= self.d_max, 2, law > self.d_min) == regime).all(axis=0) | (regime == 3))
             n_ok = size if ok.all() else int(np.argmin(ok))
             np.add(hist[:, k, None], x[:, :n_ok], out=hist[:, k + 1 : k + 1 + n_ok])
             d[k : k + n_ok] = law[0, :n_ok] if regime == 1 else buf[3, : 2 * n_ok : 2]
             if n_ok == size:
-                k, keep = k + size, b
+                k, keep = k + size, SWEEP_KEEP
                 continue
             # a switch: its step, or float steps to ``keep`` (doubled) if the window kept
             # fewer, so that chattering costs about the stepwise loop; not finite: the window
             stop = k + (max(n_ok + 1, min(keep, size) if n_ok < keep else 0) if finite[n_ok] else size)
-            keep = min(2 * keep, w) if n_ok < keep else b
+            keep = min(2 * keep, w) if n_ok < keep else SWEEP_KEEP
             stepwise(k + n_ok, stop)
             if not np.isfinite(hist[:, stop]).all():
                 return hist, d  # the caller names the first node that is not finite
@@ -216,20 +212,17 @@ class ScalarLoop:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a window that overflows is stepped again
-def _window(p: np.ndarray, x: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Block map ``p``'s rows for a window from x, a column of ``inputs`` per block; the
-    block starts follow by a prefix scan, one product by R^(2^i) per round."""
-    b = SWEEP_BLOCK
+def _window(p: np.ndarray, powers: list, x: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Step map ``p``'s rows for a window from x, a column of ``inputs`` per step; the
+    step starts follow by a prefix scan, one product by R^(2^i) (``powers``) per round."""
     out = p[:, 3:] @ inputs
-    r = p[b - 1 : 3 * b : b, :3]  # R^B - I
     starts = np.zeros((3, inputs.shape[1]))  # less x
-    starts[:, 1:] = out[b - 1 : 3 * b : b, :-1] + (r @ x)[:, None]
-    lag = 1
-    while lag < starts.shape[1]:
+    starts[:, 1:] = out[:3, :-1] + (powers[0] @ x)[:, None]
+    for i, r in enumerate(powers):
+        lag = 2**i
         starts[:, lag:] += starts[:, :-lag] + r @ starts[:, :-lag]
-        r, lag = r @ r + 2 * r, 2 * lag
     out += p[:, :3] @ (starts + x[:, None])
-    out.reshape(7, b, -1)[:3] += starts[:, None]
+    out[:3] += starts
     return out
 
 
@@ -243,6 +236,6 @@ def snapshot_steps(times, t: np.ndarray, dt: float) -> dict:
     return {i: float(t[i]) for i in sorted(steps)}
 
 
-#: RK4 steps per block map of :meth:`ScalarLoop.sweep`, and steps per window
-#: (a multiple): one product of a block map and one regime check each
-SWEEP_BLOCK, SWEEP_WINDOW = 8, 512
+#: RK4 steps per window of :meth:`ScalarLoop.sweep` (one product of a step map and
+#: one regime check each), and the fewest steps below which a window counts as short
+SWEEP_WINDOW, SWEEP_KEEP = 512, 8

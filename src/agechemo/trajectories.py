@@ -37,10 +37,15 @@ class ValidityReport:
     t_crit: Optional[float]
 
 
+def _require(ok: bool, key: str, value: float, rule: str = "positive"):
+    if not ok:
+        raise NonPositive("%s: must be %s, got %g" % (key, rule, value))
+
+
 def make_ramp(y4: float, y1: float) -> Trajectory:
     """y(t) = y4 + y1 t with monotonically decreasing rate y1 / y(t)."""
-    if y4 <= 0 or y1 < 0:
-        raise NonPositive("ramp needs y4 > 0 and y1 >= 0")
+    _require(y4 > 0, "y4", y4)
+    _require(y1 >= 0, "y1", y1, ">= 0")
 
     def ev(t):
         return y4 + y1 * np.asarray(t, dtype=float)
@@ -53,10 +58,9 @@ def make_ramp(y4: float, y1: float) -> Trajectory:
 
 def make_periodic(y2: float, y3: float, omega: float) -> Trajectory:
     """y(t) = y2 + y3 sin(w t + sin(w t)); positive iff y2 > y3."""
-    if y2 <= y3 or y3 < 0:
-        raise NonPositive("periodic needs y2 > y3 >= 0")
-    if omega <= 0:
-        raise NonPositive("periodic needs omega > 0")
+    _require(y3 >= 0, "y3", y3, ">= 0")
+    _require(y2 > y3, "y2", y2, "> y3 = %g" % y3)
+    _require(omega > 0, "omega", omega)
 
     def ev(t):
         t = np.asarray(t, dtype=float)
@@ -76,8 +80,9 @@ def make_transition(y0: float, y_delta: float, t_delta: float) -> Trajectory:
     The blend coefficients make the curve twice continuously differentiable
     at both endpoints.
     """
-    if y0 <= 0 or y_delta <= 0 or t_delta <= 0:
-        raise NonPositive("transition needs y0, y_delta, t_delta > 0")
+    _require(y0 > 0, "y0", y0)
+    _require(y_delta > 0, "y_delta", y_delta)
+    _require(t_delta > 0, "t_delta", t_delta)
     g1, g2, g3 = BLEND
 
     def ev(t):
@@ -96,8 +101,7 @@ def make_transition(y0: float, y_delta: float, t_delta: float) -> Trajectory:
 
 
 def make_constant(value: float) -> Trajectory:
-    if value <= 0:
-        raise NonPositive("constant trajectory needs a positive value")
+    _require(value > 0, "value", value)
 
     def ev(t):
         return np.full_like(np.asarray(t, dtype=float), value) if np.ndim(t) else value

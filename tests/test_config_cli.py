@@ -219,11 +219,15 @@ def test_cli_non_finite_number_exits_3(tmp_path, capsys, old, new, key):
         ("l2 = 8.0", "l2 = -0.5", "[controller] l2: must be positive, got -0.5"),
         ("dt = 0.005", "dt = 0", "[numerics] dt: must be positive, got 0"),
         ("t_final = 4.0", "t_final = -4", "[numerics] t_final: must be positive, got -4"),
+        ("d_min = 0.5", "d_min = -0.1", "[model] d_min: must be >= 0, got -0.1"),
+        ("d_max = 1.5", "d_max = 0.4", "[model] d_max: must be > d_min = 0.5, got 0.4"),
+        ("d_max = 1.5", "d_max = 0.5", "[model] d_max: must be > d_min = 0.5, got 0.5"),
     ],
-    ids=["gamma", "l1", "l2", "dt", "t_final"],
+    ids=["gamma", "l1", "l2", "dt", "t_final", "d_min", "d_max", "d_max-equal"],
 )
 def test_cli_non_positive_value_names_its_key(tmp_path, capsys, old, new, message):
-    # each positivity rule names the one key at fault, and the others pass
+    # each positivity rule, and each bound of the input band, names the one key
+    # at fault, and the others pass
     path = tmp_path / "bad.cfg"
     path.write_text(small_config_text().replace(old, new))
     for cmd in ("run", "verify", "roots"):
@@ -232,23 +236,30 @@ def test_cli_non_positive_value_names_its_key(tmp_path, capsys, old, new, messag
 
 
 @pytest.mark.parametrize(
-    "kind_block",
+    "kind_block, message",
     [
-        "kind = constant\nvalue = 0.0",
-        "kind = ramp\ny4 = -0.3\ny1 = 0.75",
-        "kind = periodic\ny2 = 0.5\ny3 = 0.6\nomega = 1.0",
-        "kind = periodic\ny2 = 0.79\ny3 = 0.625\nomega = 0.0",
-        "kind = transition\ny0 = 1.0\ny_delta = 3.0\nt_delta = 0.0",
+        ("kind = constant\nvalue = 0.0", "value: must be positive, got 0"),
+        ("kind = ramp\ny4 = -0.3\ny1 = 0.75", "y4: must be positive, got -0.3"),
+        ("kind = periodic\ny2 = 0.5\ny3 = 0.6\nomega = 1.0", "y2: must be > y3 = 0.6, got 0.5"),
+        ("kind = periodic\ny2 = 0.79\ny3 = 0.625\nomega = 0.0", "omega: must be positive, got 0"),
+        ("kind = transition\ny0 = 1.0\ny_delta = 3.0\nt_delta = 0.0", "t_delta: must be positive, got 0"),
+        ("kind = ramp\ny4 = 0.3\ny1 = -0.75", "y1: must be >= 0, got -0.75"),
+        ("kind = periodic\ny2 = 0.5\ny3 = -0.1\nomega = 1.0", "y3: must be >= 0, got -0.1"),
+        ("kind = transition\ny0 = -1\ny_delta = 3.0\nt_delta = 2.0", "y0: must be positive, got -1"),
+        ("kind = transition\ny0 = 1.0\ny_delta = 0\nt_delta = 2.0", "y_delta: must be positive, got 0"),
     ],
-    ids=["constant-value", "ramp-y4", "periodic-y2-y3", "periodic-omega", "transition-t_delta"],
+    ids=[
+        "constant-value", "ramp-y4", "periodic-y2-y3", "periodic-omega", "transition-t_delta",
+        "ramp-y1", "periodic-y3", "transition-y0", "transition-y_delta",
+    ],
 )
-def test_cli_malformed_reference_exits_3(tmp_path, capsys, kind_block):
-    # the grammar accepts these; the reference's constructor rejects them
+def test_cli_malformed_reference_exits_3(tmp_path, capsys, kind_block, message):
+    # the grammar accepts these; the reference's constructor rejects them, naming the key
     path = tmp_path / "bad.cfg"
     path.write_text(small_config_text(kind_block=kind_block))
     for cmd in ("run", "verify"):
         assert main([cmd, str(path)]) == 3
-        assert capsys.readouterr().err.startswith("input error: [trajectory]")
+        assert capsys.readouterr().err == "input error: [trajectory] %s\n" % message
     assert main(["roots", str(path)]) == 0  # roots does not read the reference
 
 
