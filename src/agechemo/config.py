@@ -256,15 +256,10 @@ def build_model(cfg: ScenarioConfig) -> ModelParams:
     nodes = np.linspace(0.0, cfg.a_max, n)
     mu = _table_or_form(cfg.mu_spec, n, "[model] mu")
     p = _table_or_form(cfg.p_spec, n, "[model] p")
-    k_prime = None
     if cfg.k_spec[0] == "quadratic-motherhood":
-        k0 = cfg.k_spec[1]
-        k = k0 * nodes * (cfg.a_max - nodes)
-        k_prime = k0 * (cfg.a_max - 2.0 * nodes)
+        k = cfg.k_spec[1] * nodes * (cfg.a_max - nodes)
     else:
         k = _table_or_form(cfg.k_spec, n, "[model] k")
-        if cfg.k_spec[0] == "constant":
-            k_prime = np.zeros(n)
     mk = lambda v: GridFunction(v, cfg.a_max)
     try:
         return ModelParams(
@@ -274,7 +269,6 @@ def build_model(cfg: ScenarioConfig) -> ModelParams:
             a_max=cfg.a_max,
             d_min=cfg.d_min,
             d_max=cfg.d_max,
-            k_prime=mk(k_prime) if k_prime is not None else None,
         )
     except ValueError as exc:  # the message names the offending key
         raise ValidationError("[model] %s" % exc) from exc

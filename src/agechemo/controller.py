@@ -24,8 +24,9 @@ class ControllerGains:
     z0: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.l1 <= 0 or self.l2 <= 0:
-            raise ValueError("gamma, l1, l2 must be positive")
+        for key in ("gamma", "l1", "l2"):
+            if not getattr(self, key) > 0:
+                raise ValueError("%s: must be positive, got %g" % (key, getattr(self, key)))
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,8 @@ class ScalarLoop:
     d_max: float
 
     def __post_init__(self):
-        if self.d_min >= self.d_max:
-            raise ValueError("saturation interval needs lo < hi")
+        if not self.d_max > self.d_min:
+            raise ValueError("d_max: must be > d_min = %g, got %g" % (self.d_min, self.d_max))
 
     @staticmethod
     def of(gains: ControllerGains, d_star=0.0, d_min=-math.inf, d_max=math.inf) -> "ScalarLoop":

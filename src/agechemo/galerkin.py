@@ -348,10 +348,9 @@ def build_basis(
 
 @dataclass
 class GalerkinSystem:
-    """Modal system: mass/stiffness matrices, output vector, initial weights."""
+    """Modal system: mass matrix, output vector, initial weights, flow matrix M^-1 N."""
 
     m_matrix: np.ndarray
-    n_matrix: np.ndarray
     p_vector: np.ndarray
     lam: np.ndarray
     a_matrix: np.ndarray = field(repr=False)
@@ -376,7 +375,6 @@ def assemble(basis: GalerkinBasis, params: ModelParams) -> GalerkinSystem:
     lam0[0] = 1.0
     return GalerkinSystem(
         m_matrix=m,
-        n_matrix=n_mat,
         p_vector=p_vec,
         lam=lam0,
         a_matrix=np.linalg.solve(m, n_mat),

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateShape, InvalidIC, NoRoot
-from .grid import GridFunction, cumtrapz, simpson_weights
+from .grid import GridFunction, cumtrapz, fd4, simpson_weights
 
 #: |x0(0) - <k, x0>| tolerance, relative to max|x0|.  Exact equality is the
 #: mathematical requirement; floating point needs a band.
@@ -23,12 +23,7 @@ _D_UPPER_CAP = 1e6
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Plant parameters on a shared uniform age grid.
-
-    ``k_prime`` optionally carries the analytic derivative of the birth
-    modulus at the nodes (set by the config loader for named closed forms);
-    consumers fall back to grid differentiation when it is None.
-    """
+    """Plant parameters on a shared uniform age grid; a ``ValueError`` names the field at fault."""
 
     mu: GridFunction
     k: GridFunction
@@ -36,7 +31,6 @@ class ModelParams:
     a_max: float
     d_min: float
     d_max: float
-    k_prime: GridFunction | None = None
     cum_mu: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -48,8 +42,10 @@ class ModelParams:
                 raise ValueError("%s must be nonnegative" % name)
         if self.k.integral() <= 0 or self.p.integral() <= 0:
             raise ValueError("k and p must not be identically zero")
-        if not (0 <= self.d_min < self.d_max):
-            raise ValueError("need 0 <= d_min < d_max")
+        if not self.d_min >= 0:
+            raise ValueError("d_min: must be >= 0, got %g" % self.d_min)
+        if not self.d_max > self.d_min:
+            raise ValueError("d_max: must be > d_min = %g, got %g" % (self.d_min, self.d_max))
         # cumulative mortality, precomputed once and reused by every module
         object.__setattr__(self, "cum_mu", cumtrapz(self.mu.values, self.mu.h))
 
@@ -101,7 +97,9 @@ def solve_equilibrium(params: ModelParams) -> Equilibrium:
 
     Bracket by doubling, bisect to 1e-6, polish with Newton to ~1e-12.
     Raises NoRoot when the residual at d = 0 is already negative (the birth
-    kernel cannot sustain the population at any nonnegative dilution).
+    kernel cannot sustain the population at any nonnegative dilution).  The
+    slope k' in k_tilde_prime is :func:`grid.fd4`'s, exact for polynomials
+    of degree <= 4 such as the named k forms.
     """
     r0 = lotka_sharpe_residual(0.0, params)
     if r0 < -1e-12:  # roundoff band: a pre-calibrated kernel may land at -eps
@@ -129,12 +127,7 @@ def solve_equilibrium(params: ModelParams) -> Equilibrium:
     norm = float(w @ (params.p.values * survival))
     x_star = survival / norm
     k_tilde = params.k.values * survival
-    if params.k_prime is not None:
-        kp = params.k_prime.values
-    else:
-        from .grid import fd4
-
-        kp = fd4(params.k.values, params.h)
+    kp = fd4(params.k.values, params.h)
     k_tilde_prime = (kp - (d + params.mu.values) * params.k.values) * survival
     mk = lambda v: GridFunction(v, params.a_max)
     return Equilibrium(

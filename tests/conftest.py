@@ -48,7 +48,6 @@ def motherhood_model(n, mu, k0):
         a_max=a_max,
         d_min=0.5,
         d_max=1.5,
-        k_prime=mk(k0 * (a_max - 2.0 * a)),
     )
     return solve_equilibrium(params), params
 

@@ -5,7 +5,7 @@ scanning directly on closed-form integrands so that package results are
 checked against a code path that shares nothing with src/agechemo.
 ``pi_weight``, ``pi_functional``, ``reference_closed_loop``,
 ``reference_advance_psi``, ``reference_galerkin_loop``,
-``reference_contraction_value`` and ``reference_sample_clf`` are the
+``reference_contraction_parts`` and ``reference_sample_clf`` are the
 exceptions; their docstrings say why.
 """
 import math
@@ -380,21 +380,25 @@ def reference_sample_clf(trace, cert, stride=10):
     return trace.t[idx], vs
 
 
-def reference_contraction_value(k_tilde, lam, sigma=0.0):
-    """The contraction integral with every kernel quantity rebuilt per call.
+def reference_contraction_parts(k_tilde):
+    """(kt, tail, Simpson weights, mean age) of the contraction integral, rebuilt per call.
 
     An exception to this module's rule: it reuses the package's
-    ``cumquad4`` and ``simpson_weights``, so that it checks the searches'
-    shared per-kernel set-up against the per-value computation it
-    replaced, in the same arithmetic order.
+    ``cumquad4`` and ``simpson_weights``, so that ``kernel_constants``'s
+    values are checked bitwise against the same integral taken in the same
+    arithmetic order.
     """
     from agechemo.grid import cumquad4, simpson_weights
 
     kt = k_tilde.values
     prefix = cumquad4(kt, k_tilde.h)
-    tail = prefix[-1] - prefix
     w = simpson_weights(k_tilde.n, k_tilde.h)
-    mean_age = float(w @ (k_tilde.nodes * kt))
+    return kt, prefix[-1] - prefix, w, float(w @ (k_tilde.nodes * kt))
+
+
+def reference_contraction_value(k_tilde, lam, sigma=0.0):
+    """int_0^A e^{sigma a} |kt - lam tail / mean_age| da on the grid, from ``reference_contraction_parts``."""
+    kt, tail, w, mean_age = reference_contraction_parts(k_tilde)
     integrand = np.abs(kt - lam * tail / mean_age)
     weight = np.exp(sigma * k_tilde.nodes) if sigma else 1.0
     return float(w @ (weight * integrand))

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 from agechemo import galerkin
 from agechemo.cli import main
 from agechemo.config import _SCHEMA, build_model, build_trajectory, build_x0, load_config
+from agechemo.controller import ControllerGains, ScalarLoop
 from agechemo.errors import ParseError, ValidationError
-from agechemo.lyapunov import overshoot_floor
+from agechemo.lyapunov import observer_quadratic, overshoot_floor
 from agechemo.model import solve_equilibrium
 from agechemo.scenario import prepare, run
 from agechemo.trajectories import KINDS
@@ -233,6 +234,31 @@ def test_cli_non_positive_value_names_its_key(tmp_path, capsys, old, new, messag
     for cmd in ("run", "verify", "roots"):
         assert main([cmd, str(path)]) == 3
         assert capsys.readouterr().err == "input error: %s\n" % message
+
+
+def _fig2a_model_with_band(d_min, d_max):
+    return dataclasses.replace(build_model(load_config(bundled("fig2a.cfg"))), d_min=d_min, d_max=d_max)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ControllerGains(0.0, 4.0, 8.0), "gamma: must be positive, got 0"),
+        (lambda: ControllerGains(2.0, -1.0, 8.0), "l1: must be positive, got -1"),
+        (lambda: ControllerGains(2.0, 4.0, -8.0), "l2: must be positive, got -8"),
+        (lambda: _fig2a_model_with_band(-0.1, 1.5), "d_min: must be >= 0, got -0.1"),
+        (lambda: _fig2a_model_with_band(0.5, 0.4), "d_max: must be > d_min = 0.5, got 0.4"),
+        (lambda: ScalarLoop(2.0, 4.0, 8.0, 0.0, 1.0, 1.0), "d_max: must be > d_min = 1, got 1"),
+        (lambda: observer_quadratic(0.0, 8.0), "l1: must be positive, got 0"),
+        (lambda: observer_quadratic(4.0, -2.0), "l2: must be positive, got -2"),
+    ],
+    ids=["gains-gamma", "gains-l1", "gains-l2", "model-d_min", "model-d_max", "loop-d_max", "oq-l1", "oq-l2"],
+)
+def test_library_constructors_name_the_key(make, message):
+    # a library caller that bypasses load_config still gets the key and the value
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -483,14 +509,32 @@ def test_cli_help_exits_0(capsys):
         assert code == 0 and out.startswith("usage: agechemo")
 
 
+def _fresh_python(code: str, *args: str) -> str:
+    """Stdout of ``python -c code args`` in a new interpreter that imports this tree's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    return done.stdout
+
+
 def test_cli_import_loads_no_process_pool():
     # run() forks with os and pickle, which the interpreter loads at start-up
     # anyway; a process pool would add its import to every CLI call
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, agechemo.cli; print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout == "[]\n"
+    assert _fresh_python(code) == "[]\n"
+
+
+def test_cli_verify_loads_no_random_generator():
+    # the saturation check's triples are a Kronecker sequence: verify imports
+    # numpy.random only where importing numpy does (numpy 1.x)
+    code = (
+        "import sys, numpy; before = 'numpy.random' in sys.modules; from agechemo.cli import main; "
+        "status = main(['verify', sys.argv[1]]); print(status, before, 'numpy.random' in sys.modules)"
+    )
+    status, before, after = _fresh_python(code, str(bundled("fig2a.cfg"))).splitlines()[-1].split()
+    assert status == "0" and after == before
 
 
 def test_cli_repeated_calls_agree(tmp_path, capsys):

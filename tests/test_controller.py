@@ -309,5 +309,5 @@ def test_sweep_starts_eta_at_the_output_scale_and_stops_at_the_first_non_finite_
 
 
 def test_scalar_loop_checks_bounds_once_built(trial):
-    with pytest.raises(ValueError, match="lo < hi"):
+    with pytest.raises(ValueError, match="^d_max: must be > d_min = 1.5, got 0.5$"):
         ScalarLoop.of(trial["gains"], d_min=1.5, d_max=0.5)

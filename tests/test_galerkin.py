@@ -222,7 +222,7 @@ def test_assemble_single_constant_trial():
     basis = GalerkinBasis(trial_matrix=np.ones((1, n)), derivative_matrix=np.zeros((1, n)))
     system = assemble(basis, params)
     assert system.m_matrix == pytest.approx(np.array([[1.0]]), abs=1e-12)
-    assert system.n_matrix == pytest.approx(np.array([[0.0]]), abs=1e-12)
+    assert system.a_matrix == pytest.approx(np.array([[0.0]]), abs=1e-12)
 
 
 def test_assemble_mass_matrix_symmetric(trial, trial_basis):
@@ -231,11 +231,12 @@ def test_assemble_mass_matrix_symmetric(trial, trial_basis):
 
 
 def test_equilibrium_column_identity(trial, trial_basis):
-    # the steady state sits in the span: N e2 = d* M e2 exactly on the grid
+    # the steady state sits in the span: N e2 = d* M e2 exactly on the grid,
+    # read through the flow matrix A = M^-1 N as M A e2 = d* M e2
     system = assemble(trial_basis, trial["params"])
     e2 = np.zeros(6)
     e2[1] = 1.0
-    gap = system.n_matrix @ e2 - trial["eq"].d_star * (system.m_matrix @ e2)
+    gap = system.m_matrix @ (system.a_matrix @ e2) - trial["eq"].d_star * (system.m_matrix @ e2)
     assert np.max(np.abs(gap)) < 1e-12
 
 

@@ -14,7 +14,6 @@ from agechemo.controller import ControllerGains, ScalarLoop
 from agechemo.errors import AgeChemoError, B3Fail, InvalidTrajectory, NoFeasiblePair
 from agechemo.lyapunov import (
     Certificate,
-    _Contraction,
     build_certificate,
     check_envelope,
     check_history_decay,
@@ -37,6 +36,7 @@ from oracles import (
     observer_iss_violations,
     reference_b3_search,
     reference_clf_profile,
+    reference_contraction_parts,
     reference_contraction_value,
     reference_sample_clf,
     reference_sigma_search,
@@ -45,8 +45,7 @@ from oracles import (
 
 def test_b3_boundary_value(trial):
     # lambda = 0 reduces to the kernel normalization, exactly one
-    contraction = _Contraction(trial["eq"].k_tilde)
-    assert contraction.weighted(contraction.integrand(0.0), 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert reference_contraction_value(trial["eq"].k_tilde, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_b3_search_trial_kernel(trial):
@@ -54,8 +53,7 @@ def test_b3_search_trial_kernel(trial):
     assert value < 1.0
     # independent dense scan over the same integrand
     grid = np.linspace(0.0, 3.0, 3001)
-    contraction = _Contraction(trial["eq"].k_tilde)
-    dense = min(contraction.weighted(contraction.integrand(g), 0.0) for g in grid)
+    dense = min(reference_contraction_value(trial["eq"].k_tilde, g) for g in grid)
     assert value <= dense + 1e-9
 
 
@@ -77,17 +75,15 @@ def test_sigma_bracketing(trial, trial_cert):
     lam = trial_cert.lambda_b3
     sigma = kernel_constants(kt).sigma
     assert sigma > 0
-    contraction = _Contraction(kt)
-    assert contraction.weighted(contraction.integrand(lam), sigma) < 1.0
-    assert contraction.weighted(contraction.integrand(lam), sigma + 1e-4) > 1.0
+    assert reference_contraction_value(kt, lam, sigma) < 1.0
+    assert reference_contraction_value(kt, lam, sigma + 1e-4) > 1.0
 
 
 def test_sigma_integrand_monotone(trial, trial_cert):
     kt = trial["eq"].k_tilde
     lam = trial_cert.lambda_b3
     sigmas = np.linspace(0, 2, 21)
-    contraction = _Contraction(kt)
-    vals = [contraction.weighted(contraction.integrand(lam), s) for s in sigmas]
+    vals = [reference_contraction_value(kt, lam, s) for s in sigmas]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -103,20 +99,12 @@ def trial_kernel(request, trial):
     return solve_equilibrium(build_model(cfg)).k_tilde
 
 
-def test_contraction_value_matches_per_call_reference(trial_kernel):
-    contraction = _Contraction(trial_kernel)
-    for lam, sigma in ((0.0, 0.0), (0.7, 0.0), (0.7, 1.3), (12.0, 0.25)):
-        assert contraction.weighted(contraction.integrand(lam), sigma) == reference_contraction_value(
-            trial_kernel, lam, sigma
-        )
-
-
 def _check_median_and_bisection(k_tilde):
     """kernel_constants against brute force over the breakpoints and the reference searches."""
     sigma, lam, value = kernel_constants(k_tilde)
-    contraction = _Contraction(k_tilde)
-    c = contraction.tail / contraction.mean_age
-    breakpoints = contraction.kt[c > 0] / c[c > 0]
+    kt, tail, _, mean_age = reference_contraction_parts(k_tilde)
+    c = tail / mean_age
+    breakpoints = kt[c > 0] / c[c > 0]
     assert lam in breakpoints
     # the integral is piecewise linear between breakpoints, so its least
     # value over them is its minimum, and lambda_b3 attains it
@@ -128,7 +116,7 @@ def _check_median_and_bisection(k_tilde):
         assert reference_contraction_value(k_tilde, moved) > value
     # the bisection's weighting at sigma = 0 is the minimum compared with
     # one, so sigma = 0 needs no second check
-    assert contraction.weighted(contraction.integrand(lam), 0.0) == value
+    assert reference_contraction_value(k_tilde, lam) == value
 
 
 def test_searches_match_reference_driven_searches(trial_kernel):
@@ -413,31 +401,38 @@ def test_saturation_fact_randomized():
     assert report.n_violations == 0
 
 
-class _ShortFirstNormal:
-    """A generator whose first normal draw comes back one sample short."""
+def test_saturation_triples_do_not_follow_the_block_size(monkeypatch):
+    # triple k is a function of k alone: blocks of 7 draw the triples and
+    # give the report that blocks of 4,096 give
+    n = 3 * lyapunov.FACT_BLOCK + 5
+    draw = lyapunov.saturation_triples
+    runs = []
+    for block in (lyapunov.FACT_BLOCK, 7):
+        drawn = []
 
-    def __init__(self, rng):
-        self.rng, self.short = rng, True
+        def recorded(lo, hi):
+            drawn.append(draw(lo, hi))
+            return drawn[-1]
 
-    def normal(self, *args):
-        out = self.rng.normal(*args)
-        if self.short:
-            self.short = False
-            return out[:-1]
-        return out
-
-    def uniform(self, *args):
-        return self.rng.uniform(*args)
+        monkeypatch.setattr(lyapunov, "FACT_BLOCK", block)
+        monkeypatch.setattr(lyapunov, "saturation_triples", recorded)
+        runs.append((saturation_fact_check.__wrapped__(n), np.concatenate(drawn, axis=1)))
+    (whole, triples), (small, small_triples) = runs
+    assert small == whole and whole.n_samples == n
+    assert np.array_equal(small_triples, triples) and np.array_equal(triples, draw(0, n))
 
 
-def test_saturation_fact_check_counts_samples_tested(monkeypatch):
-    n = 2 * lyapunov.FACT_BLOCK + 100
-    assert saturation_fact_check.__wrapped__(n).n_samples == n
-    make_rng = np.random.default_rng
-    monkeypatch.setattr(lyapunov.np.random, "default_rng", lambda seed: _ShortFirstNormal(make_rng(seed)))
-    report = saturation_fact_check.__wrapped__(n)
-    assert report.n_samples == n - 1
-    assert report.n_violations == 0
+def test_saturation_fact_check_fails_a_false_inequality():
+    # negative control: the check's first 100,000 triples reach both clamps
+    # and both signs of z, and without the 1/(1+|z|) factor the inequality
+    # fails on some of them
+    z, a, b = lyapunov.saturation_triples(0, 100_000)
+    assert (z < -a).any() and (z > b).any() and (z < 0).any() and (z > 0).any()
+    assert z.min() >= -50.0 and z.max() <= 50.0
+    assert min(a.min(), b.min()) >= 1e-3 and max(a.max(), b.max()) <= 1e3
+    lhs = z * np.minimum(b, np.maximum(-a, z))
+    assert saturation_fact_check().n_violations == 0
+    assert np.sum(np.minimum(1.0, np.minimum(a, b)) * z * z - lhs > 1e-12 * np.maximum(1.0, z * z)) > 0
 
 
 def test_saturation_fact_check_draws_in_blocks():

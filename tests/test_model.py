@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from agechemo.config import build_x0, load_config
+from agechemo.config import build_model, build_x0, load_config
 from agechemo.delay import init_delay_state
 from agechemo.errors import DegenerateShape, InvalidIC, NoRoot, ValidationError
 from agechemo.galerkin import build_basis
-from agechemo.grid import GridFunction
+from agechemo.grid import GridFunction, fd4
 from agechemo.model import (
     ModelParams,
     calibrate_birth_modulus,
@@ -69,6 +71,20 @@ def test_equilibrium_steady_pde(trial):
     defect = (v[2:] - v[:-2]) / (2 * params.h) + (params.mu.values[1:-1] + eq.d_star) * v[1:-1]
     scale = float(np.max(trial["eq"].x_star.values))
     assert np.max(np.abs(defect)) < 1e-4 * scale
+
+
+@pytest.mark.parametrize("n", [201, 401, 801])
+@pytest.mark.parametrize("k_spec", [("quadratic-motherhood", K0), ("constant", 1.2)], ids=lambda spec: spec[0])
+def test_kernel_slope_on_the_grid_is_the_closed_form(trial, k_spec, n):
+    # fd4 is exact for polynomials of degree <= 4, so the named k forms need
+    # no analytic slope: k' and k_tilde' match their closed forms to rounding
+    params = build_model(dataclasses.replace(trial["cfg"], age_nodes=n, k_spec=k_spec))
+    eq = solve_equilibrium(params)
+    slope = K0 * (params.a_max - 2.0 * params.nodes) if k_spec[0] == "quadratic-motherhood" else np.zeros(n)
+    kt_prime = (slope - (eq.d_star + params.mu.values) * params.k.values) * params.survival(eq.d_star)
+    scale = np.max(np.abs(kt_prime))  # the constant form's k' is zero
+    assert np.max(np.abs(fd4(params.k.values, params.h) - slope)) <= 1e-12 * scale
+    assert np.max(np.abs(eq.k_tilde_prime.values - kt_prime)) <= 1e-12 * scale
 
 
 def test_precalibrated_kernel_gives_zero_dilution(trial):
