@@ -453,8 +453,9 @@ def _propagate(prop: np.ndarray, lam0: np.ndarray, p_vec: np.ndarray, n_stages: 
     """p^T mu_s for mu_s = prop^s lam0, s < n_stages, with mu_2k written to mu_nodes[k].
 
     The first block of stages comes from repeated products, each later one
-    is the previous one times prop^_BLOCK.  The result ends at the first
-    stage with p^T mu_s <= 0, if there is one.
+    is the previous one times prop^_BLOCK; every block takes its full product
+    with p, so a shorter run's outputs are a longer one's bit for bit.  The
+    result ends at the first stage with p^T mu_s <= 0, if there is one.
     """
     blk = np.empty((_BLOCK, len(lam0)))
     blk[0] = lam0
@@ -465,7 +466,7 @@ def _propagate(prop: np.ndarray, lam0: np.ndarray, p_vec: np.ndarray, n_stages: 
     for lo in range(0, n_stages, _BLOCK):
         blk = blk @ jump if lo else blk
         y = y_free[lo : lo + _BLOCK]
-        np.dot(blk[: len(y)], p_vec, out=y)
+        y[:] = (blk @ p_vec)[: len(y)]
         mu_nodes[lo // 2 : lo // 2 + (len(y) + 1) // 2] = blk[: len(y) : 2]
         if y.min() <= 0:
             return y_free[: lo + int(np.argmax(y <= 0)) + 1]

@@ -26,14 +26,6 @@ def simpson(values: np.ndarray, h: float) -> float:
     return float(simpson_weights(len(values), h) @ np.asarray(values, dtype=float))
 
 
-def cumtrapz(values: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative trapezoid integral, zero at the first node."""
-    v = np.asarray(values, dtype=float)
-    out = np.zeros_like(v)
-    out[1:] = np.cumsum(0.5 * h * (v[1:] + v[:-1]))
-    return out
-
-
 # One-interval integration weights of the cubic through four consecutive
 # nodes: interior intervals use the centered stencil, the first/last use
 # one-sided stencils (mirrored).
@@ -42,11 +34,11 @@ _CUM4_FIRST = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
 
 
 def cumquad4(values: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order cumulative integral on a uniform grid, zero at node 0."""
+    """Fourth-order cumulative integral on a uniform grid, zero at node 0; needs >= 4 nodes."""
     v = np.asarray(values, dtype=float)
     n = len(v)
     if n < 4:
-        return cumtrapz(v, h)
+        raise ValueError("cumquad4 needs >= 4 nodes, got %d" % n)
     inc = np.empty(n - 1)
     inc[0] = _CUM4_FIRST @ v[:4]
     inc[-1] = _CUM4_FIRST @ v[-1:-5:-1]

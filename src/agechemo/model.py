@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateShape, InvalidIC, NoRoot
-from .grid import GridFunction, cumtrapz, fd4, simpson_weights
+from .grid import GridFunction, cumquad4, fd4, simpson_weights
 
 #: |x0(0) - <k, x0>| tolerance, relative to max|x0|.  Exact equality is the
 #: mathematical requirement; floating point needs a band.
@@ -23,7 +23,7 @@ _D_UPPER_CAP = 1e6
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Plant parameters on a shared uniform age grid; a ``ValueError`` names the field at fault."""
+    """Plant parameters on one uniform age grid (odd node count >= 5); a ``ValueError`` names the field at fault."""
 
     mu: GridFunction
     k: GridFunction
@@ -34,20 +34,24 @@ class ModelParams:
     cum_mu: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n = self.mu.n
+        if n < 5 or n % 2 == 0:
+            raise ValueError("mu: must have an odd node count >= 5, got %d" % n)
         for name in ("mu", "k", "p"):
             gf: GridFunction = getattr(self, name)
-            if gf.a_max != self.a_max or gf.n != self.mu.n:
-                raise ValueError("%s grid does not match a_max=%g" % (name, self.a_max))
-            if np.any(gf.values < 0):
-                raise ValueError("%s must be nonnegative" % name)
-        if self.k.integral() <= 0 or self.p.integral() <= 0:
-            raise ValueError("k and p must not be identically zero")
+            if gf.a_max != self.a_max or gf.n != n:
+                lims = (name, n, self.a_max, gf.n, gf.a_max)
+                raise ValueError("%s: must be %d nodes on a_max = %g, got %d on %g" % lims)
+            if not np.all(gf.values >= 0):  # NaN fails too
+                raise ValueError("%s: must be nonnegative, got %g" % (name, gf.values.min()))
+            if name != "mu" and gf.integral() <= 0:
+                raise ValueError("%s: must not be identically zero" % name)
         if not self.d_min >= 0:
             raise ValueError("d_min: must be >= 0, got %g" % self.d_min)
         if not self.d_max > self.d_min:
             raise ValueError("d_max: must be > d_min = %g, got %g" % (self.d_min, self.d_max))
-        # cumulative mortality, precomputed once and reused by every module
-        object.__setattr__(self, "cum_mu", cumtrapz(self.mu.values, self.mu.h))
+        # cumulative mortality (fourth order), precomputed once and reused by every module
+        object.__setattr__(self, "cum_mu", cumquad4(self.mu.values, self.mu.h))
 
     @property
     def nodes(self) -> np.ndarray:
@@ -87,43 +91,31 @@ def lotka_sharpe_residual(d: float, params: ModelParams) -> float:
     return float(w @ (params.k.values * params.survival(d))) - 1.0
 
 
-def _residual_slope(d: float, params: ModelParams) -> float:
-    w = params.weights
-    return float(w @ (-params.nodes * params.k.values * params.survival(d)))
-
-
 def solve_equilibrium(params: ModelParams) -> Equilibrium:
     """Solve the renewal condition for d_star and build the equilibrium kernels.
 
-    Bracket by doubling, bisect to 1e-6, polish with Newton to ~1e-12.
-    Raises NoRoot when the residual at d = 0 is already negative (the birth
-    kernel cannot sustain the population at any nonnegative dilution).  The
-    slope k' in k_tilde_prime is :func:`grid.fd4`'s, exact for polynomials
-    of degree <= 4 such as the named k forms.
+    The residual R(d) = sum_j w_j k_j exp(-d a_j - int_0^a_j mu) - 1 is a sum
+    of decreasing exponentials with weights w_j k_j >= 0, so it is convex and
+    decreasing, and Newton's method from d = 0 rises monotonically to the
+    root.  Each iterate takes R and its slope from one survival exponential,
+    until R < 1e-14 or rounding stops the rise.  Raises NoRoot if R(0) <
+    -1e-12 (no nonnegative dilution sustains the population) or if the next
+    iterate would pass d = 1e6 (R stays positive, as when (h/3) k(0) > 1).
+    The slope k' in k_tilde_prime is :func:`grid.fd4`'s, exact for the named k forms.
     """
-    r0 = lotka_sharpe_residual(0.0, params)
-    if r0 < -1e-12:  # roundoff band: a pre-calibrated kernel may land at -eps
-        raise NoRoot("residual(0) = %g < 0; no equilibrium dilution rate" % r0)
-    d_hi = 1.0
-    while lotka_sharpe_residual(d_hi, params) > 0:
-        d_hi *= 2.0
-        if d_hi > _D_UPPER_CAP:
-            raise NoRoot("no sign change below d = %g" % _D_UPPER_CAP)
-    lo, hi = 0.0, d_hi
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if lotka_sharpe_residual(mid, params) > 0:
-            lo = mid
-        else:
-            hi = mid
-    d = 0.5 * (lo + hi)
-    for _ in range(60):
-        r = lotka_sharpe_residual(d, params)
-        if abs(r) < 1e-14:
+    w, d = params.weights, 0.0
+    while True:
+        ks = params.k.values * params.survival(d)
+        r = float(w @ ks) - 1.0
+        if d == 0.0 and r < -1e-12:  # roundoff band: a pre-calibrated kernel may land at -eps
+            raise NoRoot("residual(0) = %g < 0; no equilibrium dilution rate" % r)
+        slope = float(w @ (params.nodes * ks))  # -R'(d) >= 0
+        if not r < slope * (_D_UPPER_CAP - d):  # a flat R (slope 0) included
+            raise NoRoot("no root below d = %g" % _D_UPPER_CAP)
+        if r < 1e-14 or d + r / slope == d:
             break
-        d -= r / _residual_slope(d, params)
+        d += r / slope
     survival = params.survival(d)
-    w = params.weights
     norm = float(w @ (params.p.values * survival))
     x_star = survival / norm
     k_tilde = params.k.values * survival

@@ -22,7 +22,7 @@ import numpy as np
 from . import delay, galerkin, lyapunov
 from .config import ScenarioConfig, build_model, build_trajectory, build_x0
 from .controller import ControllerGains
-from .errors import AgeChemoError, GridMismatch, ValidationError
+from .errors import AgeChemoError, B3Fail, GridMismatch, ValidationError
 from .model import solve_equilibrium
 from .trajectories import validate
 
@@ -170,30 +170,34 @@ def _delay_route(cfg, eq, params, x0, traj, gains, stage, report):
         gap = "max gap < 1e-12" if cons < 1e-12 else "max gap %.3g" % cons
         checks.append(("oracle_output_consistency", cons < 1e-8, gap))
     cert = report.certificate
-    if cert is not None:
-        hist = lyapunov.check_history_decay(trace, cert.sigma)
+    try:  # history_decay needs only sigma, the kernel part, which holds wherever B3 does
+        sigma = cert.sigma if cert is not None else lyapunov.kernel_constants(eq.k_tilde).sigma
+    except B3Fail:
+        sigma = None
+    if sigma is not None:
+        hist = lyapunov.check_history_decay(trace, sigma)
         checks.append((
             "history_decay",
             hist.passed,
             "W0 %.3g, monotone %s, envelope %s, floor %s"
             % (hist.w0, hist.w_monotone, hist.w_envelope, hist.c_monotone and hist.floor_positive),
         ))
-        if report.validity.valid:
-            ts, vs = lyapunov.sample_clf(trace, cert)
-            if len(ts) < 3:
-                report.warnings.append(
-                    "clf_decay not checked: %d CLF samples span fewer than two intervals" % len(ts)
-                )
-            else:
-                decay = lyapunov.verify_decay(ts, vs, cert.l_rate)
-                checks.append((
-                    "clf_decay",
-                    decay.passed,
-                    "%d violations / %d samples (slack %.3g)%s%s"
-                    % (decay.n_violations, decay.n_samples, decay.slack,
-                       "; %d non-finite" % decay.n_nonfinite if decay.n_nonfinite else "",
-                       "" if decay.integrated_ok else "; integrated_ok False"),
-                ))
+    if cert is not None and report.validity.valid:
+        ts, vs = lyapunov.sample_clf(trace, cert)
+        if len(ts) < 3:
+            report.warnings.append(
+                "clf_decay not checked: %d CLF samples span fewer than two intervals" % len(ts)
+            )
+        else:
+            decay = lyapunov.verify_decay(ts, vs, cert.l_rate)
+            checks.append((
+                "clf_decay",
+                decay.passed,
+                "%d violations / %d samples (slack %.3g)%s%s"
+                % (decay.n_violations, decay.n_samples, decay.slack,
+                   "; %d non-finite" % decay.n_nonfinite if decay.n_nonfinite else "",
+                   "" if decay.integrated_ok else "; integrated_ok False"),
+            ))
     return trace, checks
 
 

@@ -21,7 +21,8 @@ from agechemo.config import _SCHEMA, build_model, build_trajectory, build_x0, lo
 from agechemo.controller import ControllerGains, ScalarLoop
 from agechemo.errors import ParseError, ValidationError
 from agechemo.lyapunov import observer_quadratic, overshoot_floor
-from agechemo.model import solve_equilibrium
+from agechemo.grid import GridFunction
+from agechemo.model import ModelParams, solve_equilibrium
 from agechemo.scenario import prepare, run
 from agechemo.trajectories import KINDS
 from conftest import bundled, bundled_with, small_config_text
@@ -182,7 +183,8 @@ def test_cli_roots_prints_certified_box(capsys):
     ],
 )
 def test_cli_model_value_error_exits_3(tmp_path, capsys, old, new, key):
-    # the grammar accepts these; ModelParams rejects them
+    # the grammar accepts these; ModelParams rejects them (the exact messages
+    # are test_cli_non_positive_value_names_its_key's)
     path = tmp_path / "bad.cfg"
     path.write_text(small_config_text().replace(old, new))
     for cmd in ("run", "verify", "roots"):
@@ -223,12 +225,15 @@ def test_cli_non_finite_number_exits_3(tmp_path, capsys, old, new, key):
         ("d_min = 0.5", "d_min = -0.1", "[model] d_min: must be >= 0, got -0.1"),
         ("d_max = 1.5", "d_max = 0.4", "[model] d_max: must be > d_min = 0.5, got 0.4"),
         ("d_max = 1.5", "d_max = 0.5", "[model] d_max: must be > d_min = 0.5, got 0.5"),
+        ("mu = constant 0.1", "mu = constant -0.1", "[model] mu: must be nonnegative, got -0.1"),
+        ("k = quadratic-motherhood 2.00", "k = constant 0.0", "[model] k: must not be identically zero"),
+        ("p = constant 1.0", "p = constant 0.0", "[model] p: must not be identically zero"),
     ],
-    ids=["gamma", "l1", "l2", "dt", "t_final", "d_min", "d_max", "d_max-equal"],
+    ids=["gamma", "l1", "l2", "dt", "t_final", "d_min", "d_max", "d_max-equal", "mu", "k", "p"],
 )
 def test_cli_non_positive_value_names_its_key(tmp_path, capsys, old, new, message):
-    # each positivity rule, and each bound of the input band, names the one key
-    # at fault, and the others pass
+    # each positivity rule, each bound of the input band and each rule on the
+    # model's grids names the one key at fault, and the others pass
     path = tmp_path / "bad.cfg"
     path.write_text(small_config_text().replace(old, new))
     for cmd in ("run", "verify", "roots"):
@@ -240,6 +245,13 @@ def _fig2a_model_with_band(d_min, d_max):
     return dataclasses.replace(build_model(load_config(bundled("fig2a.cfg"))), d_min=d_min, d_max=d_max)
 
 
+def _unit_model(mu_values, k_nodes=None, a_max=2.0):
+    grid = lambda v: GridFunction(np.asarray(v, dtype=float), 2.0)
+    ones = np.ones(len(mu_values))
+    k = grid(ones if k_nodes is None else np.ones(k_nodes))
+    return ModelParams(mu=grid(mu_values), k=k, p=grid(ones), a_max=a_max, d_min=0.0, d_max=2.0)
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -248,11 +260,20 @@ def _fig2a_model_with_band(d_min, d_max):
         (lambda: ControllerGains(2.0, 4.0, -8.0), "l2: must be positive, got -8"),
         (lambda: _fig2a_model_with_band(-0.1, 1.5), "d_min: must be >= 0, got -0.1"),
         (lambda: _fig2a_model_with_band(0.5, 0.4), "d_max: must be > d_min = 0.5, got 0.4"),
+        (lambda: _unit_model([0.1, 0.1, 0.1]), "mu: must have an odd node count >= 5, got 3"),
+        (lambda: _unit_model([0.1] * 6), "mu: must have an odd node count >= 5, got 6"),
+        (lambda: _unit_model([0.1, -0.1, 0.2, -0.3, 0.1]), "mu: must be nonnegative, got -0.3"),
+        (lambda: _unit_model([0.1, float("nan"), 0.2, 0.3, 0.1]), "mu: must be nonnegative, got nan"),
+        (lambda: _unit_model([0.1] * 5, k_nodes=7), "k: must be 5 nodes on a_max = 2, got 7 on 2"),
+        (lambda: _unit_model([0.1] * 5, a_max=3.0), "mu: must be 5 nodes on a_max = 3, got 5 on 2"),
         (lambda: ScalarLoop(2.0, 4.0, 8.0, 0.0, 1.0, 1.0), "d_max: must be > d_min = 1, got 1"),
         (lambda: observer_quadratic(0.0, 8.0), "l1: must be positive, got 0"),
         (lambda: observer_quadratic(4.0, -2.0), "l2: must be positive, got -2"),
     ],
-    ids=["gains-gamma", "gains-l1", "gains-l2", "model-d_min", "model-d_max", "loop-d_max", "oq-l1", "oq-l2"],
+    ids=[
+        "gains-gamma", "gains-l1", "gains-l2", "model-d_min", "model-d_max", "model-3-nodes", "model-6-nodes",
+        "model-mu", "model-mu-nan", "model-k-grid", "model-a_max", "loop-d_max", "oq-l1", "oq-l2",
+    ],
 )
 def test_library_constructors_name_the_key(make, message):
     # a library caller that bypasses load_config still gets the key and the value

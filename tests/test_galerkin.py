@@ -462,6 +462,25 @@ def test_simulate_matches_rk4_reference_open_loop():
     assert np.array_equal(trace.d, 0.9 + 0.3 * np.sin(2.0 * trace.t))
 
 
+def test_input_free_outputs_of_every_horizon_are_a_prefix(trial, trial_basis):
+    # each block takes the full product with p, the last one too, so a run's
+    # y_free is the first stages of any longer run's, bit for bit; a one-stage
+    # last block (n_steps a multiple of 32) used to round on its own
+    params, dt = trial["params"], trial["cfg"].dt
+    n_steps = int(round(trial["cfg"].t_final / dt))
+    system = assemble(trial_basis, params)
+    a_mat = system.a_matrix
+    prop = galerkin._expm((a_mat - a_mat[1, 1] * np.eye(len(a_mat))) * (0.5 * dt))
+
+    def y_free(n):
+        return galerkin._propagate(prop, system.lam, system.p_vector, 2 * n + 1, np.empty((n + 1, len(a_mat))))
+
+    full = y_free(n_steps)
+    assert len(full) == 2 * n_steps + 1 == 4801
+    bad = [n for n in range(1, n_steps + 1) if not np.array_equal(y_free(n), full[: 2 * n + 1])]
+    assert bad == []
+
+
 def _failure(call):
     with pytest.raises(AgeChemoError) as info:
         call()

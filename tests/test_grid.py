@@ -4,7 +4,6 @@ import pytest
 from agechemo.grid import (
     GridFunction,
     cumquad4,
-    cumtrapz,
     fd4,
     hermite_eval,
     hermite_resample,
@@ -26,10 +25,11 @@ def test_simpson_requires_odd_count():
         simpson_weights(10, 0.1)
 
 
-def test_cumtrapz_linear_exact():
-    x = np.linspace(0, 1, 51)
-    out = cumtrapz(2 * x, x[1] - x[0])
-    assert np.allclose(out, x**2, atol=1e-14)
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_cumquad4_needs_four_nodes(n):
+    # no lower-order fallback: a cubic through four nodes is the rule's stencil
+    with pytest.raises(ValueError, match="^cumquad4 needs >= 4 nodes, got %d$" % n):
+        cumquad4(np.ones(n), 0.1)
 
 
 def test_cumquad4_fourth_order():

@@ -478,10 +478,10 @@ def test_history_decay_along_run(trial_cert, fig2a_runs):
 
 
 def test_fig3_history_decays_under_its_kernel_sigma(fig3_report):
-    # fig3's ramp leaves it without a certificate, so a run does not check its
-    # history; under the kernel's own sigma = 0.7371 it passes, the last
-    # window's W reading 2.58e-10 (RK4 on the delay equation floored at
-    # 1.45e-8 and failed the envelope)
+    # fig3's ramp leaves it without a certificate, so a run checks its history
+    # under the kernel's own sigma = 0.7371; it passes, the last window's W
+    # reading 2.58e-10 (RK4 on the delay equation floored at 1.45e-8 and
+    # failed the envelope)
     eq = solve_equilibrium(build_model(load_config(bundled("fig3.cfg"))))
     sigma = kernel_constants(eq.k_tilde).sigma
     assert sigma == pytest.approx(0.7371, abs=1e-4)

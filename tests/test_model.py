@@ -16,7 +16,7 @@ from agechemo.model import (
     lotka_sharpe_residual,
     solve_equilibrium,
 )
-from conftest import bundled_with
+from conftest import bundled, bundled_with, motherhood_model
 from oracles import K0, MU, lotka_sharpe_highres, simpson_highres
 
 
@@ -114,8 +114,55 @@ def test_no_root_when_kernel_too_weak(trial):
         d_min=params.d_min,
         d_max=params.d_max,
     )
-    with pytest.raises(NoRoot):
+    with pytest.raises(NoRoot, match=r"^residual\(0\) = -0\.99\d+ < 0; no equilibrium dilution rate$"):
         solve_equilibrium(weak)
+
+
+def test_no_root_when_the_residual_stays_positive():
+    # the node at age zero keeps (h/3) k(0) - 1 = 2/3 in the residual at any d,
+    # so the Newton iterates climb past the cap
+    params = build_model(load_config(bundled("fig2a.cfg")))
+    strong = dataclasses.replace(params, k=params.k.with_values(np.full(params.mu.n, 1000.0)))
+    assert lotka_sharpe_residual(1e6, strong) == pytest.approx(2.0 / 3.0, rel=1e-14)
+    with pytest.raises(NoRoot, match=r"^no root below d = 1e\+06$"):
+        solve_equilibrium(strong)
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig3", "const", "k0=1e5"])
+def test_root_residual_is_below_1e14(name):
+    if name == "k0=1e5":
+        eq, params = motherhood_model(401, MU, 1e5)
+        assert eq.d_star == pytest.approx(412.0865, abs=1e-4)
+    else:
+        params = build_model(load_config(bundled(name + ".cfg")))
+        eq = solve_equilibrium(params)
+    assert abs(lotka_sharpe_residual(eq.d_star, params)) < 1e-14
+
+
+def test_newton_stops_where_rounding_stops_the_rise():
+    # all birth at the last of 5 nodes: (h/3) k e^{-2 d - int mu} = 1 has a
+    # closed-form root near 344, where one ulp of d moves the residual by
+    # about 1e-13; the residual stays at 2.3e-14 there, and the loop ends
+    # on an iterate that no longer rises instead of stepping on forever
+    _, params = motherhood_model(5, MU, 1.0)
+    last = dataclasses.replace(params, k=params.k.with_values(np.array([0.0, 0.0, 0.0, 0.0, 1e300])))
+    d_star = solve_equilibrium(last).d_star
+    assert d_star == pytest.approx((np.log(params.h / 3.0 * 1e300) - last.cum_mu[-1]) / 2.0, rel=1e-15)
+    assert abs(lotka_sharpe_residual(d_star, last)) < 2e-13
+
+
+def test_tabulated_mortality_root_is_fourth_order():
+    # int mu is cumquad4's: against the root of the same grid with the closed
+    # form int mu, the d* error falls about 16x per halving of the age step
+    # (a trapezoid int mu gives 4x)
+    errors = []
+    for n in (101, 201, 401, 801):
+        a = np.linspace(0.0, 2.0, n)
+        eq, params = motherhood_model(n, 0.1 + 0.3 * a**2 + 0.2 * np.sin(3.0 * a), K0)
+        object.__setattr__(params, "cum_mu", 0.1 * a + 0.1 * a**3 + 0.2 / 3.0 * (1.0 - np.cos(3.0 * a)))
+        errors.append(abs(eq.d_star - solve_equilibrium(params).d_star))
+    assert errors[0] < 3e-8
+    assert all(coarse >= 12.0 * fine for coarse, fine in zip(errors, errors[1:]))
 
 
 def test_calibration_matches_trial_value(trial):

@@ -636,6 +636,14 @@ def test_ide_identity_and_history_decay_checks_can_fail(fig2a_cfg, fig2a_report,
     clean = _checks(fig2a_report)
     assert clean["oracle_ide_identity"] == (True, "max residual 4.79e-07")
     assert clean["history_decay"] == (True, "W0 0.154, monotone True, envelope True, floor True")
+    _make_recurrence_heavy(monkeypatch)
+    checks = _checks(run(dataclasses.replace(fig2a_cfg, routes="oracle")))
+    assert checks["oracle_ide_identity"] == (False, "max residual 2.39e-06")
+    assert checks["history_decay"] == (False, "W0 0.154, monotone True, envelope False, floor True")
+
+
+def _make_recurrence_heavy(monkeypatch):
+    """Every a_j of the psi recurrence 0.1% heavy from here on."""
     build = delay._PsiDynamics.build
 
     def heavy(*args):
@@ -644,8 +652,18 @@ def test_ide_identity_and_history_decay_checks_can_fail(fig2a_cfg, fig2a_report,
         return dyn
 
     monkeypatch.setattr(delay._PsiDynamics, "build", staticmethod(heavy))
-    checks = _checks(run(dataclasses.replace(fig2a_cfg, routes="oracle")))
-    assert checks["oracle_ide_identity"] == (False, "max residual 2.39e-06")
+
+
+def test_history_decay_runs_without_a_certificate(fig2b_report, fig3_report, monkeypatch):
+    # both references leave the rate band, so neither run has a certificate;
+    # the history check needs only the kernel's sigma, and it runs and passes
+    # on both, and fails on fig2b under fig2a's 0.1%-heavy recurrence
+    for report in (fig2b_report, fig3_report):
+        assert report.certificate is None and "clf_decay" not in _checks(report)
+    assert _checks(fig2b_report)["history_decay"] == (True, "W0 0.154, monotone True, envelope True, floor True")
+    assert _checks(fig3_report)["history_decay"] == (True, "W0 0.000665, monotone True, envelope True, floor True")
+    _make_recurrence_heavy(monkeypatch)
+    checks = _checks(run(dataclasses.replace(load_config(bundled("fig2b.cfg")), routes="oracle")))
     assert checks["history_decay"] == (False, "W0 0.154, monotone True, envelope False, floor True")
 
 
