@@ -39,6 +39,8 @@ def _cmd_verify(args) -> int:
     band, cert = report.validity, report.certificate
     lines = [
         "d_star = %.12g" % eq.d_star,
+        # the warning that the age grid under-resolves d*, where prepare gave one
+        *(w for w in report.warnings if w.startswith("[numerics] age_nodes")),
         "trajectory: inf_rate %.6g sup_rate %.6g valid %s" % (band.inf_rate, band.sup_rate, band.valid),
     ]
     if cert is None:

@@ -111,9 +111,9 @@ def _sym2_eigs(a11, a12, a22):
     return 0.5 * (tr - disc), 0.5 * (tr + disc)
 
 
-#: p1 rows per block of :func:`observer_quadratic`'s grid; a block's
-#: dozen temporaries stay near 40 kB each on the 200-point grid
-OQ_BLOCK = 25
+#: cells per chunk of :func:`observer_quadratic`'s band, as many as 25 rows
+#: of the whole grid; a chunk's dozen temporaries stay near 40 kB each
+OQ_CHUNK = 5000
 
 
 #: gains pairs whose observer form is kept; a sweep over many gains would
@@ -131,18 +131,34 @@ def observer_quadratic(l1: float, l2: float) -> ObserverQuadratic:
     Exhaustive logarithmic grid over (0, 2] x (0, 4]; both 2x2 forms must
     be positive definite, and the returned pair maximizes
     beta1 = min_eig(P~) / (4 max_eig(P)), at its first occurrence in
-    row-major order.  The grid is evaluated OQ_BLOCK rows of p1 at a time.
-    Memoized for the last OQ_MEMO gain pairs: the form depends on the gains
-    only.
+    row-major order.  For each p1 the shape inequalities leave p2 one
+    interval, |2 + l1 p1 - 2 l2 p2| < sqrt(8 l1 p1 - 4 l2 p1^2) with
+    p2 > p1^2 / 4, so only the cells of that band, with one cell of margin
+    on each side for the rounding of its edges, are evaluated, OQ_CHUNK
+    cells at a time in row-major order; every cell outside it fails a
+    shape inequality.  Memoized for the last OQ_MEMO gain pairs: the form
+    depends on the gains only.
     """
     for key, value in (("l1", l1), ("l2", l2)):
         if not value > 0:
             raise ValueError("%s: must be positive, got %g" % (key, value))
     p1g = np.geomspace(1e-2, 2.0, OQ_GRID)
     p2g = np.geomspace(1e-2, 4.0, OQ_GRID)
+    disc = 8.0 * l1 * p1g - 4.0 * l2 * p1g * p1g  # as quadratic_pair_feasible computes it
+    root = np.sqrt(np.maximum(disc, 0.0))
+    lo_edge = np.maximum((2.0 + l1 * p1g - root) / (2.0 * l2), p1g * p1g / 4.0)
+    hi_edge = (2.0 + l1 * p1g + root) / (2.0 * l2)
+    lo = np.maximum(np.searchsorted(p2g, lo_edge, side="right") - 1, 0)
+    hi = np.minimum(np.searchsorted(p2g, hi_edge, side="left") + 1, OQ_GRID)
+    counts = np.where(disc > 0, np.maximum(hi - lo, 0), 0)  # no p2 passes where disc <= 0
+    ends = np.cumsum(counts)
+    first = lo - (ends - counts)  # band cell j lies in column j + first[row]
+    n_cells = int(ends[-1])
     best = None  # (beta1, p1, p2, k1, k2, kt1, kt2) at the best cell so far
-    for lo in range(0, OQ_GRID, OQ_BLOCK):
-        P1, P2 = np.meshgrid(p1g[lo : lo + OQ_BLOCK], p2g, indexing="ij")
+    for start in range(0, n_cells, OQ_CHUNK):
+        cell = np.arange(start, min(start + OQ_CHUNK, n_cells))
+        row = np.searchsorted(ends, cell, side="right")
+        P1, P2 = p1g[row], p2g[cell + first[row]]
         feas = quadratic_pair_feasible(l1, l2, P1, P2)
         k1, k2 = _sym2_eigs(np.ones_like(P1), -P1 / 2.0, P2)
         kt1, kt2 = _sym2_eigs(2.0 * l1 - l2 * P1, l2 * P2 - l1 * P1 / 2.0 - 1.0, P1)
@@ -150,9 +166,9 @@ def observer_quadratic(l1: float, l2: float) -> ObserverQuadratic:
         if not feas.any():
             continue
         beta1 = np.where(feas, kt1 / (4.0 * k2), -np.inf)
-        ij = np.unravel_index(int(np.argmax(beta1)), beta1.shape)
-        if best is None or beta1[ij] > best[0]:
-            best = tuple(float(a[ij]) for a in (beta1, P1, P2, k1, k2, kt1, kt2))
+        i = int(np.argmax(beta1))
+        if best is None or beta1[i] > best[0]:
+            best = tuple(float(a[i]) for a in (beta1, P1, P2, k1, k2, kt1, kt2))
     if best is None:
         raise NoFeasiblePair("no (p1, p2) satisfies the shape inequalities for l = (%g, %g)" % (l1, l2))
     beta1, p1, p2, k1, k2, kt1, kt2 = best
@@ -274,9 +290,14 @@ def build_certificate(
     eq: Equilibrium,
     gains: ControllerGains,
     params: ModelParams,
+    kernel: KernelConstants | None = None,
 ) -> Certificate:
-    """The kernel, gains and reference parts, in that order, checked as one certificate."""
-    kernel = kernel_constants(eq.k_tilde)
+    """The kernel, gains and reference parts, in that order, checked as one certificate.
+
+    ``kernel`` is ``kernel_constants(eq.k_tilde)`` where the caller holds it.
+    """
+    if kernel is None:
+        kernel = kernel_constants(eq.k_tilde)
     oq = observer_quadratic(gains.l1, gains.l2)
     rc = rate_constants(validity, eq, gains, oq, kernel.sigma, params)
     cert = Certificate(

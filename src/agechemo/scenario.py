@@ -22,13 +22,22 @@ import numpy as np
 from . import delay, galerkin, lyapunov
 from .config import ScenarioConfig, build_model, build_trajectory, build_x0
 from .controller import ControllerGains
-from .errors import AgeChemoError, B3Fail, GridMismatch, ValidationError
+from .errors import AgeChemoError, GridMismatch, ValidationError
 from .model import solve_equilibrium
 from .trajectories import validate
 
 ROUTE_GAP_BUDGET = 0.05  # relative, every reference kind
 TRACKING_TOL = {"transition": 0.02, "constant": 1e-3, "ramp": 0.01}
 IDE_TOL = 1e-6
+#: bound on Simpson's leading relative error on the survival factor,
+#: (d* h)^4 / 180, above which :func:`prepare` warns that the age grid
+#: under-resolves the equilibrium (d* h > 0.116)
+SURVIVAL_REL_TOL = 1e-6
+
+#: the last plant's characteristic roots, ``{key: (roots, sigma_lo, omega_cap)}``
+#: under :func:`_roots_key`, one entry at most; filled by a run whose
+#: Galerkin route searched and succeeded
+_ROOTS: dict = {}
 
 
 @dataclass(frozen=True)
@@ -66,6 +75,8 @@ class RunReport:
     metrics: RouteMetrics | None = None
     traces: dict = field(default_factory=dict)
     saturation: dict = field(default_factory=dict)
+    #: the certificate's kernel part, None where B3 fails
+    kernel: lyapunov.KernelConstants | None = None
 
     @property
     def passed(self) -> bool:
@@ -138,16 +149,28 @@ def _write_route(stage: Path, route: str, trace, nodes):
     _write_snapshots(stage / (route + "_profiles.csv"), nodes, trace.snapshots)
 
 
-def _galerkin_route(cfg, eq, params, x0, traj, gains, stage):
-    """The whole Galerkin route, roots to its CSVs (if ``stage``) and its check: ``(trace, checks)``."""
-    roots = galerkin.characteristic_roots(eq, params, cfg.n_modes)
+def _roots_key(eq, params, n_modes):
+    """Every input of :func:`galerkin.characteristic_roots`: the kernel and its slope, A and the count."""
+    return eq.k_tilde.values.tobytes(), eq.k_tilde_prime.values.tobytes(), params.a_max, n_modes
+
+
+def _galerkin_route(cfg, eq, params, x0, traj, gains, stage, kept=None):
+    """The whole Galerkin route, roots to its CSVs (if ``stage``) and its check: ``(trace, checks, kept)``.
+
+    ``kept`` holds the roots as ``(roots, sigma_lo, omega_cap)``, tuples that
+    no caller can alter; where it is None the route searches them itself.
+    """
+    if kept is None:
+        found = galerkin.characteristic_roots(eq, params, cfg.n_modes)
+        kept = tuple(found), found.sigma_lo, found.omega_cap
+    roots = galerkin.CertifiedRoots(*kept)
     basis = galerkin.build_basis(x0, eq, roots, cfg.n_modes, params)
     system = galerkin.assemble(basis, params)
     trace = galerkin.simulate(system, basis, traj, gains, params, cfg.t_final, cfg.dt, cfg.snapshot_times)
     if stage is not None:
         _write_route(stage, "galerkin", trace, params.nodes)
     low = trace.min_profile.min()
-    return trace, [("galerkin_positivity", low >= 0, "min profile %.3g" % low)]
+    return trace, [("galerkin_positivity", low >= 0, "min profile %.3g" % low)], kept
 
 
 def _delay_route(cfg, eq, params, x0, traj, gains, stage, report):
@@ -170,12 +193,8 @@ def _delay_route(cfg, eq, params, x0, traj, gains, stage, report):
         gap = "max gap < 1e-12" if cons < 1e-12 else "max gap %.3g" % cons
         checks.append(("oracle_output_consistency", cons < 1e-8, gap))
     cert = report.certificate
-    try:  # history_decay needs only sigma, the kernel part, which holds wherever B3 does
-        sigma = cert.sigma if cert is not None else lyapunov.kernel_constants(eq.k_tilde).sigma
-    except B3Fail:
-        sigma = None
-    if sigma is not None:
-        hist = lyapunov.check_history_decay(trace, sigma)
+    if report.kernel is not None:  # history_decay needs only sigma, which holds wherever B3 does
+        hist = lyapunov.check_history_decay(trace, report.kernel.sigma)
         checks.append((
             "history_decay",
             hist.passed,
@@ -268,8 +287,11 @@ class _Child:
 def prepare(cfg: ScenarioConfig):
     """The set-up that ``run`` and ``agechemo verify`` share: ``(report, params, eq, traj, x0, gains)``.
 
-    ``report`` holds the rate-band verdict, the certificate or, as its last
-    warning, ``certificate unavailable: ...``. An inadmissible x0 is a :class:`ValidationError`.
+    ``report`` holds the rate-band verdict, the kernel part and the
+    certificate or, as its last warning, ``certificate unavailable: ...``.
+    Where the age grid under-resolves d* (see ``SURVIVAL_REL_TOL``), a
+    warning naming ``[numerics] age_nodes`` precedes the others. An
+    inadmissible x0 is a :class:`ValidationError`.
     """
     params = build_model(cfg)
     eq = solve_equilibrium(params)
@@ -279,6 +301,13 @@ def prepare(cfg: ScenarioConfig):
     validity = validate(traj, eq, cfg.d_min, cfg.d_max, horizon=cfg.t_final)
 
     report = RunReport(config_hash=cfg.config_hash, certificate=None, validity=validity)
+    dh = eq.d_star * params.h
+    if dh**4 / 180.0 > SURVIVAL_REL_TOL:
+        report.warnings.append(
+            "[numerics] age_nodes: d_star * h = %.3g under-resolves the equilibrium "
+            "(Simpson's relative error on the survival factor, (d_star h)^4/180 = %.2g, "
+            "exceeds %g); use more age nodes" % (dh, dh**4 / 180.0, SURVIVAL_REL_TOL)
+        )
     if not (cfg.d_min < eq.d_star < cfg.d_max):
         report.warnings.append(
             "equilibrium dilution rate %.6g outside (d_min, d_max); steady states unreachable"
@@ -298,7 +327,8 @@ def prepare(cfg: ScenarioConfig):
         )
 
     try:
-        report.certificate = lyapunov.build_certificate(validity, eq, gains, params)
+        report.kernel = lyapunov.kernel_constants(eq.k_tilde)
+        report.certificate = lyapunov.build_certificate(validity, eq, gains, params, report.kernel)
     except AgeChemoError as exc:
         report.warnings.append("certificate unavailable: %s" % exc)
     return report, params, eq, traj, x0, gains
@@ -316,6 +346,8 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
     report, the files and the error raised on a failure are those of a
     serial run, and a failed run leaves an earlier run's files as they were.
     An ``out_dir`` in which nothing can be made is a :class:`ValidationError`.
+    The characteristic roots of the last plant whose Galerkin route
+    succeeded are kept and reused by the next run on that plant.
     """
     report, params, eq, traj, x0, gains = prepare(cfg)
     out_path = stage = None
@@ -328,7 +360,11 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
             raise ValidationError("--out %s: cannot create directory (%s)" % (out_path, exc.strerror)) from exc
 
     try:
-        route_g = functools.partial(_galerkin_route, cfg, eq, params, x0, traj, gains, stage)
+        # the roots are the plant's alone; a miss searches in the route, in
+        # the child where there is one, and the roots come back with its result
+        key = _roots_key(eq, params, cfg.n_modes)
+        stored = _ROOTS.get(key)
+        route_g = functools.partial(_galerkin_route, cfg, eq, params, x0, traj, gains, stage, stored)
         child = _Child(route_g) if cfg.routes == "both" else None
         results = {"galerkin": route_g() if cfg.routes == "galerkin" else None, "oracle": None}
         try:
@@ -339,9 +375,12 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
             if child is not None:
                 results["galerkin"] = child.result()
 
+        if results["galerkin"] is not None and stored is None:
+            _ROOTS.clear()
+            _ROOTS[key] = results["galerkin"][2]
         for route in ("galerkin", "oracle"):
             if results[route] is not None:
-                trace, checks = results[route]
+                trace, checks = results[route][:2]
                 report.traces[route] = trace
                 report.saturation[route] = (
                     float(np.sum(trace.d <= cfg.d_min + 1e-12)) / len(trace.d),

@@ -5,8 +5,9 @@ scanning directly on closed-form integrands so that package results are
 checked against a code path that shares nothing with src/agechemo.
 ``pi_weight``, ``pi_functional``, ``reference_closed_loop``,
 ``reference_advance_psi``, ``reference_galerkin_loop``,
-``reference_contraction_parts`` and ``reference_sample_clf`` are the
-exceptions; their docstrings say why.
+``reference_contraction_parts``, ``reference_sample_clf`` and
+``reference_observer_quadratic`` are the exceptions; their docstrings say
+why.
 """
 import math
 
@@ -436,6 +437,34 @@ def reference_sigma_search(k_tilde, lam):
         else:
             hi = mid
     return lo
+
+
+def reference_observer_quadratic(l1, l2):
+    """The observer form by the search of the whole 200 x 200 grid, one argmax.
+
+    The search that the band search replaced.  An exception to this
+    module's rule: it evaluates the package's own cell expressions
+    (``quadratic_pair_feasible``, ``_sym2_eigs``) on every cell, so that
+    the band search, which evaluates them on fewer cells, is checked
+    against it bit for bit.
+    """
+    from agechemo.errors import NoFeasiblePair
+    from agechemo.lyapunov import OQ_GRID, ObserverQuadratic, _sym2_eigs, quadratic_pair_feasible
+
+    p1g = np.geomspace(1e-2, 2.0, OQ_GRID)
+    p2g = np.geomspace(1e-2, 4.0, OQ_GRID)
+    P1, P2 = np.meshgrid(p1g, p2g, indexing="ij")
+    feas = quadratic_pair_feasible(l1, l2, P1, P2)
+    k1, k2 = _sym2_eigs(np.ones_like(P1), -P1 / 2.0, P2)
+    kt1, kt2 = _sym2_eigs(2.0 * l1 - l2 * P1, l2 * P2 - l1 * P1 / 2.0 - 1.0, P1)
+    feas &= (k1 > 0) & (kt1 > 0)
+    if not feas.any():
+        raise NoFeasiblePair("no (p1, p2) satisfies the shape inequalities for l = (%g, %g)" % (l1, l2))
+    beta1 = np.where(feas, kt1 / (4.0 * k2), -np.inf)
+    ij = np.unravel_index(int(np.argmax(beta1)), beta1.shape)
+    beta1, p1, p2, k1, k2, kt1, kt2 = (float(a[ij]) for a in (beta1, P1, P2, k1, k2, kt1, kt2))
+    b2 = ((2 * l1 - l2 * p1) ** 2 + (l1 * p1 - 2 * l2 * p2) ** 2) / (2.0 * kt1)
+    return ObserverQuadratic(p1=p1, p2=p2, k1=k1, k2=k2, k1_tilde=kt1, k2_tilde=kt2, beta1=beta1, beta2=b2)
 
 
 def reference_polish(s, kt, nodes, w, wa, dampings=None):

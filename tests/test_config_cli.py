@@ -158,6 +158,40 @@ def test_cli_exit_code_acceptance_failure(tmp_path, capsys):
     assert "setpoint_reached" in out and "FAIL" in out
 
 
+#: the grid's warning on the k0 = 1e5 kernel at 401 nodes, where d* reads
+#: 412.09 against 446.613 on a converged grid
+UNDER_RESOLVED = (
+    "[numerics] age_nodes: d_star * h = 2.06 under-resolves the equilibrium "
+    "(Simpson's relative error on the survival factor, (d_star h)^4/180 = 0.1, "
+    "exceeds 1e-06); use more age nodes"
+)
+
+
+def test_an_under_resolved_equilibrium_is_named(tmp_path, capsys):
+    path = tmp_path / "k1e5.cfg"
+    path.write_text(
+        small_config_text()
+        .replace("quadratic-motherhood 2.00", "quadratic-motherhood 100000")
+        .replace("compat-linear-exp 1.30 1.0", "compat-linear-exp 1000 1.0")
+    )
+    report = prepare(load_config(path))[0]
+    assert report.warnings[0] == UNDER_RESOLVED
+    assert report.warnings[-1].startswith("certificate unavailable: ")
+    # verify prints it under d_star, and the certificate line stays the last warning
+    assert main(["verify", str(path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["d_star = 412.086511915", UNDER_RESOLVED]
+    assert lines[3] == report.warnings[-1]
+
+
+@pytest.mark.parametrize("name", ["fig2a.cfg", "fig2b.cfg", "fig3.cfg", "const.cfg"])
+def test_bundled_grids_resolve_the_equilibrium(capsys, name):
+    # d* h = 0.005 on every bundled config: no warning, and verify prints no new line
+    assert not any(w.startswith("[numerics]") for w in prepare(load_config(bundled(name)))[0].warnings)
+    main(["verify", str(bundled(name))])
+    assert capsys.readouterr().out.splitlines()[1].startswith("trajectory: ")
+
+
 def test_cli_roots_command(capsys):
     assert main(["roots", str(bundled("fig2a.cfg"))]) == 0
     out = capsys.readouterr().out

@@ -38,6 +38,7 @@ from oracles import (
     reference_clf_profile,
     reference_contraction_parts,
     reference_contraction_value,
+    reference_observer_quadratic,
     reference_sample_clf,
     reference_sigma_search,
 )
@@ -139,14 +140,47 @@ def test_b3_search_rejects_non_contracting_kernel(trial):
         kernel_constants(heavy)
 
 
-def test_observer_quadratic_blocks_match_whole_grid(monkeypatch):
-    # one block holding the whole grid is the unblocked search; both sides
-    # search afresh, past the memo
+def _bits(form_or_error):
+    """An observer form as the hex of each float, or a NoFeasiblePair as its message."""
+    if isinstance(form_or_error, NoFeasiblePair):
+        return str(form_or_error)
+    return tuple(float(v).hex() for v in form_or_error)
+
+
+def _form_or_error(search, l1, l2):
+    try:
+        return search(l1, l2)
+    except NoFeasiblePair as exc:
+        return exc
+
+
+#: seeded gains: the kernel screen's ranges, and log-uniform pairs over five
+#: decades; 47 of the 203 pairs have no feasible pair (p1, p2)
+_OQ_RNG = np.random.default_rng(20261022)
+OQ_GAINS = [(4.0, 8.0), (526.67, 923.38), (0.0146, 0.0116)] + [
+    (float(a), float(b)) for a, b in zip(_OQ_RNG.uniform(3.0, 5.0, 40), _OQ_RNG.uniform(6.0, 10.0, 40))
+] + [tuple(float(v) for v in 10.0 ** _OQ_RNG.uniform(-2.5, 2.5, 2)) for _ in range(160)]
+
+
+def test_band_search_is_the_whole_grid_search_bitwise():
+    # the band holds every cell that passes the shape inequalities, so the
+    # form, or the error's message, is the whole grid's to the last bit
     search = observer_quadratic.__wrapped__
-    blocked = [search(l1, l2) for l1, l2 in ((4.0, 8.0), (3.0, 6.0), (5.0, 10.0))]
-    monkeypatch.setattr(lyapunov, "OQ_BLOCK", 200)
-    whole = [search(l1, l2) for l1, l2 in ((4.0, 8.0), (3.0, 6.0), (5.0, 10.0))]
-    assert blocked == whole
+    results = [_bits(_form_or_error(search, *gains)) for gains in OQ_GAINS]
+    assert results == [_bits(_form_or_error(reference_observer_quadratic, *gains)) for gains in OQ_GAINS]
+    n_infeasible = sum(isinstance(r, str) for r in results)
+    assert n_infeasible == 47
+
+
+def test_observer_quadratic_blocks_match_whole_grid(monkeypatch):
+    # chunks of the band of any size give the form of one chunk holding the
+    # whole band, and of the whole grid; both sides search afresh, past the memo
+    search = observer_quadratic.__wrapped__
+    gains = [(4.0, 8.0), (3.0, 6.0), (5.0, 10.0), (0.5, 0.5), (30.0, 50.0)]
+    whole = [_bits(reference_observer_quadratic(l1, l2)) for l1, l2 in gains]
+    for chunk in (7, 200, lyapunov.OQ_CHUNK, 40_000):
+        monkeypatch.setattr(lyapunov, "OQ_CHUNK", chunk)
+        assert [_bits(search(l1, l2)) for l1, l2 in gains] == whole, chunk
 
 
 def test_observer_quadratic_memoized():

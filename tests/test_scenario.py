@@ -15,12 +15,27 @@ from agechemo.cli import main
 from agechemo.delay import simulate_closed_loop
 from agechemo.config import build_trajectory, build_x0
 from agechemo.controller import ControllerGains, ScalarLoop
-from agechemo.errors import AgeChemoError, GridMismatch, Instability, InvalidIC, NonPositiveOutput
+from agechemo.errors import (
+    AgeChemoError,
+    GridMismatch,
+    Instability,
+    InvalidIC,
+    NonPositiveOutput,
+    RootSearchExhausted,
+)
 from agechemo.galerkin import assemble, simulate
 from agechemo.scenario import compare_routes, run
 from agechemo.trajectories import Trajectory
 from conftest import bundled, bundled_with, small_config_text
 from agechemo.config import load_config
+
+
+@pytest.fixture(autouse=True)
+def no_stored_roots():
+    """Each test starts, and leaves, with no plant's roots kept by ``run``."""
+    scenario._ROOTS.clear()
+    yield
+    scenario._ROOTS.clear()
 
 
 def test_compare_routes_identical(fig2a_runs):
@@ -597,6 +612,95 @@ def test_inline_path_writes_the_forked_bytes(tmp_path, monkeypatch):
             assert p.read_bytes() == (inline / p.name).read_bytes(), p
 
 
+def _counted_root_searches(monkeypatch):
+    """Wrap ``galerkin.characteristic_roots``; the list that each call in this process appends to."""
+    calls = []
+    search = galerkin.characteristic_roots
+
+    def counted(eq, params, count):
+        calls.append(count)
+        return search(eq, params, count)
+
+    monkeypatch.setattr(galerkin, "characteristic_roots", counted)
+    return calls
+
+
+@needs_fork
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_a_second_run_on_the_plant_writes_the_first_runs_bytes(tmp_path, monkeypatch, n_cpus):
+    # forked, the roots come back from the child with its result; inline they
+    # are the route's own.  Either way the warm run writes the cold run's bytes
+    _cpus(monkeypatch, n_cpus)
+    cfg = load_config(bundled("fig2a.cfg"))
+    for n in (1, 2):
+        run(cfg, tmp_path / str(n))
+        assert len(scenario._ROOTS) == 1
+    cold, warm = _tree(tmp_path / "1"), _tree(tmp_path / "2")
+    assert sorted(cold) == ["galerkin.csv", "galerkin_profiles.csv", "oracle.csv", "oracle_profiles.csv", "report.txt"]
+    assert warm == cold
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_a_second_run_on_the_plant_searches_no_roots(tmp_path, monkeypatch):
+    _cpus(monkeypatch, 1)
+    calls = _counted_root_searches(monkeypatch)
+    cfg = _tiny(tmp_path)
+    run(cfg)
+    run(dataclasses.replace(cfg, t_final=2.0, gamma=3.0))  # the reference and gains are not the plant
+    assert calls == [4]
+    # forked: a search in the child would raise there, and the run with it
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(galerkin, "characteristic_roots", _failing(AssertionError, "searched again"))
+    assert run(cfg).passed
+    _assert_no_child_left()
+
+
+def test_a_new_kernel_or_mode_count_searches_again(tmp_path, monkeypatch):
+    calls = _counted_root_searches(monkeypatch)
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text(small_config_text())
+    other_kernel = tmp_path / "k.cfg"
+    other_kernel.write_text(small_config_text().replace("quadratic-motherhood 2.00", "quadratic-motherhood 2.10"))
+    cfgs = [load_config(p) for p in (tiny, other_kernel, tiny)]
+    cfgs.append(dataclasses.replace(cfgs[0], n_modes=6))
+    for cfg in cfgs:
+        run(dataclasses.replace(cfg, routes="galerkin"))
+        assert len(scenario._ROOTS) == 1  # the last plant's roots only
+    assert calls == [4, 4, 4, 6]
+
+
+@needs_fork
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_a_failed_root_search_is_not_kept(tmp_path, monkeypatch, n_cpus):
+    _cpus(monkeypatch, n_cpus)
+    shortfall = _failing(RootSearchExhausted, "found 1 conjugate pairs, need 2")
+    monkeypatch.setattr(galerkin, "characteristic_roots", shortfall)
+    for _ in range(2):
+        with pytest.raises(RootSearchExhausted, match="found 1 conjugate pairs"):
+            run(_tiny(tmp_path))
+        assert scenario._ROOTS == {}
+    _assert_no_child_left()
+
+
+def test_the_kept_roots_are_the_runs_to_alter(tmp_path, monkeypatch):
+    # each run gets its own copy of the kept roots: emptying one leaves the next whole
+    seen = []
+    build = galerkin.build_basis
+
+    def emptying(x0, eq, roots, *args):
+        basis = build(x0, eq, roots, *args)
+        seen.append((len(roots), roots.sigma_lo, roots.omega_cap))
+        roots.clear()
+        return basis
+
+    monkeypatch.setattr(galerkin, "build_basis", emptying)
+    cfg = _tiny(tmp_path, "galerkin")
+    for _ in range(3):
+        run(cfg)
+    assert len(set(seen)) == 1 and seen[0][0] == 3
+
+
 def _route_agreement(report):
     return {name: (ok, detail) for name, ok, detail in report.checks}["route_agreement"]
 
@@ -665,6 +769,22 @@ def test_history_decay_runs_without_a_certificate(fig2b_report, fig3_report, mon
     _make_recurrence_heavy(monkeypatch)
     checks = _checks(run(dataclasses.replace(load_config(bundled("fig2b.cfg")), routes="oracle")))
     assert checks["history_decay"] == (False, "W0 0.154, monotone True, envelope False, floor True")
+
+
+@pytest.mark.parametrize("name", ["fig2a.cfg", "fig2b.cfg"])
+def test_the_kernel_part_is_computed_once_per_run(monkeypatch, name):
+    # with a certificate (fig2a) and without one (fig2b), history_decay reads
+    # the sigma that the set-up computed
+    calls = []
+    kernel_constants = lyapunov.kernel_constants
+
+    def counted(k_tilde):
+        calls.append(k_tilde.n)
+        return kernel_constants(k_tilde)
+
+    monkeypatch.setattr(lyapunov, "kernel_constants", counted)
+    report = run(dataclasses.replace(load_config(bundled(name)), routes="oracle"))
+    assert calls == [401] and _checks(report)["history_decay"][0]
 
 
 def test_limiting_exponential_check_can_fail(fig3_report, monkeypatch):
